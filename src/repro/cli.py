@@ -352,27 +352,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{serve_run['users_sustained']}"
         )
         protocol = serve_run["protocol"]
-        print(
-            f"\nwire codecs (micro-bench): v1 "
-            f"{protocol['frames_per_s_v1']:.0f} frames/s, v2 "
-            f"{protocol['frames_per_s_v2']:.0f} frames/s, speedup "
-            f"{protocol['codec_speedup']:.2f}x\n"
-        )
-        print(
-            format_table(
-                ["codec", "users", "hit rate", "p99 slot (ms)", "missed"],
-                [
-                    [
-                        int(r["codec"]),
-                        int(r["users"]),
-                        r["deadline_hit_rate"],
-                        r["p99_slot_ms"],
-                        int(r["missed_reports"]),
-                    ]
-                    for r in protocol["fleets"]
-                ],
-            )
-        )
         if "mux" in protocol:
             mux = protocol["mux"]
             print(
@@ -529,7 +508,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.faults import FaultSchedule
     from repro.obs import ObsConfig
-    from repro.serve import VrServeServer, install_uvloop, serve_setup1
+    from repro.serve import VrServeServer, serve_setup1
     from repro.units import SLOT_DURATION_S
 
     slot_s = SLOT_DURATION_S if args.slot_ms is None else args.slot_ms / 1e3
@@ -562,17 +541,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             resume_grace_s=args.resume_grace,
             resume_grace_slots=args.resume_grace_slots,
             kernel=args.kernel,
-            codec_max=args.codec_max,
-            uvloop=args.uvloop,
         )
-        if config.uvloop:
-            installed = install_uvloop()
-            print(
-                "uvloop event loop installed"
-                if installed
-                else "uvloop not available; using the stock asyncio loop",
-                flush=True,
-            )
 
         async def _run() -> object:
             server = VrServeServer(config)
@@ -634,7 +603,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             churn_leave_after_slots=args.churn_leave,
             faults=faults,
             reconnect=ReconnectPolicy(max_attempts=args.reconnect_attempts),
-            codec=args.codec,
         )
         if args.mux:
             fleet = asyncio.run(
@@ -803,12 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--kernel", action="store_true",
                        help="allocate with the vectorized array kernel "
                             "(bit-identical; faster at large seat counts)")
-    serve.add_argument("--codec-max", type=int, choices=(1, 2), default=2,
-                       help="newest wire codec to negotiate (1 pins every "
-                            "connection to JSON framing)")
-    serve.add_argument("--uvloop", action="store_true",
-                       help="install the uvloop event-loop policy if the "
-                            "package is available")
 
     loadgen = sub.add_parser(
         "loadgen", help="client fleet replaying motion traces at a server"
@@ -832,12 +794,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--reconnect-attempts", type=int, default=0,
                          help="reconnect budget per outage (0 = clients do "
                               "not heal)")
-    loadgen.add_argument("--codec", type=int, choices=(1, 2), default=2,
-                         help="newest wire codec to offer at join (1 forces "
-                              "JSON framing)")
     loadgen.add_argument("--mux", action="store_true",
                          help="multiplex all clients as virtual clients over "
-                              "--mux-connections binary-codec sockets")
+                              "--mux-connections sockets")
     loadgen.add_argument("--mux-connections", type=int, default=4,
                          help="physical connections carrying the mux fleet")
 

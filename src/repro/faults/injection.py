@@ -15,32 +15,21 @@ frame bytes, so a corrupted wire is as reproducible as a clean one.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.schedule import FAULT_KINDS, FaultEvent, FaultSchedule
 from repro.obs.registry import MetricFamily, MetricsRegistry
 
-_LENGTH_PREFIX = struct.Struct("!I")
+#: Size of the wire header in ``repro.serve.protocol2`` (kept local so
+#: the fault layer never imports the serve package it is injected
+#: into).
+_HEADER_SIZE = 8
 
-#: XOR mask used by :func:`corrupt_frame_bytes` — chosen to garble
-#: JSON structure (flips bits in printable range) deterministically.
-CORRUPT_XOR_MASK = 0x5A
-
-# Mirrors the binary wire header in ``repro.serve.protocol2`` (kept
-# local so the fault layer never imports the serve package it is
-# injected into).  First byte of every codec-2 frame is the magic;
-# a JSON frame starts with its length prefix's high byte, which the
-# 1 MiB frame cap keeps at zero — so the magic doubles as a codec
-# discriminator on raw frame bytes.
-_BINARY_MAGIC = 0xB2
-_BINARY_HEADER_SIZE = 8
-
-#: Bytes of ``0xFF`` stamped into a binary body: ten continuation
-#: bytes overflow the varint limit no matter where the first field
-#: read lands, so two extra cover a leading fixed-width byte or two.
-_BINARY_STAMP = 12
+#: Bytes of ``0xFF`` stamped into a body: ten continuation bytes
+#: overflow the varint limit no matter where the first field read
+#: lands, so two extra cover a leading fixed-width byte or two.
+_STAMP = 12
 
 
 class FaultInjector:
@@ -118,44 +107,36 @@ def corrupt_frame_bytes(frame: bytes) -> bytes:
     (framing is preserved) but cannot decode — the case the server's
     corrupt-frame quarantine must absorb without killing the session.
 
-    JSON frames get one byte mid-body bit-flipped, which reliably
-    breaks JSON structure.  Binary (codec 2) frames carry no checksum,
-    so a single flipped bit can decode as a structurally valid —
-    merely wrong — value; those get an overlong-varint stamp at the
-    start of the body instead, which the decoder is contractually
-    required to quarantine wherever its first field read lands.
+    Frames carry no checksum, so a single flipped bit can decode as a
+    structurally valid — merely wrong — value; the body instead gets
+    an overlong-varint stamp at its start, which the decoder is
+    contractually required to quarantine wherever its first field
+    read lands.
     """
-    if len(frame) <= _LENGTH_PREFIX.size:
+    body_len = len(frame) - _HEADER_SIZE
+    if body_len <= 0:
         raise ConfigurationError(
             f"cannot corrupt a {len(frame)}-byte frame (no body)"
         )
     mangled = bytearray(frame)
-    if frame[0] == _BINARY_MAGIC:
-        body_len = len(frame) - _BINARY_HEADER_SIZE
-        if body_len <= 0:
-            raise ConfigurationError(
-                f"cannot corrupt a {len(frame)}-byte binary frame (no body)"
-            )
-        end = _BINARY_HEADER_SIZE + min(body_len, _BINARY_STAMP)
-        for position in range(_BINARY_HEADER_SIZE, end):
-            mangled[position] = 0xFF
-        return bytes(mangled)
-    body_len = len(frame) - _LENGTH_PREFIX.size
-    position = _LENGTH_PREFIX.size + body_len // 2
-    mangled[position] ^= CORRUPT_XOR_MASK
+    end = _HEADER_SIZE + min(body_len, _STAMP)
+    for position in range(_HEADER_SIZE, end):
+        mangled[position] = 0xFF
     return bytes(mangled)
 
 
 def truncate_frame_bytes(frame: bytes) -> bytes:
-    """Cut a frame short mid-body (length prefix promises more).
+    """Cut a frame short mid-body (the header's length promises more).
 
-    The receiver blocks on the missing bytes until the injecting side
-    closes the connection, then surfaces a mid-frame transport error —
-    the garbled-wire shape the reconnect machinery must recover from.
+    The whole header survives and at least one body byte is kept and
+    at least one is cut.  The receiver blocks on the missing bytes
+    until the injecting side closes the connection, then surfaces a
+    mid-frame transport error — the garbled-wire shape the reconnect
+    machinery must recover from.
     """
-    if len(frame) <= _LENGTH_PREFIX.size + 1:
+    body_len = len(frame) - _HEADER_SIZE
+    if body_len < 2:
         raise ConfigurationError(
-            f"cannot truncate a {len(frame)}-byte frame (no body)"
+            f"cannot truncate a {len(frame)}-byte frame mid-body"
         )
-    body_len = len(frame) - _LENGTH_PREFIX.size
-    return frame[: _LENGTH_PREFIX.size + max(1, body_len // 2)]
+    return frame[: _HEADER_SIZE + body_len // 2]

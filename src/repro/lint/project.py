@@ -130,9 +130,9 @@ class ModuleInfo:
     name: str
     path: str
     #: Local name -> dotted import target.  ``import numpy as np``
-    #: yields ``{"np": "numpy"}``; ``from repro.serve.protocol import
-    #: write_message`` yields ``{"write_message":
-    #: "repro.serve.protocol.write_message"}``.
+    #: yields ``{"np": "numpy"}``; ``from repro.serve.protocol2 import
+    #: read_frame`` yields ``{"read_frame":
+    #: "repro.serve.protocol2.read_frame"}``.
     imports: Mapping[str, str] = field(default_factory=dict)
     #: Qualname -> function/method info.
     functions: Mapping[str, FunctionInfo] = field(default_factory=dict)

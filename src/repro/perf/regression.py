@@ -110,12 +110,7 @@ CHECK_RULES: Mapping[str, Tuple[CheckRule, ...]] = {
                   rows="fleets", row_key="users"),
         CheckRule("missed_reports", "abs_ceiling", 50.0,
                   rows="fleets", row_key="users"),
-        # The binary codec must stay ahead of JSON in the
-        # encode+decode micro-bench: a generous floor (half the
-        # baseline ratio) so shared-box noise passes but losing the
-        # optimisation — v2 falling back to JSON-speed — fails.
-        CheckRule("protocol.codec_speedup", "ratio_min", 0.5),
-        # The multiplexed run is the codec's capacity claim; judge it
+        # The multiplexed run is the wire's capacity claim; judge it
         # only against a baseline driving the same virtual-client
         # population.
         CheckRule("protocol.mux.deadline_hit_rate", "abs_drop", 0.25,

@@ -4,8 +4,8 @@ The in-process :mod:`repro.system` experiment answers "what numbers
 does the algorithm produce"; this package answers "does it hold up
 behind real sockets".  A :class:`~repro.serve.server.VrServeServer`
 hosts the same :class:`~repro.system.server.EdgeServer` planning
-stack behind a TCP listener (length-prefixed JSON frames, see
-:mod:`repro.serve.protocol`), runs a fixed-cadence slot loop with
+stack behind a TCP listener (binary frames, see
+:mod:`repro.serve.protocol2`), runs a fixed-cadence slot loop with
 per-stage deadline metrics, applies admission control and per-client
 graceful degradation under overload, and a
 :mod:`~repro.serve.loadgen` client fleet replays seeded motion
@@ -24,7 +24,6 @@ from repro.serve.bench import BENCH_SERVE_FILE, bench_serve
 from repro.serve.config import (
     PROTOCOL_VERSION,
     ServeConfig,
-    install_uvloop,
     resume_enabled,
     serve_setup1,
 )
@@ -38,14 +37,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.metrics import LatencyHistogram, ServingMetrics
 from repro.serve.mux import run_mux_fleet, run_serve_and_mux_fleet
-from repro.serve.protocol2 import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    BinaryChannelCodec,
-    WireFrame,
-    WireState,
-    negotiate_codec,
-)
+from repro.serve.protocol2 import BinaryChannelCodec, WireFrame
 from repro.serve.server import ServeResult, VrServeServer
 from repro.serve.sessions import Session, SessionRegistry
 from repro.serve.slotloop import DataPlane, SlotLoop
@@ -55,8 +47,6 @@ __all__ = [
     "AdmissionPolicy",
     "BENCH_SERVE_FILE",
     "BinaryChannelCodec",
-    "CODEC_BINARY",
-    "CODEC_JSON",
     "ClientReport",
     "DataPlane",
     "FleetReport",
@@ -76,10 +66,7 @@ __all__ = [
     "SlotLoop",
     "VrServeServer",
     "WireFrame",
-    "WireState",
     "bench_serve",
-    "install_uvloop",
-    "negotiate_codec",
     "resume_enabled",
     "run_fleet",
     "run_mux_fleet",

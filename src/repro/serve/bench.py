@@ -33,109 +33,15 @@ budget, which is exactly what this row is here to demonstrate.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.serve.config import ServeConfig, serve_setup1
 from repro.serve.loadgen import LoadGenConfig, run_serve_and_fleet
 from repro.serve.mux import run_serve_and_mux_fleet
-from repro.serve.protocol import SlotReport, TilePlan, decode_payload, encode_message
-from repro.serve.protocol2 import CODEC_BINARY, CODEC_JSON, BinaryChannelCodec
 
 BENCH_SERVE_FILE = "BENCH_serve.json"
-
-#: Frames encoded+decoded per timed repetition of the codec micro-bench.
-_CODEC_BATCH = 256
-
-
-def _codec_workload() -> Tuple[TilePlan, SlotReport]:
-    """One representative plan/report pair (the steady-state frames)."""
-    pose = (12.5, 3.25, 1.6, 0.31, -0.12, 0.05)
-    plan = TilePlan(
-        slot=41,
-        level=4,
-        predicted_pose=pose,
-        video_ids=tuple(range(7001, 7013)),
-        tile_bits=tuple(float(2_000_000 + 1000 * i) for i in range(12)),
-        lost_positions=(3, 9),
-        duration_s=0.0125,
-        startup_delay_s=0.0031,
-        demand_mbps=38.5,
-        achieved_mbps=31.2,
-        degraded=False,
-    )
-    report = SlotReport(
-        slot=41,
-        delivered_ids=tuple(range(7001, 7013)),
-        released_ids=(6801, 6802, 6803),
-        indicator=1,
-        delay_slots=1.5,
-        viewed_quality=4.0,
-        pose=pose,
-    )
-    return plan, report
-
-
-def _split(frame: bytes) -> Tuple[int, int, bytes]:
-    """(type, flags, body) of one v2 frame, as the reader loop sees it."""
-    return frame[2], frame[3], frame[8:]
-
-
-def _bench_codec(repeats: int = 5) -> Dict[str, float]:
-    """Frames/s through encode+decode for the JSON and binary codecs.
-
-    Both arms run the same plan/report stream.  The binary arm pays
-    its full protocol cost — delta state updates, ack bookkeeping —
-    by running a connected encoder/decoder pair, exactly the work a
-    server and client do per frame.
-    """
-    plan, report = _codec_workload()
-
-    def _json_pass() -> float:
-        started = time.perf_counter()
-        for _ in range(_CODEC_BATCH):
-            decode_payload(encode_message(plan)[4:])
-            decode_payload(encode_message(report)[4:])
-        return time.perf_counter() - started
-
-    def _binary_pass() -> float:
-        server = BinaryChannelCodec()
-        client = BinaryChannelCodec()
-        started = time.perf_counter()
-        for _ in range(_CODEC_BATCH):
-            frame = server.encode(plan)
-            client.decode(frame[2], frame[3], frame[8:])
-            frame = client.encode(report)
-            server.decode(frame[2], frame[3], frame[8:])
-        return time.perf_counter() - started
-
-    # Warm-up pass first so allocator/cache effects hit neither arm.
-    _json_pass()
-    _binary_pass()
-    json_s = min(_json_pass() for _ in range(repeats))
-    binary_s = min(_binary_pass() for _ in range(repeats))
-    frames = float(2 * _CODEC_BATCH)
-
-    # Wire size in steady state (second frame of a connected pair, so
-    # the v2 report rides a pose delta): the codec's headline win is
-    # bytes on the radio link, not CPU.
-    json_bytes = len(encode_message(plan)) + len(encode_message(report))
-    server = BinaryChannelCodec()
-    client = BinaryChannelCodec()
-    for _ in range(2):
-        client.decode(*_split(server.encode(plan)))
-        server.decode(*_split(client.encode(report)))
-    binary_bytes = len(server.encode(plan)) + len(client.encode(report))
-    return {
-        "frames_per_s_v1": frames / json_s if json_s > 0 else 0.0,
-        "frames_per_s_v2": frames / binary_s if binary_s > 0 else 0.0,
-        "codec_speedup": json_s / binary_s if binary_s > 0 else 0.0,
-        "bytes_per_pair_v1": float(json_bytes),
-        "bytes_per_pair_v2": float(binary_bytes),
-        "bytes_ratio": json_bytes / binary_bytes if binary_bytes else 0.0,
-    }
 
 
 def _paced_config(num_users: int, slots: int, seed: int) -> ServeConfig:
@@ -149,28 +55,6 @@ def _paced_config(num_users: int, slots: int, seed: int) -> ServeConfig:
         ),
         exact_stage_latency=True,
     )
-
-
-def _fleet_row(
-    num_users: int, slots: int, seed: int, codec: int
-) -> Dict[str, float]:
-    """One paced real-socket fleet run pinned to one codec generation."""
-    serve_config = replace(_paced_config(num_users, slots, seed),
-                           codec_max=codec)
-    fleet_config = LoadGenConfig(
-        num_clients=num_users, seed=seed, codec=codec
-    )
-    result, _ = asyncio.run(run_serve_and_fleet(serve_config, fleet_config))
-    metrics = result.metrics
-    slot_hist = metrics.stage_latency["slot"]
-    return {
-        "codec": float(codec),
-        "users": float(num_users),
-        "deadline_hit_rate": metrics.deadline_hit_rate,
-        "p50_slot_ms": slot_hist.quantile(0.50) * 1e3,
-        "p99_slot_ms": slot_hist.quantile(0.99) * 1e3,
-        "missed_reports": float(metrics.missed_reports),
-    }
 
 
 def _mux_row(
@@ -220,11 +104,9 @@ def bench_serve(
     ``users_sustained`` is the largest size whose deadline hit rate
     meets ``deadline_target``.
 
-    The ``protocol`` section compares the two wire codecs: an
-    encode+decode micro-bench (``codec_speedup`` is v2 over v1), one
-    paced fleet run per codec at the largest configured fleet size,
-    and one multiplexed run driving ``mux_clients`` virtual clients
-    over ``mux_connections`` sockets (``mux_clients`` of 0 skips it).
+    The ``protocol`` section holds one multiplexed run driving
+    ``mux_clients`` virtual clients over ``mux_connections`` sockets
+    (``mux_clients`` of 0 leaves it empty).
     """
     if slots < 3:
         raise ConfigurationError(f"slots must be >= 3, got {slots}")
@@ -271,12 +153,7 @@ def bench_serve(
                 "missed_reports": float(metrics.missed_reports),
             }
         )
-    compare_users = max(int(n) for n in user_counts)
-    protocol: Dict[str, object] = dict(_bench_codec())
-    protocol["fleets"] = [
-        _fleet_row(compare_users, slots, seed, CODEC_JSON),
-        _fleet_row(compare_users, slots, seed, CODEC_BINARY),
-    ]
+    protocol: Dict[str, object] = {}
     if mux_clients > 0:
         protocol["mux"] = _mux_row(
             mux_clients, mux_connections, slots, seed

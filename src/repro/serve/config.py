@@ -12,9 +12,6 @@ pacing, overload thresholds, and timeouts.
 
 from __future__ import annotations
 
-import asyncio
-import importlib
-
 from dataclasses import dataclass, field, replace
 
 from typing import Optional
@@ -99,17 +96,6 @@ class ServeConfig:
         array kernel falls back to the object solver whenever its
         fast-path preconditions fail); the flag only changes slot-loop
         compute cost, which matters at large seat counts.
-    codec_max:
-        Newest wire-codec generation this server will negotiate (see
-        :func:`repro.serve.protocol2.negotiate_codec`).  The default
-        allows the binary codec; pinning it to 1 forces every
-        connection onto the JSON framing regardless of what clients
-        offer (the differential tests drive both values).
-    uvloop:
-        Install the ``uvloop`` event-loop policy before serving when
-        the package is importable (see :func:`install_uvloop`).  A
-        build without uvloop ignores the flag — the knob can never
-        make a config invalid on a box that lacks the package.
     """
 
     experiment: ExperimentConfig = field(default_factory=setup1_config)
@@ -134,8 +120,6 @@ class ServeConfig:
     #: as one shard of a :mod:`repro.shard` cluster; -1 (the default)
     #: means an unsharded standalone server and changes nothing.
     shard_index: int = -1
-    codec_max: int = 2
-    uvloop: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= self.expect_clients <= self.experiment.num_users:
@@ -173,11 +157,6 @@ class ServeConfig:
         if self.shard_index < -1:
             raise ConfigurationError(
                 f"shard_index must be >= -1, got {self.shard_index}"
-            )
-        if self.codec_max not in (1, 2):
-            raise ConfigurationError(
-                f"codec_max must be 1 (JSON) or 2 (binary), got "
-                f"{self.codec_max}"
             )
 
     @property
@@ -231,23 +210,3 @@ def resume_enabled(config: ServeConfig) -> bool:
     if config.lockstep:
         return config.resume_grace_s > 0
     return config.resume_grace_slots > 0
-
-
-def install_uvloop() -> bool:
-    """Install the ``uvloop`` event-loop policy if the package exists.
-
-    Returns True when the policy was installed, False when uvloop is
-    not importable (the stock asyncio loop keeps serving — the knob
-    is an optimization, never a requirement).  This container does
-    not ship uvloop, so tests pin the False path; deployments that do
-    have it get the policy with no code change.
-    """
-    try:
-        uvloop_module = importlib.import_module("uvloop")
-    except ImportError:
-        return False
-    policy_factory = getattr(uvloop_module, "EventLoopPolicy", None)
-    if policy_factory is None:
-        return False
-    asyncio.set_event_loop_policy(policy_factory())
-    return True

@@ -50,16 +50,12 @@ from repro.serve.protocol import (
     TilePlan,
     Welcome,
     pose_to_wire,
-    read_message,
-    send_message,
 )
 from repro.serve.protocol2 import (
-    CODEC_BINARY,
+    BinaryChannelCodec,
     WireFrame,
-    WireState,
-    wire_encode,
-    wire_read,
-    wire_send,
+    read_units,
+    send_frame,
 )
 from repro.serve.server import ServeResult, VrServeServer
 from repro.system.client import Client, DecoderPool
@@ -145,11 +141,6 @@ class LoadGenConfig:
     reports) from the same :class:`~repro.faults.schedule.FaultSchedule`
     the server consumes; ``reconnect`` governs how clients heal from
     lost connections.
-
-    ``codec`` is the newest wire-codec generation the fleet offers at
-    join time (2, the binary framing, by default — the fleet is the
-    binary codec's first production user; the server may still
-    downgrade the connection to JSON).  Set 1 to force the JSON wire.
     """
 
     host: str = "127.0.0.1"
@@ -165,13 +156,8 @@ class LoadGenConfig:
     client_prefix: str = "client"
     faults: Optional[FaultSchedule] = None
     reconnect: ReconnectPolicy = field(default_factory=ReconnectPolicy)
-    codec: int = CODEC_BINARY
 
     def __post_init__(self) -> None:
-        if self.codec not in (1, 2):
-            raise ConfigurationError(
-                f"codec must be 1 (JSON) or 2 (binary), got {self.codec}"
-            )
         if self.num_clients < 1:
             raise ConfigurationError(
                 f"num_clients must be >= 1, got {self.num_clients}"
@@ -361,20 +347,17 @@ async def _run_client(
         done = False
         rejected: Optional[ClientReport] = None
         follow: Optional[Redirect] = None
+        codec = BinaryChannelCodec()
         try:
-            await send_message(
+            await send_frame(
                 writer,
+                codec,
                 JoinRequest(
-                    client=name,
-                    version=PROTOCOL_VERSION,
-                    token=token,
-                    codec=config.codec,
+                    client=name, version=PROTOCOL_VERSION, token=token
                 ),
             )
-            # The greeting always travels in the JSON handshake
-            # framing; the negotiated codec applies from the frame
-            # *after* the welcome.
-            greeting = await read_message(reader)
+            units = await read_units(reader, codec)
+            greeting = units[0].message if units else None
             if isinstance(greeting, Redirect):
                 follow = greeting
             elif isinstance(greeting, Reject):
@@ -403,24 +386,18 @@ async def _run_client(
                         f"{type(greeting).__name__}"
                     )
                 token = greeting.resume_token or token
-                wire = WireState()
-                if (
-                    greeting.codec >= CODEC_BINARY
-                    and config.codec >= CODEC_BINARY
-                ):
-                    wire.upgrade(CODEC_BINARY)
                 if state is None:
                     state = _ClientState(config, greeting)
-                    await wire_send(
+                    await send_frame(
                         writer,
-                        wire,
+                        codec,
                         Ready(pose=pose_to_wire(state.trace[0].as_vector())),
                     )
                 elif greeting.resumed:
                     state.resumes += 1
                     attempts = 0
                 outcome = await _session_loop(
-                    config, reader, writer, wire, state, latency_s,
+                    config, reader, writer, codec, state, latency_s,
                     jitter_rng, leave_after, injector,
                 )
                 if isinstance(outcome, Redirect):
@@ -468,7 +445,7 @@ async def _session_loop(
     config: LoadGenConfig,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    wire: WireState,
+    codec: BinaryChannelCodec,
     state: _ClientState,
     latency_s: float,
     jitter_rng: np.random.Generator,
@@ -489,7 +466,7 @@ async def _session_loop(
     pending: List[WireFrame] = []
     while True:
         if not pending:
-            units = await wire_read(reader, wire)
+            units = await read_units(reader, codec)
             if units is None:
                 return False
             pending.extend(units)
@@ -503,7 +480,7 @@ async def _session_loop(
         if isinstance(message, EndOfRun):
             state.end_reason = message.reason
             state.server_summary = dict(message.summary)
-            await wire_send(writer, wire, Bye(reason="complete"))
+            await send_frame(writer, codec, Bye(reason="complete"))
             return True
         if not isinstance(message, TilePlan):
             raise TransportError(
@@ -529,13 +506,13 @@ async def _session_loop(
             message.slot, state.seat, FAULT_CORRUPT_REPORT
         )
         if corrupt is not None:
-            writer.write(corrupt_frame_bytes(wire_encode(wire, report)))
+            writer.write(corrupt_frame_bytes(codec.encode(report)))
             await writer.drain()
         else:
-            await wire_send(writer, wire, report)
+            await send_frame(writer, codec, report)
         if leave_after_slots and message.slot + 1 >= leave_after_slots:
             state.end_reason = "churned"
-            await wire_send(writer, wire, Bye(reason="churn"))
+            await send_frame(writer, codec, Bye(reason="churn"))
             return True
 
 

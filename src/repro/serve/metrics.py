@@ -229,19 +229,14 @@ class ServingMetrics:
             "repro_serve_migrations_in_total",
             "Sessions adopted from another shard",
         )
-        # Wire-codec figures are registry-only by design: summary()
-        # must stay bit-identical between a JSON and a binary run of
-        # the same seed (the differential tier pins that), so nothing
-        # codec-dependent may leak into it.
-        self._protocol_sessions = self.registry.counter_family(
-            "repro_serve_protocol_sessions_total",
-            "Sessions welcomed, by negotiated wire-codec generation",
-            ("version",),
-        )
+        # Registry-only by design: how plans are framed (one frame per
+        # seat, or one batch per multiplexed connection) must not leak
+        # into summary(), which a mux run and a real-socket run of the
+        # same seed share bit for bit.
         self._protocol_frames = self.registry.counter_family(
             "repro_serve_protocol_frames_total",
             "Wire frames sent/received by the slot pipeline",
-            ("version", "direction"),
+            ("direction",),
         )
         self.telemetry = Telemetry()
         self.telemetry.attach_registry(self.registry)
@@ -321,18 +316,10 @@ class ServingMetrics:
         self._migrations_in.inc()
         self._active_sessions.inc()
 
-    def record_protocol_session(self, codec: int) -> None:
-        """A welcome went out under the given wire-codec generation."""
-        self._protocol_sessions.counter_child(version=str(codec)).inc()
-
-    def record_protocol_frames(
-        self, codec: int, direction: str, count: int = 1
-    ) -> None:
-        """Count slot-pipeline frames by codec generation and direction."""
+    def record_protocol_frames(self, direction: str, count: int = 1) -> None:
+        """Count slot-pipeline frames by direction."""
         if count > 0:
-            self._protocol_frames.counter_child(
-                version=str(codec), direction=direction
-            ).inc(count)
+            self._protocol_frames.counter_child(direction=direction).inc(count)
 
     # ------------------------------------------------------------------
     # Reads (all backed by the registry instruments)
@@ -413,15 +400,6 @@ class ServingMetrics:
     @property
     def migrations_in(self) -> int:
         return self._migrations_in.count
-
-    @property
-    def protocol_sessions(self) -> Dict[str, int]:
-        """Welcomed-session counts keyed by codec generation."""
-        return {
-            values[0]: int(child.value)
-            for values, child in self._protocol_sessions.children()
-            if child.value
-        }
 
     # ------------------------------------------------------------------
     # Derived figures

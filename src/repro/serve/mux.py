@@ -7,9 +7,8 @@ module multiplexes hundreds of *virtual clients* over a handful of
 physical connections using the binary codec's channel tags:
 
 * virtual client ``i`` rides link ``i % connections``;
-* the first join on each link is the ordinary JSON handshake (it
-  carries the codec negotiation), every later join travels as a
-  channel-tagged binary JOIN on the already-upgraded connection;
+* every join travels as a JOIN tagged with channel ``i``, and the
+  server's greeting comes back on that same channel;
 * steady state is batch-for-batch: the server's ``PLAN_BATCH``
   covers every seat on the link, the link evaluates each plan
   through that virtual client's *own* display pipeline, and answers
@@ -58,13 +57,7 @@ from repro.serve.protocol import (
     Welcome,
     pose_to_wire,
 )
-from repro.serve.protocol2 import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    WireState,
-    wire_read,
-    wire_write,
-)
+from repro.serve.protocol2 import BinaryChannelCodec, read_units
 from repro.serve.server import ServeResult, VrServeServer
 
 
@@ -120,13 +113,12 @@ class _MuxLink:
         self.fleet = fleet
         self.host = host
         self.port = port
-        self.wire = WireState()
+        self.codec = BinaryChannelCodec()
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
         self.lock = asyncio.Lock()
         self.vcs_by_seat: Dict[int, _VirtualClient] = {}
         self._pending_joins: Dict[int, "asyncio.Future[ServeMessage]"] = {}
-        self._json_join: Optional["asyncio.Future[ServeMessage]"] = None
         self._pump_task: Optional["asyncio.Task[None]"] = None
         self.closed = False
 
@@ -145,20 +137,10 @@ class _MuxLink:
                 asyncio.get_running_loop().create_future()
             )
             request = JoinRequest(
-                client=vc.name,
-                version=PROTOCOL_VERSION,
-                token=vc.token,
-                codec=self.fleet.config.codec,
+                client=vc.name, version=PROTOCOL_VERSION, token=vc.token
             )
-            if self.wire.codec == CODEC_JSON:
-                # The negotiation carrier: an untagged JSON join whose
-                # untagged reply belongs to this handshake by
-                # construction (one outstanding join per link).
-                self._json_join = future
-                wire_write(self.writer, self.wire, request)
-            else:
-                self._pending_joins[vc.index] = future
-                wire_write(self.writer, self.wire, request, channel=vc.index)
+            self._pending_joins[vc.index] = future
+            self.writer.write(self.codec.encode(request, channel=vc.index))
             await self.writer.drain()
             return await future
 
@@ -166,13 +148,8 @@ class _MuxLink:
         if self.writer is None:
             raise TransportError("mux link is closed")
         assert vc.state is not None
-        channel = vc.seat if self.wire.codec == CODEC_BINARY else -1
-        wire_write(
-            self.writer,
-            self.wire,
-            Ready(pose=pose_to_wire(vc.state.trace[0].as_vector())),
-            channel=channel,
-        )
+        ready = Ready(pose=pose_to_wire(vc.state.trace[0].as_vector()))
+        self.writer.write(self.codec.encode(ready, channel=vc.seat))
         await self.writer.drain()
 
     # ------------------------------------------------------------------
@@ -181,7 +158,7 @@ class _MuxLink:
     async def _pump(self) -> None:
         try:
             while self.reader is not None:
-                units = await wire_read(self.reader, self.wire)
+                units = await read_units(self.reader, self.codec)
                 if units is None:
                     break
                 plans: List[Tuple[int, TilePlan]] = []
@@ -208,33 +185,12 @@ class _MuxLink:
             self._fail_all("disconnected")
 
     def _resolve_join(self, channel: int, message: ServeMessage) -> None:
-        future = (
-            self._pending_joins.pop(channel, None)
-            if channel >= 0
-            else self._json_join
-        )
-        if channel < 0:
-            self._json_join = None
+        future = self._pending_joins.pop(channel, None)
         if future is not None and not future.done():
             future.set_result(message)
-        if (
-            isinstance(message, Welcome)
-            and self.wire.codec == CODEC_JSON
-            and message.codec >= CODEC_BINARY
-            and self.fleet.config.codec >= CODEC_BINARY
-        ):
-            # Flip before the pump's next read: the very next frame
-            # from the server is already binary-framed.
-            self.wire.upgrade(CODEC_BINARY)
 
     def _handle_redirect(self, channel: int, message: Redirect) -> None:
-        future = (
-            self._pending_joins.pop(channel, None)
-            if channel >= 0
-            else self._json_join
-        )
-        if channel < 0:
-            self._json_join = None
+        future = self._pending_joins.pop(channel, None)
         if future is not None and not future.done():
             future.set_result(message)
             return
@@ -246,23 +202,15 @@ class _MuxLink:
             self.fleet.replace_vc(vc, message.host, message.port)
 
     async def _finish_vc(self, channel: int, message: EndOfRun) -> None:
-        vc = (
-            self.vcs_by_seat.pop(channel, None)
-            if channel >= 0
-            else next(iter(self.vcs_by_seat.values()), None)
-        )
+        vc = self.vcs_by_seat.pop(channel, None)
         if vc is None or vc.state is None:
             return
-        if channel < 0:
-            self.vcs_by_seat.pop(vc.seat, None)
         vc.state.end_reason = message.reason
         vc.state.server_summary = dict(message.summary)
         if self.writer is not None:
-            channel_out = vc.seat if self.wire.codec == CODEC_BINARY else -1
             try:
-                wire_write(
-                    self.writer, self.wire, Bye(reason="complete"),
-                    channel=channel_out,
+                self.writer.write(
+                    self.codec.encode(Bye(reason="complete"), channel=vc.seat)
                 )
                 await self.writer.drain()
             except (TransportError, ConnectionError, OSError):
@@ -274,18 +222,13 @@ class _MuxLink:
 
         Each (seat, plan) runs through that virtual client's own
         display pipeline; the replies travel as a single
-        ``REPORT_BATCH`` frame (or sequential frames on a JSON link,
-        which by construction carries one virtual client).
+        ``REPORT_BATCH`` frame.
         """
         if self.writer is None:
             return
         reports: List[Tuple[int, SlotReport]] = []
         for seat, plan in plans:
-            vc = (
-                self.vcs_by_seat.get(seat)
-                if seat >= 0
-                else next(iter(self.vcs_by_seat.values()), None)
-            )
+            vc = self.vcs_by_seat.get(seat)
             if vc is None or vc.state is None:
                 continue
             reports.append(
@@ -302,14 +245,8 @@ class _MuxLink:
         if self.fleet.config.latency_s > 0:
             await asyncio.sleep(self.fleet.config.latency_s)
         try:
-            if self.wire.codec == CODEC_BINARY:
-                for frame in self.wire.require_binary().encode_report_batch(
-                    reports
-                ):
-                    self.writer.write(frame)
-            else:
-                for _, report in reports:
-                    wire_write(self.writer, self.wire, report)
+            for frame in self.codec.encode_report_batch(reports):
+                self.writer.write(frame)
             await self.writer.drain()
         except (TransportError, ConnectionError, OSError):
             pass
@@ -320,9 +257,6 @@ class _MuxLink:
             if not future.done():
                 future.set_exception(TransportError("mux link lost"))
         self._pending_joins.clear()
-        if self._json_join is not None and not self._json_join.done():
-            self._json_join.set_exception(TransportError("mux link lost"))
-        self._json_join = None
         for vc in list(self.vcs_by_seat.values()):
             vc.finish(reason)
         self.vcs_by_seat.clear()
@@ -428,16 +362,6 @@ class _MuxFleet:
                 assert vc.state is not None
                 vc.state.resumes += 1
             link.vcs_by_seat[vc.seat] = vc
-            if (
-                link.wire.codec == CODEC_JSON
-                and self.config.num_clients > self.connections
-            ):
-                raise ConfigurationError(
-                    "mux mode needs the binary codec to multiplex "
-                    f"{self.config.num_clients} clients over "
-                    f"{self.connections} connections, but the server "
-                    "negotiated JSON"
-                )
             if fresh:
                 await link.send_ready(vc)
             return
@@ -460,10 +384,6 @@ async def run_mux_fleet(
         )
     if config.port == 0:
         raise ConfigurationError("fleet needs a concrete server port")
-    if config.codec != CODEC_BINARY:
-        raise ConfigurationError(
-            "mux mode requires codec 2 (the binary framing)"
-        )
     if (
         config.faults is not None
         or config.slow_clients

@@ -1,24 +1,19 @@
-"""The serving wire protocol: length-prefixed JSON frames over TCP.
+"""The serving message schema.
 
-The control plane of Fig. 4 carried by real sockets.  Every frame is
-a 4-byte big-endian length prefix followed by one UTF-8 JSON object
-with a ``kind`` tag::
+The control plane of Fig. 4 carried by real sockets.  These frozen
+dataclasses are the one schema of the wire; the binary framing that
+carries them is :mod:`repro.serve.protocol2`.
 
-    0        4             4 + length
-    ┌────────┬─────────────────┐
-    │ length │  JSON payload   │
-    │ u32    │  {"kind": ...}  │
-    └────────┴─────────────────┘
-
-Client → server: ``join`` (admission request), ``ready`` (initial
-pose), ``report`` (one slot's realized outcome: delivery ACKs,
-release ACKs, display indicator, measured delay, and the slot's pose
-upload), ``bye``.  Server → client: ``welcome`` (seat assignment and
-the emulation parameters the client needs), ``reject`` (admission
-denied, with a machine-readable code), ``plan`` (one slot's tile
-bundle: quality level, video ids, per-tile sizes, and the emulated
-RTP transmission outcome), ``end`` (run complete, with the server's
-view of the session's QoE).
+Client → server: ``JoinRequest`` (admission request), ``Ready``
+(initial pose), ``SlotReport`` (one slot's realized outcome: delivery
+ACKs, release ACKs, display indicator, measured delay, and the slot's
+pose upload), ``Bye``.  Server → client: ``Welcome`` (seat assignment
+and the emulation parameters the client needs), ``Reject`` (admission
+denied, with a machine-readable code), ``Redirect`` (connect to
+another shard), ``TilePlan`` (one slot's tile bundle: quality level,
+video ids, per-tile sizes, and the emulated RTP transmission outcome),
+``EndOfRun`` (run complete, with the server's view of the session's
+QoE).
 
 Tile *payloads* are not shipped as bytes — the RTP data plane is
 emulated server-side with :class:`~repro.system.transport.RtpChannel`
@@ -30,24 +25,14 @@ have.
 
 from __future__ import annotations
 
-import asyncio
-import json
-import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from repro.errors import FrameCorruptError, TransportError
+from repro.errors import TransportError
 
 #: Frames larger than this are rejected (a frame is one slot of one
 #: user's control data — far below this bound in practice).
 MAX_FRAME_BYTES = 1 << 20
-
-_LENGTH_PREFIX = struct.Struct("!I")
-
-
-# ---------------------------------------------------------------------------
-# Messages
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -57,30 +42,11 @@ class JoinRequest:
     A non-empty ``token`` turns the join into a *resume*: the client
     lost its connection and asks to re-attach to the seat that issued
     the token, provided the grace window has not expired.
-
-    ``codec`` is the newest wire-codec generation the client can
-    speak (1 = this JSON framing, 2 = the binary framing of
-    :mod:`repro.serve.protocol2`).  Clients that predate the field
-    simply omit it and default to 1, so they keep speaking JSON
-    end-to-end — codec negotiation is orthogonal to the protocol
-    ``version`` admission check.
     """
 
     client: str
     version: int
     token: str = ""
-    codec: int = 1
-
-    KIND = "join"
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.KIND,
-            "client": self.client,
-            "version": self.version,
-            "token": self.token,
-            "codec": self.codec,
-        }
 
 
 @dataclass(frozen=True)
@@ -105,36 +71,6 @@ class Welcome:
     resumed: bool = False
     #: Index of the shard that owns this session (-1: unsharded server).
     shard: int = -1
-    #: Wire-codec generation selected for this connection (the
-    #: server's answer to ``JoinRequest.codec``).  Both sides switch
-    #: framing only *after* this welcome, which itself always travels
-    #: in the codec the join arrived under.
-    codec: int = 1
-
-    KIND = "welcome"
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.KIND,
-            "seat": self.seat,
-            "version": self.version,
-            "slot_s": self.slot_s,
-            "num_tx_slots": self.num_tx_slots,
-            "guideline_mbps": self.guideline_mbps,
-            "level_count": self.level_count,
-            "world_size_m": self.world_size_m,
-            "world_cell_m": self.world_cell_m,
-            "margin_deg": self.margin_deg,
-            "cell_tolerance": self.cell_tolerance,
-            "client_cache_tiles": self.client_cache_tiles,
-            "num_decoders": self.num_decoders,
-            "decode_rate_mbps": self.decode_rate_mbps,
-            "lockstep": self.lockstep,
-            "resume_token": self.resume_token,
-            "resumed": self.resumed,
-            "shard": self.shard,
-            "codec": self.codec,
-        }
 
 
 @dataclass(frozen=True)
@@ -144,16 +80,6 @@ class Reject:
     code: str
     reason: str
     capacity: int
-
-    KIND = "reject"
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.KIND,
-            "code": self.code,
-            "reason": self.reason,
-            "capacity": self.capacity,
-        }
 
 
 @dataclass(frozen=True)
@@ -172,28 +98,12 @@ class Redirect:
     shard: int
     reason: str
 
-    KIND = "redirect"
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.KIND,
-            "host": self.host,
-            "port": self.port,
-            "shard": self.shard,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class Ready:
     """Client -> server: initial pose; the session may now be planned."""
 
     pose: Tuple[float, ...]
-
-    KIND = "ready"
-
-    def payload(self) -> Dict[str, Any]:
-        return {"kind": self.KIND, "pose": list(self.pose)}
 
 
 @dataclass(frozen=True)
@@ -212,28 +122,6 @@ class TilePlan:
     achieved_mbps: float
     degraded: bool
 
-    KIND = "plan"
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.KIND,
-            "slot": self.slot,
-            "level": self.level,
-            "predicted_pose": (
-                list(self.predicted_pose)
-                if self.predicted_pose is not None
-                else None
-            ),
-            "video_ids": list(self.video_ids),
-            "tile_bits": list(self.tile_bits),
-            "lost_positions": list(self.lost_positions),
-            "duration_s": self.duration_s,
-            "startup_delay_s": self.startup_delay_s,
-            "demand_mbps": self.demand_mbps,
-            "achieved_mbps": self.achieved_mbps,
-            "degraded": self.degraded,
-        }
-
 
 @dataclass(frozen=True)
 class SlotReport:
@@ -247,20 +135,6 @@ class SlotReport:
     viewed_quality: float
     pose: Tuple[float, ...]
 
-    KIND = "report"
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.KIND,
-            "slot": self.slot,
-            "delivered_ids": list(self.delivered_ids),
-            "released_ids": list(self.released_ids),
-            "indicator": self.indicator,
-            "delay_slots": self.delay_slots,
-            "viewed_quality": self.viewed_quality,
-            "pose": list(self.pose),
-        }
-
 
 @dataclass(frozen=True)
 class EndOfRun:
@@ -270,27 +144,12 @@ class EndOfRun:
     reason: str
     summary: Mapping[str, float]
 
-    KIND = "end"
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.KIND,
-            "slots": self.slots,
-            "reason": self.reason,
-            "summary": dict(self.summary),
-        }
-
 
 @dataclass(frozen=True)
 class Bye:
     """Client -> server: leaving voluntarily."""
 
     reason: str
-
-    KIND = "bye"
-
-    def payload(self) -> Dict[str, Any]:
-        return {"kind": self.KIND, "reason": self.reason}
 
 
 ServeMessage = Union[
@@ -304,281 +163,6 @@ ServeMessage = Union[
     EndOfRun,
     Bye,
 ]
-
-
-# ---------------------------------------------------------------------------
-# Payload validation helpers
-# ---------------------------------------------------------------------------
-
-
-def _get_str(payload: Mapping[str, Any], key: str) -> str:
-    value = payload.get(key)
-    if not isinstance(value, str):
-        raise FrameCorruptError(f"field {key!r} must be a string, got {value!r}")
-    return value
-
-
-def _get_str_default(
-    payload: Mapping[str, Any], key: str, default: str
-) -> str:
-    value = payload.get(key, default)
-    if not isinstance(value, str):
-        raise FrameCorruptError(f"field {key!r} must be a string, got {value!r}")
-    return value
-
-
-def _get_bool_default(
-    payload: Mapping[str, Any], key: str, default: bool
-) -> bool:
-    value = payload.get(key, default)
-    if not isinstance(value, bool):
-        raise FrameCorruptError(f"field {key!r} must be a boolean, got {value!r}")
-    return value
-
-
-def _get_int_default(payload: Mapping[str, Any], key: str, default: int) -> int:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FrameCorruptError(f"field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _get_int(payload: Mapping[str, Any], key: str) -> int:
-    value = payload.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FrameCorruptError(f"field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _get_float(payload: Mapping[str, Any], key: str) -> float:
-    value = payload.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FrameCorruptError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _get_bool(payload: Mapping[str, Any], key: str) -> bool:
-    value = payload.get(key)
-    if not isinstance(value, bool):
-        raise FrameCorruptError(f"field {key!r} must be a boolean, got {value!r}")
-    return value
-
-
-def _get_int_tuple(payload: Mapping[str, Any], key: str) -> Tuple[int, ...]:
-    value = payload.get(key)
-    if not isinstance(value, list):
-        raise FrameCorruptError(f"field {key!r} must be a list, got {value!r}")
-    items = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise FrameCorruptError(f"field {key!r} must hold integers, got {item!r}")
-        items.append(item)
-    return tuple(items)
-
-
-def _get_float_tuple(payload: Mapping[str, Any], key: str) -> Tuple[float, ...]:
-    value = payload.get(key)
-    if not isinstance(value, list):
-        raise FrameCorruptError(f"field {key!r} must be a list, got {value!r}")
-    items = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise FrameCorruptError(f"field {key!r} must hold numbers, got {item!r}")
-        items.append(float(item))
-    return tuple(items)
-
-
-def _get_pose(payload: Mapping[str, Any], key: str) -> Tuple[float, ...]:
-    pose = _get_float_tuple(payload, key)
-    if len(pose) != 6:
-        raise FrameCorruptError(f"field {key!r} must hold 6 floats, got {len(pose)}")
-    return pose
-
-
-def _get_summary(payload: Mapping[str, Any], key: str) -> Dict[str, float]:
-    value = payload.get(key)
-    if not isinstance(value, dict):
-        raise FrameCorruptError(f"field {key!r} must be an object, got {value!r}")
-    summary: Dict[str, float] = {}
-    for name, item in value.items():
-        if not isinstance(name, str):
-            raise FrameCorruptError(f"field {key!r} must have string keys")
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise FrameCorruptError(f"field {key!r} must hold numbers, got {item!r}")
-        summary[name] = float(item)
-    return summary
-
-
-# ---------------------------------------------------------------------------
-# Codec
-# ---------------------------------------------------------------------------
-
-
-def parse_message(payload: Mapping[str, Any]) -> ServeMessage:
-    """Validate a decoded JSON payload into a typed message."""
-    kind = _get_str(payload, "kind")
-    if kind == JoinRequest.KIND:
-        return JoinRequest(
-            client=_get_str(payload, "client"),
-            version=_get_int(payload, "version"),
-            token=_get_str_default(payload, "token", ""),
-            codec=_get_int_default(payload, "codec", 1),
-        )
-    if kind == Welcome.KIND:
-        return Welcome(
-            seat=_get_int(payload, "seat"),
-            version=_get_int(payload, "version"),
-            slot_s=_get_float(payload, "slot_s"),
-            num_tx_slots=_get_int(payload, "num_tx_slots"),
-            guideline_mbps=_get_float(payload, "guideline_mbps"),
-            level_count=_get_int(payload, "level_count"),
-            world_size_m=_get_float(payload, "world_size_m"),
-            world_cell_m=_get_float(payload, "world_cell_m"),
-            margin_deg=_get_float(payload, "margin_deg"),
-            cell_tolerance=_get_int(payload, "cell_tolerance"),
-            client_cache_tiles=_get_int(payload, "client_cache_tiles"),
-            num_decoders=_get_int(payload, "num_decoders"),
-            decode_rate_mbps=_get_float(payload, "decode_rate_mbps"),
-            lockstep=_get_bool(payload, "lockstep"),
-            resume_token=_get_str_default(payload, "resume_token", ""),
-            resumed=_get_bool_default(payload, "resumed", False),
-            shard=_get_int_default(payload, "shard", -1),
-            codec=_get_int_default(payload, "codec", 1),
-        )
-    if kind == Reject.KIND:
-        return Reject(
-            code=_get_str(payload, "code"),
-            reason=_get_str(payload, "reason"),
-            capacity=_get_int(payload, "capacity"),
-        )
-    if kind == Redirect.KIND:
-        return Redirect(
-            host=_get_str(payload, "host"),
-            port=_get_int(payload, "port"),
-            shard=_get_int(payload, "shard"),
-            reason=_get_str(payload, "reason"),
-        )
-    if kind == Ready.KIND:
-        return Ready(pose=_get_pose(payload, "pose"))
-    if kind == TilePlan.KIND:
-        predicted_raw = payload.get("predicted_pose")
-        predicted = (
-            None if predicted_raw is None else _get_pose(payload, "predicted_pose")
-        )
-        return TilePlan(
-            slot=_get_int(payload, "slot"),
-            level=_get_int(payload, "level"),
-            predicted_pose=predicted,
-            video_ids=_get_int_tuple(payload, "video_ids"),
-            tile_bits=_get_float_tuple(payload, "tile_bits"),
-            lost_positions=_get_int_tuple(payload, "lost_positions"),
-            duration_s=_get_float(payload, "duration_s"),
-            startup_delay_s=_get_float(payload, "startup_delay_s"),
-            demand_mbps=_get_float(payload, "demand_mbps"),
-            achieved_mbps=_get_float(payload, "achieved_mbps"),
-            degraded=_get_bool(payload, "degraded"),
-        )
-    if kind == SlotReport.KIND:
-        return SlotReport(
-            slot=_get_int(payload, "slot"),
-            delivered_ids=_get_int_tuple(payload, "delivered_ids"),
-            released_ids=_get_int_tuple(payload, "released_ids"),
-            indicator=_get_int(payload, "indicator"),
-            delay_slots=_get_float(payload, "delay_slots"),
-            viewed_quality=_get_float(payload, "viewed_quality"),
-            pose=_get_pose(payload, "pose"),
-        )
-    if kind == EndOfRun.KIND:
-        return EndOfRun(
-            slots=_get_int(payload, "slots"),
-            reason=_get_str(payload, "reason"),
-            summary=_get_summary(payload, "summary"),
-        )
-    if kind == Bye.KIND:
-        return Bye(reason=_get_str(payload, "reason"))
-    raise FrameCorruptError(f"unknown message kind {kind!r}")
-
-
-def encode_message(message: ServeMessage) -> bytes:
-    """Frame a message: u32 length prefix + compact JSON."""
-    try:
-        body = json.dumps(
-            message.payload(), separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-    except ValueError as exc:
-        raise TransportError(f"cannot encode {message!r}: {exc}") from exc
-    if len(body) > MAX_FRAME_BYTES:
-        raise TransportError(
-            f"frame too large: {len(body)} bytes > {MAX_FRAME_BYTES}"
-        )
-    return _LENGTH_PREFIX.pack(len(body)) + body
-
-
-def _reject_constant(token: str) -> float:
-    # The encoder refuses NaN/Infinity (allow_nan=False); without
-    # this hook the *decoder* would accept them, so a hand-crafted
-    # frame could smuggle in non-finite floats the codec can never
-    # produce — and that the binary codec symmetrically rejects.
-    # Raised from inside ``json.loads``, so it propagates out of
-    # ``decode_payload`` directly rather than via the malformed-frame
-    # wrapper below.
-    raise FrameCorruptError(f"non-finite JSON constant {token!r}")
-
-
-def decode_payload(body: bytes) -> ServeMessage:
-    """Decode one frame body (without the length prefix)."""
-    try:
-        payload = json.loads(
-            body.decode("utf-8"), parse_constant=_reject_constant
-        )
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameCorruptError(f"malformed frame: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FrameCorruptError(f"frame must be a JSON object, got {payload!r}")
-    return parse_message(payload)
-
-
-async def read_message(
-    reader: asyncio.StreamReader,
-) -> Optional[ServeMessage]:
-    """Read one framed message; ``None`` on a clean EOF between frames."""
-    try:
-        prefix = await reader.readexactly(_LENGTH_PREFIX.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise TransportError("connection closed mid-frame") from exc
-    (length,) = _LENGTH_PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"frame too large: {length} bytes > {MAX_FRAME_BYTES}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise TransportError("connection closed mid-frame") from exc
-    return decode_payload(body)
-
-
-async def send_message(
-    writer: asyncio.StreamWriter,
-    message: ServeMessage,
-    drain: bool = True,
-) -> None:
-    """Write one framed message.
-
-    ``drain=False`` queues the frame without awaiting the transport
-    (the server's slot loop must never block on one slow client; it
-    watches the write-buffer size instead).
-    """
-    writer.write(encode_message(message))
-    if drain:
-        await writer.drain()
-
-
-def write_message(writer: asyncio.StreamWriter, message: ServeMessage) -> int:
-    """Queue one framed message without draining; returns frame size."""
-    frame = encode_message(message)
-    writer.write(frame)
-    return len(frame)
 
 
 def pose_to_wire(poses: Sequence[float]) -> Tuple[float, ...]:

@@ -1,10 +1,8 @@
-"""Binary wire codec (generation 2) and per-connection wire state.
+"""The binary wire codec: the one framing of every serving connection.
 
-The JSON codec (:mod:`repro.serve.protocol`, codec generation 1)
-spends most of its per-frame budget on ``json.dumps``/``json.loads``
-and on re-sending six full-precision pose floats every slot.  This
-module packs the same nine message types into struct-framed binary
-frames::
+This module packs the nine message types of
+:mod:`repro.serve.protocol` into struct-framed binary frames, from
+the first byte of a connection to its last::
 
     0      1      2      3      4              8
     ┌──────┬──────┬──────┬──────┬──────────────┐
@@ -14,8 +12,8 @@ frames::
 
 * integers are unsigned LEB128 varints (``zigzag`` for signed
   fields), strings are varint-length-prefixed UTF-8, floats are
-  big-endian IEEE-754 doubles — every quantity the JSON codec carries
-  round-trips bit-identically;
+  big-endian IEEE-754 doubles — every message field round-trips
+  bit-identically;
 * client pose uploads are **delta-encoded against the last acked
   pose**: each plan frame carries the highest report slot the server
   decoded on that channel, and the client XORs the raw f64 bit
@@ -29,17 +27,15 @@ frames::
   corrupt entry costs exactly that entry, and report frames batch the
   same way upstream.
 
-The codec is **negotiated per connection**: the JOIN/WELCOME
-handshake is always JSON-framed, a client offers its best codec
-generation in ``JoinRequest.codec``, the server answers with the
-selected generation in ``Welcome.codec``, and both sides switch only
-after that welcome — a client that never offers (field defaults to 1)
-speaks JSON end-to-end, unchanged.
+The JOIN/WELCOME handshake travels in these frames too, so a
+connection never switches framing.  Anything whose first byte is not
+:data:`HEADER_MAGIC` — a legacy length-prefixed JSON join, say — is
+a framing error.
 
 Framing errors (bad magic, oversized length) are
 :class:`~repro.errors.TransportError` — the stream is lost, the
 connection must go down.  Body errors inside an intact frame are
-quarantined: :func:`wire_read` returns them as
+quarantined: :func:`read_units` returns them as
 :class:`WireFrame` entries with ``message=None`` so the server can
 charge exactly one report and keep the session.
 """
@@ -52,7 +48,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, FrameCorruptError, TransportError
+from repro.errors import FrameCorruptError, TransportError
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     Bye,
@@ -65,22 +61,12 @@ from repro.serve.protocol import (
     SlotReport,
     TilePlan,
     Welcome,
-    encode_message,
-    read_message,
 )
 
-#: Codec generations.  1 is the length-prefixed JSON wire format of
-#: :mod:`repro.serve.protocol`; 2 is the binary format defined here.
-CODEC_JSON = 1
+#: The codec generation byte of every frame header.
 CODEC_BINARY = 2
 
-#: The newest codec generation this build can speak.
-SUPPORTED_CODEC = CODEC_BINARY
-
-#: First header byte of every binary frame.  JSON frames start with a
-#: u32 length prefix whose first byte is zero for any length under
-#: 16 MiB (far above ``MAX_FRAME_BYTES``), so the two framings can
-#: never be confused on a synchronized stream.
+#: First header byte of every frame, and so of every connection.
 HEADER_MAGIC = 0xB2
 
 #: Header: magic, codec generation, frame type, flags, body length.
@@ -125,20 +111,6 @@ _POSE_U = struct.Struct("!6Q")
 _VARINT_MAX_BYTES = 10
 
 
-def negotiate_codec(offer: int, ceiling: int = SUPPORTED_CODEC) -> int:
-    """Pick the codec generation for one connection.
-
-    The server selects the newest generation both sides speak; an
-    offer from the future (a client newer than this build) downgrades
-    to ``ceiling``, and anything at or below JSON stays JSON — the
-    negotiation can refuse nothing, only fall back.
-    """
-    best = min(ceiling, SUPPORTED_CODEC)
-    if offer >= CODEC_BINARY and best >= CODEC_BINARY:
-        return CODEC_BINARY
-    return CODEC_JSON
-
-
 def pose_bits(value: float) -> int:
     """Raw IEEE-754 bit pattern of one pose component."""
     return int(_U64.unpack(_F64.pack(value))[0])
@@ -150,9 +122,8 @@ def bits_pose(bits: int) -> float:
 
 
 def _check_finite(value: float, what: str) -> float:
-    # The JSON encoder refuses NaN/Infinity (allow_nan=False); the
-    # binary encoder must hold the same line or the codecs diverge on
-    # exactly the frames that poison downstream telemetry.
+    # NaN/Infinity would poison downstream telemetry; refuse them on
+    # encode so no peer ever has to decide what they mean.
     if not math.isfinite(value):
         raise TransportError(f"cannot encode non-finite {what}: {value!r}")
     return float(value)
@@ -454,7 +425,6 @@ class BinaryChannelCodec:
             _put_str(body, message.client)
             _put_zigzag(body, message.version)
             _put_str(body, message.token)
-            _put_zigzag(body, message.codec)
         elif isinstance(message, Welcome):
             frame_type = TYPE_WELCOME
             self._encode_welcome(body, message)
@@ -573,7 +543,6 @@ class BinaryChannelCodec:
         _put_str(body, message.resume_token)
         _put_bool(body, message.resumed)
         _put_zigzag(body, message.shard)
-        _put_zigzag(body, message.codec)
 
     def _encode_plan_body(
         self, body: bytearray, channel: int, plan: TilePlan
@@ -717,7 +686,6 @@ class BinaryChannelCodec:
                 client=cursor.str_(),
                 version=cursor.zigzag(),
                 token=cursor.str_(),
-                codec=cursor.zigzag(),
             )
         if frame_type == TYPE_WELCOME:
             return self._decode_welcome(cursor)
@@ -777,7 +745,6 @@ class BinaryChannelCodec:
             resume_token=cursor.str_(),
             resumed=cursor.bool_(),
             shard=cursor.zigzag(),
-            codec=cursor.zigzag(),
         )
 
     def _decode_plan(self, channel: int, cursor: _Cursor) -> TilePlan:
@@ -872,11 +839,10 @@ async def read_frame(
     """Read one binary frame; ``None`` on a clean EOF between frames.
 
     The body-length cap is enforced on the header, *before* any body
-    byte is read — the same pre-decode discipline as the JSON
-    :func:`~repro.serve.protocol.read_message`.  Header damage (bad
-    magic or codec byte) means the stream is desynchronized and
-    raises :class:`~repro.errors.TransportError`: there is no way to
-    find the next frame boundary, so the connection must go down.
+    byte is read.  Header damage (bad magic or codec byte) means the
+    stream is desynchronized and raises
+    :class:`~repro.errors.TransportError`: there is no way to find the
+    next frame boundary, so the connection must go down.
     """
     try:
         header = await reader.readexactly(HEADER.size)
@@ -903,106 +869,43 @@ async def read_frame(
 
 
 # ---------------------------------------------------------------------------
-# Per-connection wire state and codec-agnostic I/O
+# Connection I/O
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WireState:
-    """Which codec one connection speaks, plus its binary state.
-
-    Connections start as JSON (the handshake framing); a negotiated
-    upgrade installs a fresh :class:`BinaryChannelCodec`.  Sessions
-    multiplexed over one connection share one ``WireState``.
-    """
-
-    codec: int = CODEC_JSON
-    binary: Optional[BinaryChannelCodec] = None
-
-    def upgrade(self, codec: int) -> None:
-        """Switch to the negotiated codec (idempotent for JSON)."""
-        if codec == CODEC_JSON:
-            return
-        if codec != CODEC_BINARY:
-            raise ConfigurationError(f"unknown codec generation {codec}")
-        self.codec = CODEC_BINARY
-        if self.binary is None:
-            self.binary = BinaryChannelCodec()
-
-    def require_binary(self) -> BinaryChannelCodec:
-        if self.binary is None or self.codec != CODEC_BINARY:
-            raise ConfigurationError("connection has not negotiated codec 2")
-        return self.binary
-
-
-async def wire_read(
-    reader: asyncio.StreamReader, wire: WireState
+async def read_units(
+    reader: asyncio.StreamReader, codec: BinaryChannelCodec
 ) -> Optional[List[WireFrame]]:
-    """Read one frame under the connection's codec.
+    """Read one frame and decode it with the connection's codec.
 
     Returns ``None`` on clean EOF, else the decoded wire units.
     Corrupt-but-framed input is *returned* (``message=None`` units),
-    never raised, so callers implement quarantine uniformly across
-    codecs; :class:`~repro.errors.TransportError` still raises.
+    never raised; :class:`~repro.errors.TransportError` still raises.
     """
-    if wire.codec == CODEC_JSON:
-        try:
-            message = await read_message(reader)
-        except FrameCorruptError:
-            return [WireFrame(channel=-1, message=None)]
-        if message is None:
-            return None
-        return [WireFrame(channel=-1, message=message)]
     frame = await read_frame(reader)
     if frame is None:
         return None
-    frame_type, flags, body = frame
-    return wire.require_binary().decode(frame_type, flags, body)
+    return codec.decode(*frame)
 
 
-def wire_encode(
-    wire: WireState, message: ServeMessage, channel: int = -1
-) -> bytes:
-    """Frame one message under the connection's codec."""
-    if wire.codec == CODEC_JSON:
-        return encode_message(message)
-    return wire.require_binary().encode(message, channel=channel)
-
-
-def wire_write(
+async def send_frame(
     writer: asyncio.StreamWriter,
-    wire: WireState,
+    codec: BinaryChannelCodec,
     message: ServeMessage,
     channel: int = -1,
-) -> int:
-    """Queue one framed message without draining; returns frame size."""
-    frame = wire_encode(wire, message, channel=channel)
-    writer.write(frame)
-    return len(frame)
-
-
-async def wire_send(
-    writer: asyncio.StreamWriter,
-    wire: WireState,
-    message: ServeMessage,
-    channel: int = -1,
-    drain: bool = True,
 ) -> None:
-    """Write one framed message, draining by default."""
-    wire_write(writer, wire, message, channel=channel)
-    if drain:
-        await writer.drain()
+    """Write one framed message and drain."""
+    writer.write(codec.encode(message, channel=channel))
+    await writer.drain()
 
 
 __all__ = [
     "BATCH_SOFT_BYTES",
     "BinaryChannelCodec",
     "CODEC_BINARY",
-    "CODEC_JSON",
     "FLAG_CHANNEL",
     "HEADER",
     "HEADER_MAGIC",
-    "SUPPORTED_CODEC",
     "TYPE_BYE",
     "TYPE_END",
     "TYPE_JOIN",
@@ -1015,13 +918,9 @@ __all__ = [
     "TYPE_REPORT_BATCH",
     "TYPE_WELCOME",
     "WireFrame",
-    "WireState",
     "bits_pose",
-    "negotiate_codec",
     "pose_bits",
     "read_frame",
-    "wire_encode",
-    "wire_read",
-    "wire_send",
-    "wire_write",
+    "read_units",
+    "send_frame",
 ]

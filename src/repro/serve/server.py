@@ -43,12 +43,10 @@ from repro.serve.protocol import (
     Welcome,
 )
 from repro.serve.protocol2 import (
-    CODEC_JSON,
+    BinaryChannelCodec,
     WireFrame,
-    WireState,
-    negotiate_codec,
-    wire_read,
-    wire_send,
+    read_units,
+    send_frame,
 )
 from repro.serve.sessions import Session, SessionRegistry
 from repro.serve.slotloop import DataPlane, SlotLoop
@@ -291,8 +289,8 @@ class VrServeServer:
             if session.writer is None:
                 continue
             try:
-                await wire_send(
-                    session.writer, session.wire, frame,
+                await send_frame(
+                    session.writer, session.codec, frame,
                     channel=session.channel,
                 )
             except (TransportError, ConnectionError, OSError):
@@ -328,23 +326,24 @@ class VrServeServer:
     ) -> None:
         """Serve one physical connection, which may carry many sessions.
 
-        The first frame is always a JSON join (the negotiation
-        carrier); once a binary codec is negotiated, further joins
-        may arrive *on the same connection* as channel-tagged binary
-        JOIN frames — that is the multiplexed load-generator path.
-        Sessions that leave with a BYE are torn down immediately;
-        whatever remains when the connection dies is handled by the
-        disconnect/resume logic, exactly as for a dedicated socket.
+        The first frame must be a binary join; further joins may
+        arrive *on the same connection* as channel-tagged JOIN frames
+        — that is the multiplexed load-generator path.  A connection
+        that opens with anything else (a legacy JSON join included) is
+        closed at once.  Sessions that leave with a BYE are torn down
+        immediately; whatever remains when the connection dies is
+        handled by the disconnect/resume logic, exactly as for a
+        dedicated socket.
         """
-        wire = WireState()
+        codec = BinaryChannelCodec()
         sessions: Dict[int, Session] = {}
         timed_out = False
         try:
-            session = await self._admit_first(reader, writer, wire)
+            session = await self._admit_first(reader, writer, codec)
             if session is None:
                 return
             sessions[session.seat] = session
-            await self._connection_frames(reader, writer, wire, sessions)
+            await self._connection_frames(reader, writer, codec, sessions)
         except asyncio.TimeoutError:
             timed_out = True
         except (TransportError, ConnectionError, OSError):
@@ -401,11 +400,11 @@ class VrServeServer:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        wire: WireState,
+        codec: BinaryChannelCodec,
     ) -> Optional[Session]:
-        """Read the connection's opening JSON join and admit it."""
+        """Read the connection's opening join and admit it."""
         units = await asyncio.wait_for(
-            wire_read(reader, wire), self.config.join_timeout_s
+            read_units(reader, codec), self.config.join_timeout_s
         )
         if units is None:
             raise TransportError("connection closed before a join frame")
@@ -417,30 +416,21 @@ class VrServeServer:
                 else type(first.message).__name__
             )
             raise TransportError(f"expected a join frame first, got {got}")
-        return await self._admit(first.message, writer, wire, first.channel)
+        return await self._admit(first.message, writer, codec, first.channel)
 
     async def _admit(
         self,
         message: JoinRequest,
         writer: asyncio.StreamWriter,
-        wire: WireState,
+        codec: BinaryChannelCodec,
         channel: int,
     ) -> Optional[Session]:
         """Run the join handshake; returns None when rejected.
 
-        The reply travels under the connection's *current* codec (the
-        JSON handshake framing for the first join, binary for joins
-        multiplexed onto an upgraded connection) tagged with the
-        client-chosen ``channel``; the negotiated codec takes effect
-        only after the welcome is on the wire.
+        The reply is tagged with the client-chosen ``channel``.
         """
         if message.token:
-            return await self._resume(message, writer, wire, channel)
-        codec = (
-            negotiate_codec(message.codec, self.config.codec_max)
-            if wire.codec == CODEC_JSON
-            else wire.codec
-        )
+            return await self._resume(message, writer, codec, channel)
         decision = self.admission.decide(
             message.version, self.registry.occupancy()
         )
@@ -451,9 +441,9 @@ class VrServeServer:
                 detail=f"{decision.code}: {decision.reason}",
                 slot=self.slot_loop.slots_run,
             )
-            await wire_send(
+            await send_frame(
                 writer,
-                wire,
+                codec,
                 Reject(
                     code=decision.code,
                     reason=decision.reason,
@@ -471,20 +461,18 @@ class VrServeServer:
         session.guideline_mbps = self.data_plane.guidelines_mbps[session.seat]
         session.token = self._make_token(session.seat)
         session.trace_id = self._make_trace_id(session.seat)
-        session.wire = wire
+        session.codec = codec
         if channel >= 0:
             # A channel-tagged join is the multiplexed path: from the
             # welcome on, this session's frames are tagged by seat.
             session.channel = session.seat
         self.metrics.record_join()
-        self.metrics.record_protocol_session(codec)
-        await wire_send(
+        await send_frame(
             writer,
-            wire,
-            self._welcome(session, resumed=False, codec=codec),
+            codec,
+            self._welcome(session, resumed=False),
             channel=channel,
         )
-        wire.upgrade(codec)
         return session
 
     def _make_token(self, seat: int) -> str:
@@ -514,7 +502,7 @@ class VrServeServer:
         )
         return hashlib.sha256(material.encode("ascii")).hexdigest()[:16]
 
-    def _welcome(self, session: Session, resumed: bool, codec: int) -> Welcome:
+    def _welcome(self, session: Session, resumed: bool) -> Welcome:
         cfg = self.config.experiment
         return Welcome(
             seat=session.seat,
@@ -534,14 +522,13 @@ class VrServeServer:
             resume_token=session.token,
             resumed=resumed,
             shard=self.config.shard_index,
-            codec=codec,
         )
 
     async def _resume(
         self,
         message: JoinRequest,
         writer: asyncio.StreamWriter,
-        wire: WireState,
+        codec: BinaryChannelCodec,
         channel: int,
     ) -> Optional[Session]:
         """Re-attach a reconnecting client to its detached seat."""
@@ -551,9 +538,9 @@ class VrServeServer:
             # will never come.  Refuse it the way a fresh join is
             # refused, so the client ends cleanly instead of idling.
             self.metrics.record_reject(REJECT_DRAINING)
-            await wire_send(
+            await send_frame(
                 writer,
-                wire,
+                codec,
                 Reject(
                     code=REJECT_DRAINING,
                     reason="server is draining; nothing left to resume",
@@ -562,20 +549,15 @@ class VrServeServer:
                 channel=channel,
             )
             return None
-        codec = (
-            negotiate_codec(message.codec, self.config.codec_max)
-            if wire.codec == CODEC_JSON
-            else wire.codec
-        )
-        # Binding the *new* connection's wire resets the binary
-        # codec's delta/ack maps: the first report after any resume is
-        # absolute, never a delta against a dead connection's pose.
-        session = self.registry.resume(message.token, writer, wire=wire)
+        # Binding the *new* connection's codec resets the delta/ack
+        # maps: the first report after any resume is absolute, never a
+        # delta against a dead connection's pose.
+        session = self.registry.resume(message.token, writer, codec=codec)
         if session is None:
             self.metrics.record_reject(REJECT_RESUME)
-            await wire_send(
+            await send_frame(
                 writer,
-                wire,
+                codec,
                 Reject(
                     code=REJECT_RESUME,
                     reason="resume token matches no detached seat",
@@ -587,21 +569,19 @@ class VrServeServer:
         if channel >= 0:
             session.channel = session.seat
         self.metrics.record_session_resume()
-        self.metrics.record_protocol_session(codec)
-        await wire_send(
+        await send_frame(
             writer,
-            wire,
-            self._welcome(session, resumed=True, codec=codec),
+            codec,
+            self._welcome(session, resumed=True),
             channel=channel,
         )
-        wire.upgrade(codec)
         return session
 
     async def _connection_frames(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        wire: WireState,
+        codec: BinaryChannelCodec,
         sessions: Dict[int, Session],
     ) -> None:
         """Consume a connection's frames until every session is gone.
@@ -619,18 +599,18 @@ class VrServeServer:
                     session.stall_read_s = 0.0
                 await asyncio.sleep(stall_s)
             units = await asyncio.wait_for(
-                wire_read(reader, wire), self.config.idle_timeout_s
+                read_units(reader, codec), self.config.idle_timeout_s
             )
             if units is None:
                 return
             for unit in units:
-                await self._dispatch_unit(unit, writer, wire, sessions)
+                await self._dispatch_unit(unit, writer, codec, sessions)
 
     async def _dispatch_unit(
         self,
         unit: WireFrame,
         writer: asyncio.StreamWriter,
-        wire: WireState,
+        codec: BinaryChannelCodec,
         sessions: Dict[int, Session],
     ) -> None:
         """Route one decoded wire unit to its session."""
@@ -649,7 +629,7 @@ class VrServeServer:
             self.metrics.record_corrupt_frame()
             return
         if isinstance(message, JoinRequest):
-            joined = await self._admit(message, writer, wire, unit.channel)
+            joined = await self._admit(message, writer, codec, unit.channel)
             if joined is not None:
                 sessions[joined.seat] = joined
             return

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.serve.protocol import SlotReport
-from repro.serve.protocol2 import WireState
+from repro.serve.protocol2 import BinaryChannelCodec
 
 #: ``last_report_slot`` value before any report has been received.
 NEVER_REPORTED = -1
@@ -64,15 +64,14 @@ class Session:
     #: Set by the fault injector: the handler sleeps this long before
     #: its next read (a stalled uplink), then clears it.
     stall_read_s: float = 0.0
-    #: The wire codec of the *connection* this session currently rides
-    #: (multiplexed sessions share one instance).  Defaults to a JSON
-    #: wire so every pre-codec-negotiation code path behaves exactly
-    #: as before; rebound on every resume because delta/ack state is
-    #: per-connection and must start fresh on a new transport.
-    wire: WireState = field(default_factory=WireState)
-    #: Channel id plan frames for this session are tagged with on a
-    #: binary wire: the seat on multiplexed connections, -1 (untagged)
-    #: on a dedicated connection.
+    #: The codec of the *connection* this session currently rides
+    #: (multiplexed sessions share one instance); rebound on every
+    #: resume because delta/ack state is per-connection and must start
+    #: fresh on a new transport.
+    codec: BinaryChannelCodec = field(default_factory=BinaryChannelCodec)
+    #: Channel id plan frames for this session are tagged with: the
+    #: seat on multiplexed connections, -1 (untagged) on a dedicated
+    #: connection.
     channel: int = -1
 
     def store_report(self, report: SlotReport, folded_slots: int) -> bool:
@@ -238,16 +237,16 @@ class SessionRegistry:
         self,
         token: str,
         writer: asyncio.StreamWriter,
-        wire: Optional[WireState] = None,
+        codec: Optional[BinaryChannelCodec] = None,
         channel: int = -1,
     ) -> Optional[Session]:
         """Re-attach a detached seat by token; None when no seat matches.
 
-        ``wire`` is the *new* connection's wire state; binding it here
-        (rather than keeping the old one) is what resets the binary
-        codec's delta/ack maps, so the first report after any resume
-        is absolute — a delta against a pose from the dead connection
-        can never decode.
+        ``codec`` is the *new* connection's codec; binding it here
+        (rather than keeping the old one) is what resets the delta/ack
+        maps, so the first report after any resume is absolute — a
+        delta against a pose from the dead connection can never
+        decode.
         """
         if not token:
             return None
@@ -255,7 +254,9 @@ class SessionRegistry:
             session = self._sessions[seat]
             if session.detached and session.token == token:
                 session.writer = writer
-                session.wire = wire if wire is not None else WireState()
+                session.codec = (
+                    codec if codec is not None else BinaryChannelCodec()
+                )
                 session.channel = channel
                 session.detached = False
                 session.detached_slot = NEVER_REPORTED

@@ -42,13 +42,7 @@ from repro.obs.slo import SloEngine
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import ServingMetrics
 from repro.serve.protocol import EndOfRun, TilePlan, pose_to_wire
-from repro.serve.protocol2 import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    WireState,
-    wire_encode,
-    wire_write,
-)
+from repro.serve.protocol2 import BinaryChannelCodec
 from repro.serve.sessions import Session, SessionRegistry
 from repro.simulation.metrics import summarize_ledger
 from repro.system.experiment import ExperimentConfig
@@ -204,9 +198,8 @@ class SlotLoop:
         self._finished = False
         #: In-flight delayed writes from injected ``stall_write`` faults.
         self._stall_tasks: Set["asyncio.Task[None]"] = set()
-        #: (json, binary) plan frames queued by the last send stage,
-        #: for the codec attributes on the send span.
-        self._sent_frames: Tuple[int, int] = (0, 0)
+        #: Plan frames queued by the last send stage, for the send span.
+        self._sent_frames = 0
         #: Coordinator hook (:mod:`repro.shard`): invoked once per slot
         #: at the only deterministic migration point — right after the
         #: previous slot's reports are folded and before the upcoming
@@ -405,7 +398,7 @@ class SlotLoop:
         deadline is never spent on a dead socket.  Returns the number
         of frames dropped this slot.
 
-        Frames for sessions multiplexed on a shared binary connection
+        Frames for sessions multiplexed on a shared connection
         (``session.channel >= 0``) are grouped and sent as one
         ``PLAN_BATCH`` frame per connection, after every per-session
         fault/backpressure decision has been taken individually.
@@ -415,13 +408,12 @@ class SlotLoop:
         ``stall_write`` delays the frame by the scripted duration.
         """
         dropped = 0
-        sent_json = 0
-        sent_binary = 0
+        sent = 0
         batches: Dict[
             int,
             Tuple[
                 "asyncio.StreamWriter",
-                WireState,
+                BinaryChannelCodec,
                 List[Tuple[Session, TilePlan]],
             ],
         ] = {}
@@ -453,32 +445,23 @@ class SlotLoop:
                 self.metrics.record_dropped_frame()
                 dropped += 1
                 continue
-            if (
-                session.wire.codec == CODEC_BINARY
-                and session.channel >= 0
-            ):
+            if session.channel >= 0:
                 batch = batches.setdefault(
-                    id(session.wire),
-                    (session.writer, session.wire, []),
+                    id(session.codec),
+                    (session.writer, session.codec, []),
                 )
                 batch[2].append((session, frame))
                 continue
             try:
-                wire_write(
-                    session.writer, session.wire, frame,
-                    channel=session.channel,
-                )
+                session.writer.write(session.codec.encode(frame))
             except (ConnectionError, OSError):
                 session.alive = False
                 continue
-            if session.wire.codec == CODEC_BINARY:
-                sent_binary += 1
-            else:
-                sent_json += 1
+            sent += 1
             session.planned_slots += 1
             session.needs_plan = False
-        for writer, wire, entries in batches.values():
-            batch_frames = wire.require_binary().encode_plan_batch(
+        for writer, codec, entries in batches.values():
+            batch_frames = codec.encode_plan_batch(
                 [(session.channel, frame) for session, frame in entries]
             )
             try:
@@ -488,13 +471,12 @@ class SlotLoop:
                 for session, _ in entries:
                     session.alive = False
                 continue
-            sent_binary += len(batch_frames)
+            sent += len(batch_frames)
             for session, _ in entries:
                 session.planned_slots += 1
                 session.needs_plan = False
-        self._sent_frames = (sent_json, sent_binary)
-        self.metrics.record_protocol_frames(CODEC_JSON, "sent", sent_json)
-        self.metrics.record_protocol_frames(CODEC_BINARY, "sent", sent_binary)
+        self._sent_frames = sent
+        self.metrics.record_protocol_frames("sent", sent)
         return dropped
 
     def _truncate_and_detach(
@@ -502,8 +484,8 @@ class SlotLoop:
     ) -> None:
         """Deliver half a plan frame, then drop the connection.
 
-        The client reads a length prefix promising more bytes than
-        ever arrive, sees the close as a mid-frame transport error,
+        The client reads a header promising more bytes than ever
+        arrive, sees the close as a mid-frame transport error,
         and comes back through the resume path; the seat is parked
         for the grace window.  Closing the transport flushes the
         partial frame first.
@@ -513,9 +495,7 @@ class SlotLoop:
             try:
                 writer.write(
                     truncate_frame_bytes(
-                        wire_encode(
-                            session.wire, frame, channel=session.channel
-                        )
+                        session.codec.encode(frame, channel=session.channel)
                     )
                 )
             except (ConnectionError, OSError):
@@ -533,13 +513,13 @@ class SlotLoop:
         writer = session.writer
         if writer is None:
             return
-        wire = session.wire
+        codec = session.codec
         channel = session.channel
 
         async def _delayed() -> None:
             await asyncio.sleep(duration_s)
             try:
-                wire_write(writer, wire, frame, channel=channel)
+                writer.write(codec.encode(frame, channel=channel))
             except (TransportError, ConnectionError, OSError):
                 pass
 
@@ -628,10 +608,9 @@ class SlotLoop:
             stage_end_s = loop.time()
             self.metrics.record_stage("send", stage_end_s - stage_s)
             if builder is not None:
-                sent_json, sent_binary = self._sent_frames
                 builder.stage(
                     "send", stage_s, stage_end_s, dropped=dropped,
-                    frames_v1=sent_json, frames_v2=sent_binary,
+                    sent_frames=self._sent_frames,
                 )
 
             elapsed_s = stage_end_s - started_s

@@ -46,8 +46,8 @@ from repro.obs.http import ObsHttpServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span
 from repro.obs.tracer import Tracer
-from repro.serve.protocol import JoinRequest, Redirect, read_message, write_message
-from repro.serve.protocol2 import wire_write
+from repro.serve.protocol import JoinRequest, Redirect
+from repro.serve.protocol2 import BinaryChannelCodec, read_units
 from repro.serve.server import ServeResult, VrServeServer
 from repro.serve.sessions import Session
 from repro.shard.config import ShardClusterConfig, derive_trace_path
@@ -384,13 +384,18 @@ class ShardCoordinator:
         The join frame is consumed here but *answered* by the shard:
         the client replays it (token included) against the redirect
         target, where the real admission or resume handshake runs.
+        The redirect goes back on the join's channel, so a multiplexed
+        client can tell which of its joins it answers.
         """
+        codec = BinaryChannelCodec()
         try:
-            message = await asyncio.wait_for(
-                read_message(reader), self.cluster.base.join_timeout_s
+            units = await asyncio.wait_for(
+                read_units(reader, codec), self.cluster.base.join_timeout_s
             )
-            if not isinstance(message, JoinRequest):
+            message = units[0].message if units else None
+            if units is None or not isinstance(message, JoinRequest):
                 return
+            channel = units[0].channel
             existing = self._find_session_shard(message.client)
             if existing is not None:
                 shard = existing
@@ -398,15 +403,13 @@ class ShardCoordinator:
                 shard = self.router.route(message.client, self._free_seats())
                 self._pending_routes[message.client] = shard
             server = self.servers[shard]
-            write_message(
-                writer,
-                Redirect(
-                    host=server.config.host,
-                    port=server.port,
-                    shard=shard,
-                    reason=REDIRECT_ASSIGNED,
-                ),
+            redirect = Redirect(
+                host=server.config.host,
+                port=server.port,
+                shard=shard,
+                reason=REDIRECT_ASSIGNED,
             )
+            writer.write(codec.encode(redirect, channel=channel))
             await writer.drain()
         except (
             asyncio.TimeoutError,
@@ -617,12 +620,11 @@ class ShardCoordinator:
             shard=target,
             reason=reason,
         )
-        # The redirect travels on the session's negotiated wire (a
-        # binary session gets a channel-tagged binary frame).  A
+        # The redirect travels on the session's own channel.  A
         # multiplexed connection is shared: closing it would sever
         # every other virtual client on the link, so only a writer
         # this session has to itself is closed here.
-        wire = session.wire
+        codec = session.codec
         channel = session.channel
         shared = any(
             other is not session and other.writer is writer
@@ -631,7 +633,7 @@ class ShardCoordinator:
 
         def _emit() -> None:
             try:
-                wire_write(writer, wire, frame, channel=channel)
+                writer.write(codec.encode(frame, channel=channel))
             except (TransportError, ConnectionError, OSError):
                 pass
             if not shared:

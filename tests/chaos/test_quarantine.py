@@ -8,12 +8,11 @@ framing and truncation breaking it.
 """
 
 import asyncio
-import struct
 from dataclasses import replace
 
 import pytest
 
-from repro.errors import FrameCorruptError, TransportError
+from repro.errors import ConfigurationError, TransportError
 from repro.faults import (
     FAULT_CORRUPT_REPORT,
     FaultEvent,
@@ -23,43 +22,49 @@ from repro.faults import (
 )
 from repro.serve.config import serve_setup1
 from repro.serve.loadgen import LoadGenConfig, run_serve_and_fleet
-from repro.serve.protocol import (
-    Bye,
-    SlotReport,
-    decode_payload,
-    encode_message,
-    read_message,
+from repro.serve.protocol import Bye, SlotReport
+from repro.serve.protocol2 import (
+    HEADER,
+    BinaryChannelCodec,
+    read_frame,
+    read_units,
 )
-from repro.serve.protocol2 import BinaryChannelCodec
+
+
+def _read_frame_of(data):
+    """Run the frame reader over ``data`` followed by EOF."""
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_frame(reader)
+
+    return asyncio.run(scenario())
 
 
 class TestFrameHelpers:
     def test_corruption_preserves_framing(self):
-        frame = encode_message(Bye(reason="fine"))
+        frame = BinaryChannelCodec().encode(Bye(reason="fine"))
         bad = corrupt_frame_bytes(frame)
         assert len(bad) == len(frame)
-        assert bad[:4] == frame[:4]
+        assert bad[:HEADER.size] == frame[:HEADER.size]
         assert bad != frame
-
-    def test_corrupt_body_raises_frame_corrupt(self):
-        frame = encode_message(Bye(reason="fine"))
-        bad = corrupt_frame_bytes(frame)
-        with pytest.raises(FrameCorruptError):
-            decode_payload(bad[4:])
 
     def test_corrupt_frame_is_recoverable_on_stream(self):
         """Framing survives corruption: the next frame still parses."""
 
         async def scenario():
+            codec = BinaryChannelCodec()
             reader = asyncio.StreamReader()
-            reader.feed_data(corrupt_frame_bytes(encode_message(Bye(reason="a"))))
-            reader.feed_data(encode_message(Bye(reason="b")))
+            reader.feed_data(corrupt_frame_bytes(codec.encode(Bye(reason="a"))))
+            reader.feed_data(codec.encode(Bye(reason="b")))
             reader.feed_eof()
-            with pytest.raises(FrameCorruptError):
-                await read_message(reader)
-            return await read_message(reader)
+            (lost,) = await read_units(reader, codec)
+            (kept,) = await read_units(reader, codec)
+            return lost.message, kept.message
 
-        assert asyncio.run(scenario()) == Bye(reason="b")
+        assert asyncio.run(scenario()) == (None, Bye(reason="b"))
 
     def test_binary_corruption_is_quarantined_not_misread(self):
         """Codec-2 frames carry no checksum, so the injector must
@@ -84,20 +89,32 @@ class TestFrameHelpers:
         assert [unit.message for unit in units] == [None]
 
     def test_truncation_breaks_framing(self):
-        frame = encode_message(Bye(reason="fine"))
+        frame = BinaryChannelCodec().encode(Bye(reason="fine"))
         short = truncate_frame_bytes(frame)
         assert len(short) < len(frame)
-        (declared,) = struct.Struct("!I").unpack(short[:4])
-        assert declared > len(short) - 4
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(short)
-            reader.feed_eof()
-            await read_message(reader)
-
+        declared = HEADER.unpack(short[:HEADER.size])[-1]
+        assert declared > len(short) - HEADER.size
         with pytest.raises(TransportError):
-            asyncio.run(scenario())
+            _read_frame_of(short)
+
+    @pytest.mark.parametrize("reason", ["a", "abcd", "fine", "x" * 40])
+    def test_truncation_cuts_strictly_inside_the_body(self, reason):
+        # "a" is the 10-byte frame (2-byte body) and "abcd" the
+        # 13-byte one (5-byte body): the smallest cases where a cut
+        # sized from a 4-byte length prefix lands inside the header or
+        # exactly on its end.
+        frame = BinaryChannelCodec().encode(Bye(reason=reason))
+        short = truncate_frame_bytes(frame)
+        assert short[:HEADER.size] == frame[:HEADER.size]
+        assert HEADER.size < len(short) < len(frame)
+        with pytest.raises(TransportError, match="connection closed mid-frame"):
+            _read_frame_of(short)
+
+    def test_truncation_refuses_a_body_it_cannot_cut_inside(self):
+        frame = BinaryChannelCodec().encode(Bye(reason=""))
+        assert len(frame) == HEADER.size + 1
+        with pytest.raises(ConfigurationError):
+            truncate_frame_bytes(frame)
 
 
 class TestQuarantineEndToEnd:

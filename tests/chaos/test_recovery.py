@@ -20,8 +20,18 @@ from repro.serve.loadgen import (
     ReconnectPolicy,
     run_serve_and_fleet,
 )
-from repro.serve.protocol import JoinRequest, Reject, read_message, send_message
+from repro.serve.protocol import JoinRequest, Reject
+from repro.serve.protocol2 import BinaryChannelCodec, read_units, send_frame
 from repro.serve.server import VrServeServer
+
+async def _handshake(port, join):
+    """Dial the server, send one join, return its greeting and writer."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    codec = BinaryChannelCodec()
+    await send_frame(writer, codec, join)
+    (unit,) = await read_units(reader, codec)
+    return unit.message, writer
+
 
 DISCONNECTS = FaultSchedule(events=(
     FaultEvent(slot=5, seat=1, kind=FAULT_DISCONNECT),
@@ -143,17 +153,13 @@ class TestResumeRejection:
             await server.start()
             server_task = asyncio.ensure_future(server.run())
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                await send_message(
-                    writer,
+                answer, writer = await _handshake(
+                    server.port,
                     JoinRequest(
                         client="ghost", version=PROTOCOL_VERSION,
                         token="not-a-real-token",
                     ),
                 )
-                answer = await read_message(reader)
                 writer.close()
                 await writer.wait_closed()
                 return answer
@@ -264,14 +270,10 @@ class TestResumeTokenEdgeCases:
             server = VrServeServer(serve_config)
             await server.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                await send_message(
-                    writer,
+                welcome, writer = await _handshake(
+                    server.port,
                     JoinRequest(client="drained", version=PROTOCOL_VERSION),
                 )
-                welcome = await read_message(reader)
                 # Abrupt close parks the seat (resume is enabled).
                 writer.transport.abort()
                 for _ in range(100):
@@ -281,17 +283,13 @@ class TestResumeTokenEdgeCases:
                 assert server.registry.detached_sessions()
 
                 server.admission.start_draining()
-                reader2, writer2 = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                await send_message(
-                    writer2,
+                answer, writer2 = await _handshake(
+                    server.port,
                     JoinRequest(
                         client="drained", version=PROTOCOL_VERSION,
                         token=welcome.resume_token,
                     ),
                 )
-                answer = await read_message(reader2)
                 writer2.close()
                 await writer2.wait_closed()
                 return answer

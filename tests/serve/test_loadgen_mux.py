@@ -29,7 +29,6 @@ from repro.serve.loadgen import (
     run_serve_and_fleet,
 )
 from repro.serve.mux import run_mux_fleet, run_serve_and_mux_fleet
-from repro.serve.protocol2 import CODEC_JSON
 
 
 def _lockstep_config(num, slots, seed, kernel=False):
@@ -113,7 +112,6 @@ class TestPacedSmoke:
         assert result.slots == 20
         assert len(fleet.clients) == 12
         assert {c.end_reason for c in fleet.clients} == {"complete"}
-        assert result.metrics.protocol_sessions == {"2": 12}
 
 
 class TestConfigValidation:
@@ -126,14 +124,6 @@ class TestConfigValidation:
     def test_rejects_unbound_port(self):
         with pytest.raises(ConfigurationError, match="port"):
             asyncio.run(run_mux_fleet(LoadGenConfig(num_clients=2), 2))
-
-    def test_rejects_json_codec(self):
-        with pytest.raises(ConfigurationError, match="codec 2"):
-            asyncio.run(
-                run_mux_fleet(
-                    LoadGenConfig(num_clients=2, port=1, codec=CODEC_JSON), 2
-                )
-            )
 
     def test_rejects_per_client_shaping_knobs(self):
         for shaped in (
@@ -150,16 +140,3 @@ class TestConfigValidation:
         ):
             with pytest.raises(ConfigurationError, match="mux mode"):
                 asyncio.run(run_mux_fleet(shaped, 2))
-
-    def test_json_only_server_rejects_oversubscribed_mux(self):
-        """A server capped at codec 1 cannot multiplex: the fleet
-        surfaces a clear error instead of hanging on crossed frames."""
-        serve_config = replace(
-            _lockstep_config(4, 11, 0), codec_max=CODEC_JSON
-        )
-        with pytest.raises(ConfigurationError, match="negotiated JSON"):
-            asyncio.run(
-                run_serve_and_mux_fleet(
-                    serve_config, LoadGenConfig(num_clients=4, seed=0), 2
-                )
-            )

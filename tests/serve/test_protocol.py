@@ -1,7 +1,6 @@
-"""Tests for the length-prefixed JSON wire protocol."""
+"""Tests for the serving message schema carried over the binary wire."""
 
 import asyncio
-import json
 import struct
 
 import pytest
@@ -17,13 +16,18 @@ from repro.serve.protocol import (
     SlotReport,
     TilePlan,
     Welcome,
-    decode_payload,
-    encode_message,
-    parse_message,
     pose_to_wire,
-    read_message,
-    send_message,
-    write_message,
+)
+from repro.serve.protocol2 import (
+    CODEC_BINARY,
+    HEADER,
+    HEADER_MAGIC,
+    TYPE_BYE,
+    TYPE_READY,
+    BinaryChannelCodec,
+    WireFrame,
+    read_units,
+    send_frame,
 )
 
 POSE = (1.0, 2.0, 0.5, 30.0, -10.0, 0.0)
@@ -58,19 +62,50 @@ MESSAGES = [
     Bye(reason="done"),
 ]
 
+_KINDS = {
+    JoinRequest: "join", Welcome: "welcome", Reject: "reject",
+    Ready: "ready", TilePlan: "plan", SlotReport: "report",
+    EndOfRun: "end", Bye: "bye",
+}
+
+#: A quarantined single frame: framing intact, body undecodable.
+QUARANTINED = [WireFrame(channel=-1, message=None)]
+
+
+def _split(frame):
+    """(type, flags, body) of one encoded frame."""
+    return frame[2], frame[3], frame[8:]
+
+
+def _read_all(data):
+    """Every message a reader yields from ``data``, up to EOF."""
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        codec = BinaryChannelCodec()
+        received = []
+        while True:
+            units = await read_units(reader, codec)
+            if units is None:
+                return received
+            received.extend(unit.message for unit in units)
+
+    return asyncio.run(scenario())
+
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: m.KIND)
+    @pytest.mark.parametrize(
+        "message", MESSAGES, ids=lambda m: _KINDS[type(m)]
+    )
     def test_encode_decode_identity(self, message):
-        frame = encode_message(message)
-        (length,) = struct.Struct("!I").unpack(frame[:4])
-        assert length == len(frame) - 4
-        assert decode_payload(frame[4:]) == message
-
-    def test_payload_is_compact_json(self):
-        frame = encode_message(Bye(reason="x"))
-        body = json.loads(frame[4:].decode("utf-8"))
-        assert body == {"kind": "bye", "reason": "x"}
+        frame = BinaryChannelCodec().encode(message)
+        magic, codec, _, _, length = HEADER.unpack(frame[:HEADER.size])
+        assert (magic, codec) == (HEADER_MAGIC, CODEC_BINARY)
+        assert length == len(frame) - HEADER.size
+        (unit,) = BinaryChannelCodec().decode(*_split(frame))
+        assert unit.message == message
 
     def test_non_finite_floats_rejected(self):
         message = SlotReport(
@@ -78,37 +113,29 @@ class TestRoundTrip:
             delay_slots=float("inf"), viewed_quality=0.0, pose=POSE,
         )
         with pytest.raises(TransportError):
-            encode_message(message)
+            BinaryChannelCodec().encode(message)
 
 
 class TestValidation:
     def test_unknown_kind(self):
-        with pytest.raises(TransportError):
-            parse_message({"kind": "teleport"})
-
-    def test_missing_kind(self):
-        with pytest.raises(TransportError):
-            parse_message({"client": "x"})
-
-    def test_wrong_field_type(self):
-        with pytest.raises(TransportError):
-            parse_message({"kind": "join", "client": "x", "version": "1"})
+        assert BinaryChannelCodec().decode(99, 0, b"") == QUARANTINED
 
     def test_bool_is_not_an_int(self):
-        with pytest.raises(TransportError):
-            parse_message({"kind": "join", "client": "x", "version": True})
+        plan = MESSAGES[5]
+        frame_type, flags, body = _split(BinaryChannelCodec().encode(plan))
+        # slot 0 and level 0 are one byte each; the third byte is the
+        # has-predicted-pose boolean, which may only be 0 or 1.
+        assert body[2] == 0
+        damaged = body[:2] + b"\x02" + body[3:]
+        assert BinaryChannelCodec().decode(frame_type, flags, damaged) == (
+            QUARANTINED
+        )
 
     def test_pose_must_have_six_floats(self):
         with pytest.raises(TransportError):
-            parse_message({"kind": "ready", "pose": [1.0, 2.0]})
-
-    def test_non_object_frame(self):
-        with pytest.raises(TransportError):
-            decode_payload(b"[1, 2, 3]")
-
-    def test_malformed_json(self):
-        with pytest.raises(TransportError):
-            decode_payload(b"{nope")
+            BinaryChannelCodec().encode(Ready(pose=(1.0, 2.0)))
+        short = struct.pack("!2d", 1.0, 2.0)
+        assert BinaryChannelCodec().decode(TYPE_READY, 0, short) == QUARANTINED
 
     def test_pose_to_wire_validates_length(self):
         with pytest.raises(TransportError):
@@ -116,79 +143,53 @@ class TestValidation:
 
 
 class TestFraming:
-    def _stream_pair(self):
-        reader = asyncio.StreamReader()
-        return reader
-
     def test_read_message_round_trip(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_message(Bye(reason="ok")))
-            reader.feed_eof()
-            first = await read_message(reader)
-            second = await read_message(reader)
-            return first, second
-
-        first, second = asyncio.run(scenario())
-        assert first == Bye(reason="ok")
-        assert second is None
+        assert _read_all(BinaryChannelCodec().encode(Bye(reason="ok"))) == [
+            Bye(reason="ok")
+        ]
 
     def test_read_message_mid_frame_eof(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_message(Bye(reason="ok"))[:-2])
-            reader.feed_eof()
-            return await read_message(reader)
-
+        frame = BinaryChannelCodec().encode(Bye(reason="ok"))
         with pytest.raises(TransportError):
-            asyncio.run(scenario())
+            _read_all(frame[:-2])
 
     def test_read_message_oversized_frame(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.Struct("!I").pack(MAX_FRAME_BYTES + 1))
-            reader.feed_eof()
-            return await read_message(reader)
-
+        header = HEADER.pack(
+            HEADER_MAGIC, CODEC_BINARY, TYPE_BYE, 0, MAX_FRAME_BYTES + 1
+        )
         with pytest.raises(TransportError):
-            asyncio.run(scenario())
+            _read_all(header)
 
     def test_multiple_frames_in_sequence(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            for message in MESSAGES:
-                reader.feed_data(encode_message(message))
-            reader.feed_eof()
-            received = []
-            while True:
-                message = await read_message(reader)
-                if message is None:
-                    return received
-                received.append(message)
-
-        assert asyncio.run(scenario()) == MESSAGES
+        codec = BinaryChannelCodec()
+        stream = b"".join(codec.encode(message) for message in MESSAGES)
+        assert _read_all(stream) == MESSAGES
 
     def test_send_and_write_over_loopback(self):
         async def scenario():
             received = []
 
             async def handler(reader, writer):
-                received.append(await read_message(reader))
-                received.append(await read_message(reader))
+                codec = BinaryChannelCodec()
+                for _ in range(2):
+                    (unit,) = await read_units(reader, codec)
+                    received.append(unit)
                 writer.close()
 
             server = await asyncio.start_server(handler, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            await send_message(writer, JoinRequest(client="a", version=1))
-            size = write_message(writer, Bye(reason="done"))
+            codec = BinaryChannelCodec()
+            await send_frame(writer, codec, JoinRequest(client="a", version=1))
+            writer.write(codec.encode(Bye(reason="done"), channel=4))
             await writer.drain()
             writer.close()
             await writer.wait_closed()
             server.close()
             await server.wait_closed()
-            return received, size
+            return received
 
-        received, size = asyncio.run(scenario())
-        assert received == [JoinRequest(client="a", version=1), Bye(reason="done")]
-        assert size == len(encode_message(Bye(reason="done")))
+        assert asyncio.run(scenario()) == [
+            WireFrame(channel=-1, message=JoinRequest(client="a", version=1)),
+            WireFrame(channel=4, message=Bye(reason="done")),
+        ]

@@ -69,9 +69,6 @@ class TestFrontDoor:
         # One coordinator hop per virtual client, exactly like the
         # real-socket fleet.
         assert [c.redirects for c in fleet.clients] == [1, 1, 1, 1]
-        # Both shards spoke the binary generation for every session.
-        for shard in result.shards:
-            assert set(shard.metrics.protocol_sessions) == {"2"}
 
     def test_cluster_mux_run_is_deterministic(self):
         cluster = ShardClusterConfig(
