@@ -14,13 +14,14 @@ carried — never re-minted — through resume and handoff), folds each
 shard's samples into contiguous :class:`ShardSegment` windows, and
 interleaves the coordinator's ``migration`` spans as explicit bridges
 between the source and target segments.  The result is one
-:class:`SessionTimeline` per session, ordered by slot, in which a
-migrated session reads as: segment on shard A, ``migration`` bridge,
-segment on shard B.
+:class:`SessionTimeline` per session, ordered by the handoff chain, in
+which a migrated session reads as: segment on shard A, ``migration``
+bridge, segment on shard B.
 
-Slot numbers are comparable across shards only in lockstep clusters
-(shared readiness gate, one slot per barrier round); that is the mode
-migration chaos runs use, and the mode this module is specified for.
+Slot numbers within a segment come from that shard's own counter.
+Shards start from one readiness gate but then step independently, so
+a slot number says nothing about order *across* shards; only the
+coordinator's handoff sequence does.
 """
 
 from __future__ import annotations
@@ -88,7 +89,10 @@ class ShardSegment:
 
 @dataclass(frozen=True)
 class SessionTimeline:
-    """One session's cross-shard story, ordered by slot."""
+    """One session's cross-shard story, ordered by the handoff chain.
+
+    ``migrations`` are in handoff (``seq``) order.
+    """
 
     trace: str
     client: str
@@ -101,26 +105,29 @@ class SessionTimeline:
         return tuple(segment.shard for segment in self.segments)
 
     def events(self) -> List[Dict[str, object]]:
-        """Segments and migration bridges interleaved by slot.
+        """Segments and migration bridges in handoff-chain order.
 
-        A migration sorts *after* the source segment it closes and
-        *before* the target segment it opens: segments order by
-        ``first_slot`` and the bridge carries the handoff slot, which
-        is ≥ the source's first slot and ≤ the target's.
+        Each shard counts its own slots, so slot numbers cannot order
+        events across shards; the handoff chain can.  A bridge follows
+        the segment on its source shard and precedes the segment on
+        its target.  Segments the chain never names keep their
+        residence order after it.
         """
-        keyed: List[Tuple[Tuple[int, int, int], Dict[str, object]]] = []
-        for segment in self.segments:
-            keyed.append(
-                ((segment.first_slot, 0, segment.shard), segment.to_dict())
-            )
+        unplaced = {segment.shard: segment for segment in self.segments}
+        events: List[Dict[str, object]] = []
+
+        def place(shard: int) -> None:
+            segment = unplaced.pop(shard, None)
+            if segment is not None:
+                events.append(segment.to_dict())
+
         for migration in self.migrations:
-            # Bridges tie-break *after* the segment opening at the
-            # same slot on the source, via the middle key component.
-            keyed.append(
-                ((migration.slot, 1, migration.seq), migration.to_dict())
-            )
-        keyed.sort(key=lambda item: item[0])
-        return [event for _, event in keyed]
+            place(migration.source_shard)
+            events.append(migration.to_dict())
+            place(migration.target_shard)
+        for segment in self.segments:
+            place(segment.shard)
+        return events
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -201,9 +208,10 @@ def _segments(
 ) -> Tuple[ShardSegment, ...]:
     """Fold one session's samples into ordered residence windows.
 
-    Samples group per shard and order by first slot; when two shards'
-    windows open at the same slot the migration chain breaks the tie
-    (the handoff source precedes its target).
+    Samples group per shard.  Windows order by the migration chain
+    (the handoff source precedes its target), because each shard's
+    slot counter is its own; shards off the chain follow, by first
+    slot.
     """
     by_shard: Dict[int, List[UserSlotSample]] = {}
     for sample in samples:
@@ -227,8 +235,8 @@ def _segments(
     ]
     segments.sort(
         key=lambda seg: (
-            seg.first_slot,
             chain_rank.get(seg.shard, len(chain_rank)),
+            seg.first_slot,
             seg.shard,
         )
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -255,9 +255,10 @@ class _ClientState:
             cell_tolerance=welcome.cell_tolerance,
         )
         trace_rng = np.random.default_rng((config.seed, 0, welcome.seat, 17))
+        # Stepped on demand: admission costs the same for any run length.
         self.trace = MotionTraceGenerator(
             world, MotionConfig(), welcome.slot_s
-        ).generate(welcome.num_tx_slots + 1, trace_rng)
+        ).tape(welcome.num_tx_slots + 1, trace_rng)
         self.phone = Client(
             welcome.seat,
             welcome.client_cache_tiles,
@@ -518,7 +519,7 @@ async def _session_loop(
 
 def _evaluate_plan(
     plan: TilePlan,
-    trace: List[Pose],
+    trace: Sequence[Pose],
     coverage: CoverageEvaluator,
     phone: Client,
 ) -> SlotReport:

@@ -108,6 +108,37 @@ class TestStitchSpans:
         ]
         assert stitch_spans(streams)[0].shards == (1, 0)
 
+    def test_bridge_orders_by_chain_not_by_slot(self):
+        # The target shard's counter already reads the handoff slot
+        # (and more) when the session lands there: slot numbers from
+        # two shards cannot place the bridge, the chain does.
+        streams = [
+            _shard_stream(1, range(0, 5), {0: "eeee"}),
+            _shard_stream(0, range(3, 9), {0: "eeee"}),
+            [_migration("eeee", 5, 1, 0)],
+        ]
+        timeline = stitch_spans(streams)[0]
+        assert timeline.shards == (1, 0)
+        events = timeline.events()
+        assert [e["kind"] for e in events] == [
+            "segment", "migration", "segment",
+        ]
+        assert (events[0]["shard"], events[2]["shard"]) == (1, 0)
+
+    def test_return_migration_lists_each_shard_once(self):
+        streams = [
+            _shard_stream(0, list(range(0, 3)) + list(range(8, 10)), {0: "ffff"}),
+            _shard_stream(1, range(4, 7), {0: "ffff"}),
+            [
+                _migration("ffff", 3, 0, 1, seq=0),
+                _migration("ffff", 7, 1, 0, seq=1),
+            ],
+        ]
+        events = stitch_spans(streams)[0].events()
+        assert [e["kind"] for e in events] == [
+            "segment", "migration", "segment", "migration",
+        ]
+
     def test_output_stable_across_stream_order(self):
         streams = [
             _shard_stream(0, range(0, 3), {0: "aaaa"}),

@@ -171,14 +171,21 @@ class TestClusterObsAcceptance:
         bridge = mover.migrations[0]
         assert (bridge.source_shard, bridge.target_shard) == (source, target)
         assert bridge.reason == "rebalance"
+        # The bridge sits between the two residence windows in
+        # handoff-chain order.  Each shard counts its own slots, so
+        # slot numbers are only compared within one shard.
+        before, after = mover.segments
+        assert bridge.source_shard == before.shard
+        assert bridge.target_shard == after.shard
         kinds = [event["kind"] for event in mover.events()]
         assert kinds == ["segment", "migration", "segment"]
-        # The bridge sits between the two residence windows.
-        assert mover.segments[0].last_slot < bridge.slot
-        assert bridge.slot <= mover.segments[1].first_slot
-        # Of the 40 slots, exactly the handoff slot has no user
-        # sample (the session is detached while it moves).
-        assert sum(s.user_slots for s in mover.segments) == 39
+        # On the source: a sample in every slot up to the handoff.
+        assert (before.first_slot, before.user_slots) == (0, bridge.slot)
+        assert before.last_slot == bridge.slot - 1
+        # On the target: a sample in every slot from re-attach to the
+        # end of the run (40 slots, 0..39), with no gap.
+        assert after.last_slot == 39
+        assert after.user_slots == after.last_slot - after.first_slot + 1
 
         # The session that stayed put has one segment and no bridge.
         stayers = [t for t in timelines if t is not mover and t.segments]

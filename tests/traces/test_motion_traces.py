@@ -71,6 +71,10 @@ class TestMotionTraceGenerator:
         with pytest.raises(ConfigurationError):
             generator.generate(0, rng)
         with pytest.raises(ConfigurationError):
+            generator.tape(0, rng)
+        with pytest.raises(ConfigurationError):
+            MotionTraceGenerator(GridWorld(0.0, 8.0, 0.0, 0.15, cell_size=0.05))
+        with pytest.raises(ConfigurationError):
             generator.generate_users(0, 10)
         with pytest.raises(ConfigurationError):
             MotionConfig(walk_speed_mps=0.0)
@@ -78,6 +82,31 @@ class TestMotionTraceGenerator:
             MotionConfig(pause_probability=2.0)
         with pytest.raises(ConfigurationError):
             MotionConfig(saccade_probability=-0.1)
+        # Each of these used to be accepted and then fail at some slot
+        # of the walk; stepped on demand, that slot may be deep inside
+        # a serving run.
+        for overrides in (
+            {"pause_slots_max": 10},
+            {"speed_jitter": -0.1},
+            {"yaw_noise_deg": -0.5},
+            {"pitch_noise_deg": -0.5},
+            {"pitch_limit_deg": 120.0},
+            {"pitch_limit_deg": 0.0},
+            {"pitch_mean_deg": -70.0},
+            {"pitch_limit_deg": 4.0},
+            {"saccade_max_deg": -1.0},
+        ):
+            with pytest.raises(ConfigurationError):
+                MotionConfig(**overrides)
+
+    def test_validation_accepts_boundary_configs(self, world):
+        config = MotionConfig(
+            pause_slots_max=11, speed_jitter=0.0, pitch_limit_deg=90.0
+        )
+        poses = MotionTraceGenerator(world, config).generate(
+            500, np.random.default_rng(0)
+        )
+        assert len(poses) == 500
 
 
 class TestMotionPresets:
