@@ -582,7 +582,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.serve import (
         LoadGenConfig,
         ReconnectPolicy,
-        run_fleet,
         run_mux_fleet,
     )
 
@@ -604,12 +603,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             faults=faults,
             reconnect=ReconnectPolicy(max_attempts=args.reconnect_attempts),
         )
-        if args.mux:
-            fleet = asyncio.run(
-                run_mux_fleet(config, connections=args.mux_connections)
-            )
-        else:
-            fleet = asyncio.run(run_fleet(config))
+        fleet = asyncio.run(
+            run_mux_fleet(config, connections=args.mux_connections)
+        )
     except ReproError as exc:
         print(f"loadgen failed: {exc}", file=sys.stderr)
         return 1
@@ -794,11 +790,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--reconnect-attempts", type=int, default=0,
                          help="reconnect budget per outage (0 = clients do "
                               "not heal)")
-    loadgen.add_argument("--mux", action="store_true",
-                         help="multiplex all clients as virtual clients over "
-                              "--mux-connections sockets")
     loadgen.add_argument("--mux-connections", type=int, default=4,
-                         help="physical connections carrying the mux fleet")
+                         help="physical connections the clients are "
+                              "multiplexed over (>= --clients: one each)")
 
     lint = sub.add_parser(
         "lint", help="domain-aware static analysis (rules RL001-RL007)"

@@ -20,7 +20,8 @@ from typing import Dict, List
 from repro.errors import ConfigurationError
 from repro.obs.config import DEFAULT_SAMPLE_EVERY, ObsConfig
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import LoadGenConfig, run_serve_and_fleet
+from repro.serve.loadgen import LoadGenConfig
+from repro.serve.mux import run_serve_and_mux_fleet
 
 BENCH_OBS_FILE = "BENCH_obs.json"
 
@@ -43,7 +44,9 @@ def _run_arm(
         obs=obs_config,
     )
     fleet_config = LoadGenConfig(num_clients=users, seed=seed)
-    result, _ = asyncio.run(run_serve_and_fleet(serve_config, fleet_config))
+    result, _ = asyncio.run(
+        run_serve_and_mux_fleet(serve_config, fleet_config, users)
+    )
     slot_hist = result.metrics.stage_latency["slot"]
     return {
         "slots": float(result.metrics.slots),

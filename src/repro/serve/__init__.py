@@ -8,8 +8,9 @@ stack behind a TCP listener (binary frames, see
 :mod:`repro.serve.protocol2`), runs a fixed-cadence slot loop with
 per-stage deadline metrics, applies admission control and per-client
 graceful degradation under overload, and a
-:mod:`~repro.serve.loadgen` client fleet replays seeded motion
-traces against it over loopback.
+:mod:`~repro.serve.mux` fleet of emulated phones
+(:mod:`~repro.serve.loadgen`) replays seeded motion traces against it
+over loopback.
 """
 
 from repro.serve.admission import (
@@ -32,8 +33,6 @@ from repro.serve.loadgen import (
     FleetReport,
     LoadGenConfig,
     ReconnectPolicy,
-    run_fleet,
-    run_serve_and_fleet,
 )
 from repro.serve.metrics import LatencyHistogram, ServingMetrics
 from repro.serve.mux import run_mux_fleet, run_serve_and_mux_fleet
@@ -68,9 +67,7 @@ __all__ = [
     "WireFrame",
     "bench_serve",
     "resume_enabled",
-    "run_fleet",
     "run_mux_fleet",
-    "run_serve_and_fleet",
     "run_serve_and_mux_fleet",
     "serve_setup1",
 ]

@@ -1,9 +1,10 @@
 """Serving capacity benchmark: users sustained within the slot deadline.
 
 For each fleet size the bench runs a full paced loopback serve —
-real sockets, real asyncio scheduling, the seeded emulated data plane
-— and records the slot-deadline hit rate and the p50/p99 slot
-pipeline latency.  The headline number is the largest fleet the box
+the :mod:`repro.serve.mux` fleet with one socket per client, real
+asyncio scheduling, the seeded emulated data plane — and records the
+slot-deadline hit rate and the p50/p99 slot pipeline latency.  The
+headline number is the largest fleet the box
 sustains at the target hit rate (99% by default): the serving-side
 answer to the paper's "how many users can one edge server carry"
 question.  Results append to ``BENCH_serve.json`` via
@@ -38,7 +39,7 @@ from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.serve.config import ServeConfig, serve_setup1
-from repro.serve.loadgen import LoadGenConfig, run_serve_and_fleet
+from repro.serve.loadgen import LoadGenConfig
 from repro.serve.mux import run_serve_and_mux_fleet
 
 BENCH_SERVE_FILE = "BENCH_serve.json"
@@ -100,12 +101,13 @@ def bench_serve(
     """Measure slot-deadline behaviour across fleet sizes.
 
     Each fleet size gets one paced loopback run of ``slots``
-    transmission slots with all clients local and zero think-time;
+    transmission slots with all clients local, one socket each, and
+    zero think-time;
     ``users_sustained`` is the largest size whose deadline hit rate
     meets ``deadline_target``.
 
-    The ``protocol`` section holds one multiplexed run driving
-    ``mux_clients`` virtual clients over ``mux_connections`` sockets
+    The ``protocol`` section holds one run packing ``mux_clients``
+    clients onto ``mux_connections`` shared sockets
     (``mux_clients`` of 0 leaves it empty).
     """
     if slots < 3:
@@ -134,7 +136,7 @@ def bench_serve(
         serve_config = _paced_config(num_users, slots, seed)
         fleet_config = LoadGenConfig(num_clients=num_users, seed=seed)
         result, fleet = asyncio.run(
-            run_serve_and_fleet(serve_config, fleet_config)
+            run_serve_and_mux_fleet(serve_config, fleet_config, num_users)
         )
         metrics = result.metrics
         hit_rate = metrics.deadline_hit_rate

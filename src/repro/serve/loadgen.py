@@ -1,12 +1,14 @@
-"""Client-fleet load generator replaying motion traces over sockets.
+"""The emulated phone: fleet config, session state and display pipeline.
 
-Each client emulates one commodity phone end-to-end: it joins the
-server, replays a seeded :mod:`repro.traces` motion trace, runs the
-real client display pipeline (:class:`~repro.system.client.Client`
+Each fleet client emulates one commodity phone end-to-end: it joins
+the server, replays a seeded :mod:`repro.traces` motion trace, runs
+the real client display pipeline (:class:`~repro.system.client.Client`
 with a :class:`~repro.system.client.DecoderPool`), evaluates FoV
 coverage against its *own* next-slot pose exactly as the in-process
 experiment does, and reports delivery/release ACKs, the display
-indicator, and the measured delay back each slot.
+indicator, and the measured delay back each slot.  This module holds
+that phone model and the fleet's config and report types; the driver
+that runs a fleet of them over sockets is :mod:`repro.serve.mux`.
 
 With ``seed`` equal to the server's experiment seed, client ``i``'s
 trace is drawn from ``default_rng((seed, 0, seat, 17))`` — the same
@@ -17,47 +19,19 @@ loopback run reproduce the experiment's numbers.
 
 from __future__ import annotations
 
-import asyncio
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.content.projection import FieldOfView
 from repro.content.tiles import GridWorld, TileGrid
-from repro.errors import ConfigurationError, TransportError
-from repro.faults.injection import FaultInjector, corrupt_frame_bytes
-from repro.faults.schedule import (
-    CLIENT_KINDS,
-    FAULT_CORRUPT_REPORT,
-    FAULT_CRASH_CLIENT,
-    FAULT_DELAY_REPORT,
-    FaultSchedule,
-)
+from repro.errors import ConfigurationError
+from repro.faults.schedule import FaultSchedule
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose
-from repro.serve.admission import REJECT_RESUME
-from repro.serve.config import PROTOCOL_VERSION, ServeConfig
-from repro.serve.protocol import (
-    Bye,
-    EndOfRun,
-    JoinRequest,
-    Ready,
-    Redirect,
-    Reject,
-    SlotReport,
-    TilePlan,
-    Welcome,
-    pose_to_wire,
-)
-from repro.serve.protocol2 import (
-    BinaryChannelCodec,
-    WireFrame,
-    read_units,
-    send_frame,
-)
-from repro.serve.server import ServeResult, VrServeServer
+from repro.serve.protocol import SlotReport, TilePlan, Welcome, pose_to_wire
 from repro.system.client import Client, DecoderPool
 from repro.traces.motion import MotionConfig, MotionTraceGenerator
 from repro.units import TARGET_FPS
@@ -296,227 +270,6 @@ def _final_report(
     )
 
 
-async def _run_client(
-    config: LoadGenConfig,
-    index: int,
-    injector: Optional[FaultInjector] = None,
-) -> ClientReport:
-    """Run one emulated phone against the server.
-
-    The outer loop is the self-healing machinery: on a lost
-    connection (never on a voluntary leave) the client backs off with
-    capped exponential delay plus seeded jitter and rejoins with its
-    resume token, continuing its session state in place.
-    """
-    name = f"{config.client_prefix}-{index}"
-    latency_s = (
-        config.slow_latency_s if index < config.slow_clients else config.latency_s
-    )
-    jitter_rng = np.random.default_rng((config.seed, 1009, index))
-    reconnect_rng = np.random.default_rng((config.seed, 1013, index))
-    leave_after = (
-        config.churn_leave_after_slots if index < config.churn_clients else 0
-    )
-    injector = injector if injector is not None else FaultInjector()
-    state: Optional[_ClientState] = None
-    token = ""
-    attempts = 0
-    redirects = 0
-    # The address being dialled.  A Redirect moves it to the assigned
-    # shard; a lost connection falls back to the configured ("home")
-    # endpoint — in a sharded cluster that is the coordinator, which
-    # re-routes the client even if its shard just died.
-    host, port = config.host, config.port
-    while True:
-        if attempts:
-            await asyncio.sleep(
-                config.reconnect.backoff_s(attempts, reconnect_rng)
-            )
-        can_heal = (
-            config.reconnect.enabled and state is not None and bool(token)
-        )
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except (ConnectionError, OSError):
-            if not can_heal:
-                raise
-            host, port = config.host, config.port
-            attempts += 1
-            if attempts > config.reconnect.max_attempts:
-                return _final_report(name, state, redirects)
-            continue
-        done = False
-        rejected: Optional[ClientReport] = None
-        follow: Optional[Redirect] = None
-        codec = BinaryChannelCodec()
-        try:
-            await send_frame(
-                writer,
-                codec,
-                JoinRequest(
-                    client=name, version=PROTOCOL_VERSION, token=token
-                ),
-            )
-            units = await read_units(reader, codec)
-            greeting = units[0].message if units else None
-            if isinstance(greeting, Redirect):
-                follow = greeting
-            elif isinstance(greeting, Reject):
-                end_reason = (
-                    "resume_failed"
-                    if greeting.code == REJECT_RESUME
-                    else "rejected"
-                )
-                rejected = ClientReport(
-                    name=name,
-                    seat=state.seat if state is not None else -1,
-                    frames=0,
-                    displayed=0,
-                    mean_viewed_quality=0.0,
-                    mean_delay_slots=0.0,
-                    fps=0.0,
-                    end_reason=end_reason,
-                    reject_code=greeting.code,
-                    reject_reason=greeting.reason,
-                    redirects=redirects,
-                )
-            else:
-                if not isinstance(greeting, Welcome):
-                    raise TransportError(
-                        f"expected welcome, redirect, or reject, got "
-                        f"{type(greeting).__name__}"
-                    )
-                token = greeting.resume_token or token
-                if state is None:
-                    state = _ClientState(config, greeting)
-                    await send_frame(
-                        writer,
-                        codec,
-                        Ready(pose=pose_to_wire(state.trace[0].as_vector())),
-                    )
-                elif greeting.resumed:
-                    state.resumes += 1
-                    attempts = 0
-                outcome = await _session_loop(
-                    config, reader, writer, codec, state, latency_s,
-                    jitter_rng, leave_after, injector,
-                )
-                if isinstance(outcome, Redirect):
-                    follow = outcome
-                else:
-                    done = outcome
-        except (TransportError, ConnectionError, OSError):
-            if not (config.reconnect.enabled and state is not None and token):
-                raise
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if rejected is not None:
-            return rejected
-        if done:
-            return _final_report(name, state, redirects)
-        if follow is not None:
-            # Redirects are cluster plumbing, not failures: follow
-            # immediately (no backoff, no attempt charged) whatever
-            # the reconnect policy says, bounded by MAX_REDIRECTS.
-            redirects += 1
-            if redirects > MAX_REDIRECTS:
-                if state is None:
-                    raise TransportError(
-                        f"{name}: redirected {redirects} times without "
-                        "ever being admitted"
-                    )
-                state.end_reason = "redirect_loop"
-                return _final_report(name, state, redirects)
-            host, port = follow.host, follow.port
-            continue
-        # Connection lost mid-session: heal or give up.
-        host, port = config.host, config.port
-        if not (config.reconnect.enabled and token):
-            return _final_report(name, state, redirects)
-        attempts += 1
-        if attempts > config.reconnect.max_attempts:
-            return _final_report(name, state, redirects)
-
-
-async def _session_loop(
-    config: LoadGenConfig,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    codec: BinaryChannelCodec,
-    state: _ClientState,
-    latency_s: float,
-    jitter_rng: np.random.Generator,
-    leave_after_slots: int,
-    injector: FaultInjector,
-) -> Union[bool, Redirect]:
-    """One connection's slot loop: plans in, reports out.
-
-    Returns True when the run is over (END or voluntary leave), False
-    when the connection should be treated as lost, or the
-    :class:`Redirect` frame when the server moved this session to
-    another shard mid-run (the caller reconnects there with its resume
-    token).  Scripted client-side faults act here: ``crash_client``
-    aborts without a report, ``corrupt_report`` mangles the report's
-    body bytes (the server quarantines it), ``delay_report`` holds the
-    report back.
-    """
-    pending: List[WireFrame] = []
-    while True:
-        if not pending:
-            units = await read_units(reader, codec)
-            if units is None:
-                return False
-            pending.extend(units)
-        message = pending.pop(0).message
-        if message is None:
-            # A corrupt frame from the server: the slot is lost (the
-            # server will charge a missed report), the stream is not.
-            continue
-        if isinstance(message, Redirect):
-            return message
-        if isinstance(message, EndOfRun):
-            state.end_reason = message.reason
-            state.server_summary = dict(message.summary)
-            await send_frame(writer, codec, Bye(reason="complete"))
-            return True
-        if not isinstance(message, TilePlan):
-            raise TransportError(
-                f"expected plan or end frame, got {type(message).__name__}"
-            )
-        if injector.take(message.slot, state.seat, FAULT_CRASH_CLIENT):
-            # Die mid-slot without a word: the plan is lost, no
-            # report goes out, the socket just closes.
-            return False
-        if latency_s > 0 or config.jitter_s > 0:
-            think_s = latency_s + float(
-                jitter_rng.uniform(0.0, config.jitter_s)
-            )
-            if think_s > 0:
-                await asyncio.sleep(think_s)
-        report = _evaluate_plan(
-            message, state.trace, state.coverage, state.phone
-        )
-        delay = injector.take(message.slot, state.seat, FAULT_DELAY_REPORT)
-        if delay is not None:
-            await asyncio.sleep(delay.duration_s)
-        corrupt = injector.take(
-            message.slot, state.seat, FAULT_CORRUPT_REPORT
-        )
-        if corrupt is not None:
-            writer.write(corrupt_frame_bytes(codec.encode(report)))
-            await writer.drain()
-        else:
-            await send_frame(writer, codec, report)
-        if leave_after_slots and message.slot + 1 >= leave_after_slots:
-            state.end_reason = "churned"
-            await send_frame(writer, codec, Bye(reason="churn"))
-            return True
-
-
 def _evaluate_plan(
     plan: TilePlan,
     trace: Sequence[Pose],
@@ -570,46 +323,3 @@ def _evaluate_plan(
         viewed_quality=outcome.viewed_quality,
         pose=pose_to_wire(trace[pose_slot].as_vector()),
     )
-
-
-async def run_fleet(config: LoadGenConfig) -> FleetReport:
-    """Run every client concurrently and gather their reports.
-
-    All clients share one :class:`~repro.faults.injection.FaultInjector`
-    holding the schedule's client-side events (seats are disjoint, so
-    sharing just means one timeline to assert on).
-    """
-    if config.port == 0:
-        raise ConfigurationError("fleet needs a concrete server port")
-    injector = FaultInjector(
-        config.faults.restricted_to(CLIENT_KINDS)
-        if config.faults is not None
-        else None
-    )
-    tasks = [
-        asyncio.ensure_future(_run_client(config, index, injector))
-        for index in range(config.num_clients)
-    ]
-    reports = await asyncio.gather(*tasks)
-    return FleetReport(clients=tuple(reports))
-
-
-async def run_serve_and_fleet(
-    serve_config: ServeConfig, fleet_config: LoadGenConfig
-) -> Tuple[ServeResult, FleetReport]:
-    """Run a server and its fleet in-process (tests and benches).
-
-    Starts the server on its configured endpoint, points the fleet at
-    the bound port, and returns both end-of-run views.
-    """
-    server = VrServeServer(serve_config)
-    await server.start()
-    server_task = asyncio.ensure_future(server.run())
-    try:
-        fleet = await run_fleet(replace(fleet_config, port=server.port))
-        result = await server_task
-    finally:
-        if not server_task.done():
-            server_task.cancel()
-            await asyncio.gather(server_task, return_exceptions=True)
-    return result, fleet

@@ -231,8 +231,8 @@ class ServingMetrics:
         )
         # Registry-only by design: how plans are framed (one frame per
         # seat, or one batch per multiplexed connection) must not leak
-        # into summary(), which a mux run and a real-socket run of the
-        # same seed share bit for bit.
+        # into summary(), which fleets packed onto any number of
+        # sockets (and a lone untagged phone) share bit for bit.
         self._protocol_frames = self.registry.counter_family(
             "repro_serve_protocol_frames_total",
             "Wire frames sent/received by the slot pipeline",

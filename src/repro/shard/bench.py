@@ -19,7 +19,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import FleetReport, LoadGenConfig, run_fleet
+from repro.serve.loadgen import FleetReport, LoadGenConfig
+from repro.serve.mux import run_mux_fleet
 from repro.shard.config import ShardClusterConfig
 from repro.shard.coordinator import ClusterResult, ShardCoordinator
 
@@ -33,14 +34,16 @@ async def run_cluster_and_fleet(
 
     Starts the cluster, points the fleet at the coordinator's front
     door (clients follow redirects to their shards), and returns both
-    end-of-run views.
+    end-of-run views.  Every client gets its own socket, so a shard
+    kill or crash costs exactly the phones it hits.
     """
     coordinator = ShardCoordinator(cluster)
     await coordinator.start()
     run_task = asyncio.ensure_future(coordinator.run())
     try:
-        fleet = await run_fleet(
-            replace(fleet_config, host=cluster.base.host, port=coordinator.port)
+        fleet = await run_mux_fleet(
+            replace(fleet_config, host=cluster.base.host, port=coordinator.port),
+            fleet_config.num_clients,
         )
         result = await run_task
     finally:

@@ -21,7 +21,8 @@ from repro.faults import (
     FaultSchedule,
 )
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy, run_fleet
+from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
+from repro.serve.mux import run_mux_fleet
 from repro.serve.server import VrServeServer
 
 #: Exercises every fault kind at least once against distinct seats.
@@ -54,7 +55,10 @@ async def _run_once():
     await server.start()
     server_task = asyncio.ensure_future(server.run())
     try:
-        fleet = await run_fleet(replace(fleet_config, port=server.port))
+        # One socket per phone: a crash costs exactly one client.
+        fleet = await run_mux_fleet(
+            replace(fleet_config, port=server.port), fleet_config.num_clients
+        )
         result = await server_task
     finally:
         if not server_task.done():

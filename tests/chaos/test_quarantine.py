@@ -21,7 +21,8 @@ from repro.faults import (
     truncate_frame_bytes,
 )
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import LoadGenConfig, run_serve_and_fleet
+from repro.serve.loadgen import LoadGenConfig
+from repro.serve.mux import run_serve_and_mux_fleet
 from repro.serve.protocol import Bye, SlotReport
 from repro.serve.protocol2 import (
     HEADER,
@@ -131,7 +132,7 @@ class TestQuarantineEndToEnd:
             report_timeout_s=0.3,
         )
         fleet_config = LoadGenConfig(num_clients=4, seed=0, faults=schedule)
-        return asyncio.run(run_serve_and_fleet(serve_config, fleet_config))
+        return asyncio.run(run_serve_and_mux_fleet(serve_config, fleet_config))
 
     def test_corrupt_report_is_quarantined_not_fatal(self):
         result, fleet = self._run()

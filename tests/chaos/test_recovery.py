@@ -15,11 +15,8 @@ import pytest
 from repro.faults import FAULT_DISCONNECT, FaultEvent, FaultSchedule
 from repro.serve.admission import REJECT_DRAINING, REJECT_RESUME
 from repro.serve.config import PROTOCOL_VERSION, serve_setup1
-from repro.serve.loadgen import (
-    LoadGenConfig,
-    ReconnectPolicy,
-    run_serve_and_fleet,
-)
+from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
+from repro.serve.mux import run_serve_and_mux_fleet
 from repro.serve.protocol import JoinRequest, Reject
 from repro.serve.protocol2 import BinaryChannelCodec, read_units, send_frame
 from repro.serve.server import VrServeServer
@@ -56,7 +53,7 @@ class TestLockstepRecovery:
             reconnect=ReconnectPolicy(max_attempts=8),
         )
         result, fleet = asyncio.run(
-            run_serve_and_fleet(serve_config, fleet_config)
+            run_serve_and_mux_fleet(serve_config, fleet_config, 8)
         )
         metrics = result.metrics
 
@@ -100,7 +97,7 @@ class TestLockstepRecovery:
         # Reconnect disabled: the dropped client never comes back.
         fleet_config = LoadGenConfig(num_clients=2, seed=0, faults=schedule)
         result, fleet = asyncio.run(
-            run_serve_and_fleet(serve_config, fleet_config)
+            run_serve_and_mux_fleet(serve_config, fleet_config)
         )
         metrics = result.metrics
         assert metrics.disconnects == 1
@@ -131,7 +128,7 @@ class TestPacedRecovery:
             reconnect=ReconnectPolicy(max_attempts=8, base_s=0.02, max_s=0.1),
         )
         result, fleet = asyncio.run(
-            run_serve_and_fleet(serve_config, fleet_config)
+            run_serve_and_mux_fleet(serve_config, fleet_config)
         )
         metrics = result.metrics
         assert metrics.disconnects == 1
@@ -242,7 +239,7 @@ class TestResumeTokenEdgeCases:
             ),
         )
         result, fleet = asyncio.run(
-            run_serve_and_fleet(serve_config, fleet_config)
+            run_serve_and_mux_fleet(serve_config, fleet_config)
         )
         metrics = result.metrics
         assert metrics.disconnects == 1

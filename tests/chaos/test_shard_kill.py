@@ -173,7 +173,7 @@ class TestSupervisorRestart:
 
             async def fleet_task():
                 from repro.errors import TransportError
-                from repro.serve.loadgen import run_fleet
+                from repro.serve.mux import run_mux_fleet
 
                 while True:
                     try:
@@ -181,7 +181,7 @@ class TestSupervisorRestart:
                         break
                     except TransportError:
                         await asyncio.sleep(0.01)
-                return await run_fleet(replace(fleet_config(), port=port))
+                return await run_mux_fleet(replace(fleet_config(), port=port))
 
             fleet = await fleet_task()
             result = await run_task

@@ -17,7 +17,8 @@ from repro.core import DensityValueGreedyAllocator
 from repro.obs import Obs, ObsConfig
 from repro.obs.spans import read_span_stream
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import LoadGenConfig, run_serve_and_fleet
+from repro.serve.loadgen import LoadGenConfig
+from repro.serve.mux import run_serve_and_mux_fleet
 from repro.system import SystemExperiment, setup1_config
 from repro.system.experiment import scaled_config
 
@@ -99,7 +100,7 @@ class TestLoopbackInertness:
             obs=obs_config,
         )
         result, _ = asyncio.run(
-            run_serve_and_fleet(
+            run_serve_and_mux_fleet(
                 serve_config, LoadGenConfig(num_clients=users, seed=seed)
             )
         )

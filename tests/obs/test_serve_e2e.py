@@ -15,7 +15,8 @@ from repro.obs.flight import TRIGGER_DEADLINE_MISS
 from repro.obs.promtext import validate_exposition
 from repro.obs.spans import read_span_stream
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import LoadGenConfig, run_fleet, run_serve_and_fleet
+from repro.serve.loadgen import LoadGenConfig
+from repro.serve.mux import run_mux_fleet, run_serve_and_mux_fleet
 from repro.serve.server import VrServeServer
 
 
@@ -37,7 +38,7 @@ class TestDeadlineMissFlightDump:
             obs=ObsConfig(enabled=True, flight_dir=str(flight_dir)),
         )
         result, _ = asyncio.run(
-            run_serve_and_fleet(
+            run_serve_and_mux_fleet(
                 serve_config, LoadGenConfig(num_clients=2, seed=0)
             )
         )
@@ -83,7 +84,7 @@ class TestLiveMetricsEndpoint:
             metrics_port = server.metrics_port
             server_task = asyncio.ensure_future(server.run())
             fleet_task = asyncio.ensure_future(
-                run_fleet(
+                run_mux_fleet(
                     LoadGenConfig(num_clients=2, seed=0, port=server.port)
                 )
             )

@@ -1,18 +1,18 @@
-"""Multiplexed load generator: determinism and real-socket parity.
+"""The fleet driver: determinism, socket packing and link sharing.
 
-The mux fleet drives hundreds of virtual clients over a handful of
+The fleet drives hundreds of virtual clients over a handful of
 sockets, but each virtual client's *behaviour* — its motion trace,
-its phone model, its QoE ledger — is keyed by seat, exactly like a
-real-socket client.  Two properties follow and are pinned here:
+its phone model, its QoE ledger — is keyed by seat, never by socket.
+Pinned here:
 
 * **determinism** — the same config produces bit-identical per-seat
   ledgers run after run, whatever the connection count;
-* **parity** — under lockstep, the mux fleet's ledgers match a
-  real-socket fleet's, seat for seat.  Multiplexing is a transport
-  optimisation, invisible to everything above it.
+* **link sharing** — phones that rejoin one endpoint together share
+  one dial, and a finished run leaves no socket or pump task behind.
 
-Config validation is pinned too: the mux path refuses (rather than
-silently ignores) the per-client shaping knobs it cannot honour.
+That an untagged single-phone session (one phone, one socket, no
+channel tags) gets the same ledger is pinned by
+``test_untagged_phone.py``.
 """
 
 import asyncio
@@ -21,14 +21,11 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.schedule import FaultSchedule
+from repro.faults import FAULT_CRASH_CLIENT, FaultEvent, FaultSchedule
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import (
-    LoadGenConfig,
-    ReconnectPolicy,
-    run_serve_and_fleet,
-)
-from repro.serve.mux import run_mux_fleet, run_serve_and_mux_fleet
+from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
+from repro.serve.mux import _MuxFleet, run_mux_fleet, run_serve_and_mux_fleet
+from repro.serve.server import VrServeServer
 
 
 def _lockstep_config(num, slots, seed, kernel=False):
@@ -84,19 +81,6 @@ class TestDeterminism:
         assert _ledger(narrow) == _ledger(wide)
 
 
-class TestRealSocketParity:
-    def test_mux_ledgers_match_real_socket_fleet(self):
-        num, slots, seed = 8, 31, 5
-        _, real = asyncio.run(
-            run_serve_and_fleet(
-                _lockstep_config(num, slots, seed),
-                LoadGenConfig(num_clients=num, seed=seed),
-            )
-        )
-        _, mux = _mux_run(num, slots, seed, 3)
-        assert _ledger(real) == _ledger(mux)
-
-
 class TestPacedSmoke:
     def test_paced_mux_run_completes(self):
         serve_config = serve_setup1(
@@ -125,18 +109,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="port"):
             asyncio.run(run_mux_fleet(LoadGenConfig(num_clients=2), 2))
 
-    def test_rejects_per_client_shaping_knobs(self):
-        for shaped in (
-            LoadGenConfig(num_clients=2, port=1, slow_clients=1),
-            LoadGenConfig(
-                num_clients=2, port=1, churn_clients=1,
-                churn_leave_after_slots=5,
-            ),
-            LoadGenConfig(
-                num_clients=2, port=1,
-                reconnect=ReconnectPolicy(max_attempts=1),
-            ),
-            LoadGenConfig(num_clients=2, port=1, faults=FaultSchedule()),
-        ):
-            with pytest.raises(ConfigurationError, match="mux mode"):
-                asyncio.run(run_mux_fleet(shaped, 2))
+
+class TestLinkSharing:
+    def test_concurrent_rejoins_share_one_link_and_leave_nothing_open(self):
+        """A crash drops the one shared link; with jitter off its four
+        riders back off identically and redial the same endpoint at
+        once.  One dial must carry them all, and run() must close
+        every link it opened, the dead one included."""
+        schedule = FaultSchedule(events=(
+            FaultEvent(slot=5, seat=0, kind=FAULT_CRASH_CLIENT),
+        ))
+        serve_config = replace(
+            _lockstep_config(4, 21, 0), resume_grace_s=5.0
+        )
+        fleet_config = LoadGenConfig(
+            num_clients=4, seed=0, faults=schedule,
+            reconnect=ReconnectPolicy(max_attempts=4, jitter_s=0.0),
+        )
+
+        async def scenario():
+            server = VrServeServer(serve_config)
+            await server.start()
+            server_task = asyncio.ensure_future(server.run())
+            fleet = _MuxFleet(replace(fleet_config, port=server.port), 1)
+            report = await fleet.run()
+            await server_task
+            return fleet, report
+
+        fleet, report = asyncio.run(scenario())
+        assert {c.end_reason for c in report.clients} == {"complete"}
+        assert [c.resumes for c in report.clients] == [1, 1, 1, 1]
+        # The first link and exactly one shared redial.
+        assert len(fleet.opened) == 2
+        assert fleet.links == {}
+        for link in fleet.opened:
+            assert link.closed
+            assert link.writer.transport.is_closing()
+            assert link._pump_task.done()

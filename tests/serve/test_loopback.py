@@ -16,12 +16,13 @@ import pytest
 from repro.core.allocation import DensityValueGreedyAllocator
 from repro.serve.admission import REJECT_CAPACITY
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import LoadGenConfig, run_serve_and_fleet
+from repro.serve.loadgen import LoadGenConfig
+from repro.serve.mux import run_serve_and_mux_fleet
 from repro.system.experiment import SystemExperiment, setup1_config
 
 
 def run_loopback(serve_config, fleet_config):
-    return asyncio.run(run_serve_and_fleet(serve_config, fleet_config))
+    return asyncio.run(run_serve_and_mux_fleet(serve_config, fleet_config))
 
 
 class TestSmoke:

@@ -26,7 +26,8 @@ import pytest
 
 from repro.faults import FAULT_CRASH_CLIENT, FaultEvent, FaultSchedule
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import LoadGenConfig, run_serve_and_fleet
+from repro.serve.loadgen import LoadGenConfig
+from repro.serve.mux import run_serve_and_mux_fleet
 
 
 class TestLockstepFleetsMissNothing:
@@ -40,7 +41,7 @@ class TestLockstepFleetsMissNothing:
             exact_stage_latency=True,
         )
         result, fleet = asyncio.run(
-            run_serve_and_fleet(
+            run_serve_and_mux_fleet(
                 serve_config, LoadGenConfig(num_clients=num_users, seed=0)
             )
         )
@@ -68,7 +69,7 @@ class TestMissedReportAccounting:
             num_clients=2, seed=0, faults=schedule,
         )
         result, fleet = asyncio.run(
-            run_serve_and_fleet(serve_config, fleet_config)
+            run_serve_and_mux_fleet(serve_config, fleet_config)
         )
         metrics = result.metrics
         by_seat = {c.seat: c for c in fleet.clients}

@@ -15,11 +15,8 @@ import pytest
 from repro.errors import TransportError
 from repro.faults import FAULT_DISCONNECT, FaultEvent, FaultSchedule
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import (
-    LoadGenConfig,
-    ReconnectPolicy,
-    run_serve_and_fleet,
-)
+from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
+from repro.serve.mux import run_serve_and_mux_fleet
 from repro.serve.protocol import MAX_FRAME_BYTES, Bye, Ready, SlotReport
 from repro.serve.protocol2 import BinaryChannelCodec
 
@@ -79,7 +76,7 @@ class TestResumeWireReset:
             reconnect=ReconnectPolicy(max_attempts=4),
         )
         result, fleet = asyncio.run(
-            run_serve_and_fleet(serve_config, fleet_config)
+            run_serve_and_mux_fleet(serve_config, fleet_config)
         )
         metrics = result.metrics
         assert metrics.session_resumes == 1

@@ -14,7 +14,8 @@ import struct
 from dataclasses import replace
 
 from repro.serve.config import PROTOCOL_VERSION, serve_setup1
-from repro.serve.loadgen import LoadGenConfig, run_fleet
+from repro.serve.loadgen import LoadGenConfig
+from repro.serve.mux import run_mux_fleet
 from repro.serve.server import VrServeServer
 from repro.shard.config import ShardClusterConfig
 from repro.shard.coordinator import ShardCoordinator
@@ -65,7 +66,7 @@ async def _legacy_beside_fleet(endpoint, run):
     """Run one binary client and one legacy join against ``endpoint``."""
     run_task = asyncio.ensure_future(run)
     fleet_task = asyncio.ensure_future(
-        run_fleet(LoadGenConfig(port=endpoint.port, num_clients=1, seed=0))
+        run_mux_fleet(LoadGenConfig(port=endpoint.port, num_clients=1, seed=0))
     )
     try:
         answer = await _legacy_join(endpoint.port)

@@ -13,11 +13,8 @@ from dataclasses import replace
 import pytest
 
 from repro.serve.config import serve_setup1
-from repro.serve.loadgen import (
-    LoadGenConfig,
-    ReconnectPolicy,
-    run_serve_and_fleet,
-)
+from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
+from repro.serve.mux import run_mux_fleet, run_serve_and_mux_fleet
 from repro.shard.bench import bench_scale, run_cluster_and_fleet
 from repro.shard.config import ShardClusterConfig
 from repro.shard.coordinator import ShardCoordinator
@@ -93,8 +90,13 @@ class TestOneShardInertness:
     def test_matches_plain_single_server(self):
         base = lockstep_base(seed=7, slots=31)
 
+        # The fleet admits its phones one at a time, so the plain
+        # server waits for both, as the cluster does.
         plain_result, plain_fleet = asyncio.run(
-            run_serve_and_fleet(base, LoadGenConfig(num_clients=2, seed=7))
+            run_serve_and_mux_fleet(
+                replace(base, expect_clients=2),
+                LoadGenConfig(num_clients=2, seed=7),
+            )
         )
         cluster = ShardClusterConfig(base=base, num_shards=1,
                                      expect_clients=2)
@@ -156,15 +158,13 @@ class TestLiveRebalance:
 
             mover = asyncio.ensure_future(move_later())
             fleet = await asyncio.gather(
-                asyncio.ensure_future(run_fleet_at(coordinator.port)),
+                asyncio.ensure_future(fleet_at(coordinator.port)),
                 run_task,
             )
             return fleet[0], fleet[1], await mover
 
-        async def run_fleet_at(port):
-            from repro.serve.loadgen import run_fleet
-
-            return await run_fleet(
+        async def fleet_at(port):
+            return await run_mux_fleet(
                 LoadGenConfig(
                     num_clients=2, seed=0, port=port,
                     reconnect=ReconnectPolicy(max_attempts=5),

@@ -1,6 +1,6 @@
 """Multiplexed fleets against a shard cluster.
 
-The coordinator's front door speaks one JSON greeting and redirects;
+The coordinator's front door answers one binary join with a redirect;
 a multiplexed fleet then re-dials each virtual client's shard and
 multiplexes every client bound for the same shard onto one shared
 socket.  That sharing is what these tests pin down:
@@ -66,8 +66,8 @@ class TestFrontDoor:
         assert [r.metrics.joins for r in result.shards] == [2, 2]
         assert result.missed_reports == 0
         assert {c.end_reason for c in fleet.clients} == {"complete"}
-        # One coordinator hop per virtual client, exactly like the
-        # real-socket fleet.
+        # One coordinator hop per virtual client, exactly like a
+        # phone with a socket to itself.
         assert [c.redirects for c in fleet.clients] == [1, 1, 1, 1]
 
     def test_cluster_mux_run_is_deterministic(self):

@@ -23,7 +23,8 @@ from repro.obs.promtext import validate_exposition
 from repro.obs.slo import default_slo_config
 from repro.obs.spans import read_span_stream_tolerant
 from repro.obs.stitch import stitch_spans
-from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy, run_fleet
+from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
+from repro.serve.mux import run_mux_fleet
 from repro.shard.config import ShardClusterConfig, derive_trace_path
 from repro.shard.coordinator import ShardCoordinator
 from tests.shard.test_cluster import lockstep_base, run_cluster
@@ -91,7 +92,7 @@ class TestClusterObsAcceptance:
 
             prober = asyncio.ensure_future(probe())
             fleet, result = await asyncio.gather(
-                run_fleet(
+                run_mux_fleet(
                     LoadGenConfig(
                         num_clients=2, seed=0, port=coordinator.port,
                         reconnect=ReconnectPolicy(max_attempts=5),

@@ -173,6 +173,8 @@ class TestServeParser:
         assert args.latency_ms == 0.0
         assert args.slow_clients == 0
         assert args.churn_clients == 0
+        assert args.mux_connections == 4
+        assert not hasattr(args, "mux")
 
     def test_bench_serve_flags(self):
         args = build_parser().parse_args(["bench", "--serve-users", "2,4"])
