@@ -2,9 +2,8 @@
 
 import json
 
-from repro.perf import (
-    BENCH_ALLOCATOR_FILE,
-    BENCH_SIMULATOR_FILE,
+from repro.perf.bench import (
+    BENCH_KINDS,
     bench_allocator,
     bench_kernel,
     bench_simulator,
@@ -44,7 +43,7 @@ def test_bench_kernel_smoke():
 
 
 def test_persist_run_bounds_history(tmp_path):
-    path = tmp_path / BENCH_ALLOCATOR_FILE
+    path = tmp_path / BENCH_KINDS["allocator"].file
     for i in range(25):
         document = persist_run({"kind": "allocator", "i": i}, path, now=float(i))
     assert len(document["runs"]) == 20
@@ -53,8 +52,9 @@ def test_persist_run_bounds_history(tmp_path):
     on_disk = json.loads(path.read_text())
     assert on_disk["latest"]["cpu_count"] is not None
 
-    # A corrupt file is replaced, not crashed on.
-    bad = tmp_path / BENCH_SIMULATOR_FILE
-    bad.write_text("{not json")
-    document = persist_run({"kind": "simulator"}, bad, now=0.0)
-    assert len(document["runs"]) == 1
+    # A corrupt or foreign file is replaced, not crashed on.
+    bad = tmp_path / BENCH_KINDS["simulator"].file
+    for content in ("{not json", "[1, 2]", '{"runs": 3}'):
+        bad.write_text(content)
+        document = persist_run({"kind": "simulator"}, bad, now=0.0)
+        assert len(document["runs"]) == 1

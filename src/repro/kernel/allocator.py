@@ -3,8 +3,8 @@
 :class:`ArrayAllocator` satisfies the
 :class:`~repro.core.allocation.QualityAllocator` interface, so every
 caller of the object pipeline (scheduler, simulator, system
-emulation, serve slot loop) can switch to the vectorized solver with
-a config flag and get bit-identical allocations.  Whenever the fast
+emulation) can switch to the vectorized solver and get bit-identical
+allocations; the serve slot loop always uses it.  Whenever the fast
 path cannot run — ragged level menus, or a priority structure the
 sorted sweep refuses — it falls back to the object heap solver, so
 correctness never depends on the vectorization applying.

@@ -1,24 +1,26 @@
-"""Persistent performance benchmarks for the fast-path engine.
+"""Persistent benchmarks and their regression gate.
 
-The harness times the two hot layers — the Algorithm 1 greedy
-(reference loop vs heap fast path) and the trace simulator (slots/s,
-serial vs process-pool episodes) — and appends the results to
-``BENCH_allocator.json`` / ``BENCH_simulator.json`` so regressions
-show up as history, not anecdotes.  Run it with
-``python -m repro bench`` (see ``benchmarks/perf/README.md``).
+:data:`~repro.perf.bench.BENCH_KINDS` is the one table of bench
+kinds — the allocator and array kernel, the trace simulator, live
+serving, observability overhead and shard scale-out — each with its
+``BENCH_*.json`` history file and fixed full and quick parameters.
+:mod:`repro.perf.regression` diffs fresh runs against the committed
+histories.  Run both with ``python -m repro bench`` (see
+``benchmarks/perf/README.md``).
 """
 
-from repro.kernel.bench import bench_kernel
 from repro.perf.bench import (
-    BENCH_ALLOCATOR_FILE,
-    BENCH_KERNEL_FILE,
-    BENCH_SIMULATOR_FILE,
+    BENCH_KINDS,
+    BenchKind,
     bench_allocator,
+    bench_kernel,
+    bench_obs,
+    bench_scale,
+    bench_serve,
     bench_simulator,
     persist_run,
 )
 from repro.perf.regression import (
-    BENCH_FILES,
     CHECK_MODES,
     CHECK_RULES,
     CheckReport,
@@ -29,14 +31,10 @@ from repro.perf.regression import (
     format_report,
     latest_run,
 )
-from repro.serve.bench import BENCH_SERVE_FILE, bench_serve
 
 __all__ = [
-    "BENCH_ALLOCATOR_FILE",
-    "BENCH_FILES",
-    "BENCH_KERNEL_FILE",
-    "BENCH_SERVE_FILE",
-    "BENCH_SIMULATOR_FILE",
+    "BENCH_KINDS",
+    "BenchKind",
     "CHECK_MODES",
     "CHECK_RULES",
     "CheckReport",
@@ -44,6 +42,8 @@ __all__ = [
     "CheckRule",
     "bench_allocator",
     "bench_kernel",
+    "bench_obs",
+    "bench_scale",
     "bench_serve",
     "bench_simulator",
     "check_bench",

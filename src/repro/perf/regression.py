@@ -34,19 +34,10 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.perf.bench import BENCH_KINDS
 
 #: Comparison modes, see module docstring.
 CHECK_MODES = ("expect_true", "abs_drop", "ratio_min", "abs_ceiling")
-
-#: History file per bench kind (the ``persist_run`` targets).
-BENCH_FILES: Mapping[str, str] = {
-    "allocator": "BENCH_allocator.json",
-    "simulator": "BENCH_simulator.json",
-    "kernel": "BENCH_kernel.json",
-    "serve": "BENCH_serve.json",
-    "obs": "BENCH_obs.json",
-    "scale": "BENCH_scale.json",
-}
 
 
 @dataclass(frozen=True)
@@ -367,12 +358,12 @@ def check_bench(
     skipped_kinds: List[str] = []
     skipped_checks: List[str] = []
     for kind in sorted(runs):
-        if kind not in BENCH_FILES:
+        if kind not in BENCH_KINDS:
             raise ConfigurationError(
                 f"unknown bench kind {kind!r}; expected some of "
-                f"{tuple(sorted(BENCH_FILES))}"
+                f"{tuple(BENCH_KINDS)}"
             )
-        baseline = latest_run(baseline_dir / BENCH_FILES[kind])
+        baseline = latest_run(baseline_dir / BENCH_KINDS[kind].file)
         if baseline is None:
             skipped_kinds.append(kind)
             continue
@@ -414,7 +405,6 @@ def format_report(report: CheckReport) -> List[str]:
 
 
 __all__ = [
-    "BENCH_FILES",
     "CHECK_MODES",
     "CHECK_RULES",
     "CheckReport",

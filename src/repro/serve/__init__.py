@@ -21,7 +21,6 @@ from repro.serve.admission import (
     AdmissionDecision,
     AdmissionPolicy,
 )
-from repro.serve.bench import BENCH_SERVE_FILE, bench_serve
 from repro.serve.config import (
     PROTOCOL_VERSION,
     ServeConfig,
@@ -44,7 +43,6 @@ from repro.serve.slotloop import DataPlane, SlotLoop
 __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
-    "BENCH_SERVE_FILE",
     "BinaryChannelCodec",
     "ClientReport",
     "DataPlane",
@@ -65,7 +63,6 @@ __all__ = [
     "SlotLoop",
     "VrServeServer",
     "WireFrame",
-    "bench_serve",
     "resume_enabled",
     "run_mux_fleet",
     "run_serve_and_mux_fleet",

@@ -89,13 +89,6 @@ class ServeConfig:
     exact_stage_latency:
         Retain every stage-latency sample for nearest-rank quantiles
         (short benchmark runs); the default keeps bounded buckets only.
-    kernel:
-        Allocate slots with the vectorized
-        :class:`~repro.kernel.allocator.ArrayAllocator` instead of the
-        per-user-object heap solver.  Results are bit-identical (the
-        array kernel falls back to the object solver whenever its
-        fast-path preconditions fail); the flag only changes slot-loop
-        compute cost, which matters at large seat counts.
     """
 
     experiment: ExperimentConfig = field(default_factory=setup1_config)
@@ -112,7 +105,6 @@ class ServeConfig:
     idle_timeout_s: float = 60.0
     obs: ObsConfig = field(default_factory=ObsConfig)
     exact_stage_latency: bool = False
-    kernel: bool = False
     faults: Optional[FaultSchedule] = None
     resume_grace_s: float = 0.0
     resume_grace_slots: int = 0

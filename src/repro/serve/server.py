@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.content.gop import GopModel
-from repro.core.allocation import DensityValueGreedyAllocator, QualityAllocator
+from repro.core.allocation import QualityAllocator
 from repro.errors import TransportError
 from repro.faults.injection import FaultInjector
+from repro.kernel.allocator import ArrayAllocator
 from repro.obs.buildinfo import config_fingerprint, register_build_info
 from repro.obs.config import Obs
 from repro.obs.flight import TRIGGER_ADMISSION_REJECT
@@ -90,17 +91,12 @@ class VrServeServer:
         self.config = config
         cfg = config.experiment
         self.experiment = SystemExperiment(cfg)
-        if allocator is not None:
-            self.allocator: QualityAllocator = allocator
-        elif config.kernel:
-            # Same allocations as the heap solver, vectorized; see
-            # repro.kernel (the array path falls back to the object
-            # solver whenever its preconditions fail).
-            from repro.kernel.allocator import ArrayAllocator
-
-            self.allocator = ArrayAllocator()
-        else:
-            self.allocator = DensityValueGreedyAllocator()
+        # The array kernel makes the heap solver's allocations,
+        # vectorized, and falls back to it whenever its sorted sweep
+        # refuses a slot.
+        self.allocator: QualityAllocator = (
+            allocator if allocator is not None else ArrayAllocator()
+        )
         self.allocator.reset()
         self.data_plane = DataPlane(cfg)
         router_of = None

@@ -14,16 +14,10 @@ claimed by the client through the ordinary resume path.  Migrations
 run at each shard's deterministic slot-hook point, so a scripted
 ``shard_kill`` yields the same timeline — and zero lost reports —
 every run.  :class:`~repro.shard.supervisor.ShardSupervisor` adds
-restart-with-backoff on top, and :func:`~repro.shard.bench.
-bench_scale` measures users sustained within the slot deadline as the
-shard count grows.
+restart-with-backoff on top, and :func:`~repro.shard.coordinator.
+run_cluster_and_fleet` runs a cluster and its client fleet in-process.
 """
 
-from repro.shard.bench import (
-    BENCH_SCALE_FILE,
-    bench_scale,
-    run_cluster_and_fleet,
-)
 from repro.shard.config import ShardClusterConfig, derive_trace_path
 from repro.shard.coordinator import (
     REDIRECT_ASSIGNED,
@@ -31,6 +25,7 @@ from repro.shard.coordinator import (
     REDIRECT_SHARD_KILL,
     ClusterResult,
     ShardCoordinator,
+    run_cluster_and_fleet,
 )
 from repro.shard.handoff import (
     HANDOFF_SCHEMA_KIND,
@@ -43,7 +38,6 @@ from repro.shard.router import SessionRouter
 from repro.shard.supervisor import RestartPolicy, ShardSupervisor
 
 __all__ = [
-    "BENCH_SCALE_FILE",
     "ClusterResult",
     "HANDOFF_SCHEMA_KIND",
     "HANDOFF_SCHEMA_VERSION",
@@ -56,7 +50,6 @@ __all__ = [
     "ShardClusterConfig",
     "ShardCoordinator",
     "ShardSupervisor",
-    "bench_scale",
     "capture_seat",
     "derive_trace_path",
     "install_seat",

@@ -26,7 +26,7 @@ the client's late arrival.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, TransportError
@@ -46,6 +46,8 @@ from repro.obs.http import ObsHttpServer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span
 from repro.obs.tracer import Tracer
+from repro.serve.loadgen import FleetReport, LoadGenConfig
+from repro.serve.mux import run_mux_fleet
 from repro.serve.protocol import JoinRequest, Redirect
 from repro.serve.protocol2 import BinaryChannelCodec, read_units
 from repro.serve.server import ServeResult, VrServeServer
@@ -699,3 +701,29 @@ class ShardCoordinator:
             f"#{self.supervisor_restarts}",
         )
         return server
+
+
+async def run_cluster_and_fleet(
+    cluster: ShardClusterConfig, fleet_config: LoadGenConfig
+) -> Tuple[ClusterResult, FleetReport]:
+    """Run a coordinator cluster and its fleet in-process.
+
+    Starts the cluster, points the fleet at the coordinator's front
+    door (clients follow redirects to their shards), and returns both
+    end-of-run views.  Every client gets its own socket, so a shard
+    kill or crash costs exactly the phones it hits.
+    """
+    coordinator = ShardCoordinator(cluster)
+    await coordinator.start()
+    run_task = asyncio.ensure_future(coordinator.run())
+    try:
+        fleet = await run_mux_fleet(
+            replace(fleet_config, host=cluster.base.host, port=coordinator.port),
+            fleet_config.num_clients,
+        )
+        result = await run_task
+    finally:
+        if not run_task.done():
+            run_task.cancel()
+            await asyncio.gather(run_task, return_exceptions=True)
+    return result, fleet

@@ -23,9 +23,8 @@ from repro.faults import (
 )
 from repro.serve.config import serve_setup1
 from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
-from repro.shard.bench import run_cluster_and_fleet
 from repro.shard.config import ShardClusterConfig
-from repro.shard.coordinator import ShardCoordinator
+from repro.shard.coordinator import ShardCoordinator, run_cluster_and_fleet
 from repro.shard.router import SessionRouter
 from repro.shard.supervisor import ShardSupervisor
 

@@ -144,7 +144,7 @@ class TestLoopbackInertness:
 
 class TestOverheadBudget:
     def test_slot_pipeline_overhead_within_budget(self):
-        from repro.obs.bench import MAX_OVERHEAD_PCT, bench_obs
+        from repro.perf.bench import MAX_OVERHEAD_PCT, bench_obs
 
         # The budget with an absolute floor: on millisecond-scale slot
         # pipelines 5% is below scheduler/timer noise, so accept

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.perf.bench import BENCH_KINDS
 from repro.perf.regression import (
-    BENCH_FILES,
     CHECK_MODES,
     CHECK_RULES,
     CheckRule,
@@ -53,12 +53,17 @@ def _write_history(path, run):
 class TestRuleBook:
     def test_every_rule_uses_a_known_mode(self):
         for kind, rules in CHECK_RULES.items():
-            assert kind in BENCH_FILES
+            assert kind in BENCH_KINDS
             for rule in rules:
                 assert rule.mode in CHECK_MODES
 
     def test_every_kind_has_a_history_file(self):
-        assert set(CHECK_RULES) == set(BENCH_FILES)
+        """The table's kinds, the rule book and the history files are
+        one set: ``BENCH_<kind>.json`` for every kind, each file once."""
+        assert set(CHECK_RULES) == set(BENCH_KINDS)
+        files = [kind.file for kind in BENCH_KINDS.values()]
+        assert files == [f"BENCH_{name}.json" for name in BENCH_KINDS]
+        assert len(set(files)) == len(BENCH_KINDS) == 6
 
 
 class TestLatestRun:
@@ -192,8 +197,8 @@ class TestCheckBench:
     def test_injected_regression_fails_naming_the_metric(self, tmp_path):
         """The acceptance path: a synthetic regression must be caught
         and the report must name the offending metric."""
-        _write_history(tmp_path / BENCH_FILES["serve"], _serve_run())
-        _write_history(tmp_path / BENCH_FILES["kernel"], _kernel_run())
+        _write_history(tmp_path / BENCH_KINDS["serve"].file, _serve_run())
+        _write_history(tmp_path / BENCH_KINDS["kernel"].file, _kernel_run())
 
         healthy = check_bench(
             {"serve": _serve_run(), "kernel": _kernel_run()}, tmp_path
@@ -220,7 +225,7 @@ class TestCheckBench:
         )
 
     def test_report_round_trips_to_dict(self, tmp_path):
-        _write_history(tmp_path / BENCH_FILES["serve"], _serve_run())
+        _write_history(tmp_path / BENCH_KINDS["serve"].file, _serve_run())
         report = check_bench({"serve": _serve_run(hit_rate=0.1)}, tmp_path)
         payload = report.to_dict()
         assert payload["passed"] is False
@@ -239,7 +244,7 @@ class TestBenchCliGate:
         baseline_dir = tmp_path / "baselines"
         baseline_dir.mkdir()
         _write_history(
-            baseline_dir / BENCH_FILES["serve"],
+            baseline_dir / BENCH_KINDS["serve"].file,
             _serve_run(hit_rate=2.0, users=(2,), sustained=2),
         )
 

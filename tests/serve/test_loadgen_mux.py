@@ -28,18 +28,17 @@ from repro.serve.mux import _MuxFleet, run_mux_fleet, run_serve_and_mux_fleet
 from repro.serve.server import VrServeServer
 
 
-def _lockstep_config(num, slots, seed, kernel=False):
-    config = serve_setup1(
+def _lockstep_config(num, slots, seed):
+    return serve_setup1(
         max_users=num, duration_slots=slots, seed=seed,
         expect_clients=num, lockstep=True,
     )
-    return replace(config, kernel=kernel) if kernel else config
 
 
-def _mux_run(num, slots, seed, connections, kernel=False):
+def _mux_run(num, slots, seed, connections):
     return asyncio.run(
         run_serve_and_mux_fleet(
-            _lockstep_config(num, slots, seed, kernel=kernel),
+            _lockstep_config(num, slots, seed),
             LoadGenConfig(num_clients=num, seed=seed),
             connections,
         )
@@ -63,8 +62,8 @@ def _ledger(fleet):
 
 class TestDeterminism:
     def test_hundred_clients_identical_ledgers_across_runs(self):
-        first_result, first = _mux_run(100, 11, 3, 4, kernel=True)
-        second_result, second = _mux_run(100, 11, 3, 4, kernel=True)
+        first_result, first = _mux_run(100, 11, 3, 4)
+        second_result, second = _mux_run(100, 11, 3, 4)
         assert len(first.clients) == 100
         assert {c.end_reason for c in first.clients} == {"complete"}
         assert _ledger(first) == _ledger(second)
@@ -88,7 +87,7 @@ class TestPacedSmoke:
         )
         result, fleet = asyncio.run(
             run_serve_and_mux_fleet(
-                replace(serve_config, kernel=True),
+                serve_config,
                 LoadGenConfig(num_clients=12, seed=1),
                 3,
             )

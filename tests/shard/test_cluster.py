@@ -12,12 +12,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.perf.bench import bench_scale
 from repro.serve.config import serve_setup1
 from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
 from repro.serve.mux import run_mux_fleet, run_serve_and_mux_fleet
-from repro.shard.bench import bench_scale, run_cluster_and_fleet
 from repro.shard.config import ShardClusterConfig
-from repro.shard.coordinator import ShardCoordinator
+from repro.shard.coordinator import ShardCoordinator, run_cluster_and_fleet
 from repro.shard.supervisor import RestartPolicy
 
 

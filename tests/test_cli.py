@@ -176,11 +176,106 @@ class TestServeParser:
         assert args.mux_connections == 4
         assert not hasattr(args, "mux")
 
-    def test_bench_serve_flags(self):
-        args = build_parser().parse_args(["bench", "--serve-users", "2,4"])
-        assert args.serve_users == "2,4"
-        assert args.serve_slots == 120
-        assert args.serve_target == 0.99
+    def test_bench_flags(self):
+        args = build_parser().parse_args(["bench"])
+        assert sorted(k for k in vars(args) if k not in ("command", "seed")) == [
+            "baseline_dir", "check", "check_report", "kind", "out", "quick",
+        ]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--serve-users", "2,4"])
+
+    def test_serve_has_no_kernel_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--kernel"])
+
+
+class TestBenchProfiles:
+    """Both profiles of every bench kind, pinned.
+
+    ``full`` must reproduce each committed ``BENCH_*.json`` latest run
+    and ``quick`` the CI scale: a drifted profile would silently
+    disarm the gate's scale guards (``scale_keys``, ``same_rows``).
+    """
+
+    PROFILES = {
+        "allocator": (
+            {"sizes": (5, 30, 100, 1000, 10000), "repeats": 3},
+            {"sizes": (5, 30, 100), "repeats": 1},
+        ),
+        "simulator": (
+            {"num_users": 5, "num_slots": 600, "num_episodes": 4,
+             "max_workers": 4},
+            {"num_users": 5, "num_slots": 120, "num_episodes": 2,
+             "max_workers": 2},
+        ),
+        "kernel": (
+            {"num_users": 10000, "num_levels": 6, "num_slots": 3,
+             "repeats": 3},
+            {"num_users": 500, "num_levels": 6, "num_slots": 2,
+             "repeats": 1},
+        ),
+        "serve": (
+            {"user_counts": (2, 4, 8), "slots": 120, "deadline_target": 0.99,
+             "mux_clients": 128, "mux_connections": 4},
+            {"user_counts": (2,), "slots": 40, "deadline_target": 0.99,
+             "mux_clients": 16, "mux_connections": 2},
+        ),
+        "obs": (
+            {"users": 8, "slots": 120, "repeats": 3},
+            {"users": 2, "slots": 40, "repeats": 1},
+        ),
+        "scale": (
+            {"shard_counts": (1, 2, 4), "users_per_shard": 2, "slots": 80,
+             "deadline_target": 0.99},
+            {"shard_counts": (1, 2), "users_per_shard": 2, "slots": 30,
+             "deadline_target": 0.99},
+        ),
+    }
+
+    def test_profiles_are_pinned(self):
+        from repro.perf.bench import BENCH_KINDS
+
+        assert list(BENCH_KINDS) == list(self.PROFILES)
+        for name, (full, quick) in self.PROFILES.items():
+            kind = BENCH_KINDS[name]
+            assert dict(kind.params(quick=False)) == full, name
+            assert dict(kind.params(quick=True)) == quick, name
+
+    def test_full_profiles_match_committed_baselines(self):
+        """The scale keys each guard compares equal the committed runs'."""
+        import json
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+
+        def latest(name):
+            path = root / f"BENCH_{name}.json"
+            return json.loads(path.read_text(encoding="utf-8"))["latest"]
+
+        allocator = latest("allocator")
+        full = self.PROFILES["allocator"][0]
+        assert [r["num_items"] for r in allocator["sizes"]] == list(full["sizes"])
+        assert allocator["repeats"] == full["repeats"]
+        simulator = latest("simulator")
+        for key, value in self.PROFILES["simulator"][0].items():
+            assert simulator[key] == value, key
+        kernel = latest("kernel")
+        for key, value in self.PROFILES["kernel"][0].items():
+            assert kernel[key] == value, key
+        serve = latest("serve")
+        full = self.PROFILES["serve"][0]
+        assert [r["users"] for r in serve["fleets"]] == list(full["user_counts"])
+        assert serve["slots"] == full["slots"]
+        assert serve["protocol"]["mux"]["clients"] == full["mux_clients"]
+        assert serve["protocol"]["mux"]["connections"] == full["mux_connections"]
+        obs = latest("obs")
+        for key, value in self.PROFILES["obs"][0].items():
+            assert obs[key] == value, key
+        scale = latest("scale")
+        full = self.PROFILES["scale"][0]
+        assert [r["shards"] for r in scale["clusters"]] == list(full["shard_counts"])
+        assert scale["users_per_shard"] == full["users_per_shard"]
+        assert scale["slots"] == full["slots"]
 
 
 class TestServeCommands:
