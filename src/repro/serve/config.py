@@ -2,10 +2,9 @@
 
 A :class:`ServeConfig` wraps an
 :class:`~repro.system.experiment.ExperimentConfig` — the serving data
-plane (TC throttles, router fair-sharing, RTP loss) is emulated with
-exactly the same components and parameters the in-process
-:class:`~repro.system.experiment.SystemExperiment` uses, so a lockstep
-loopback run reproduces the Section VI numbers — and adds the
+plane is the in-process experiment's own
+:class:`~repro.system.experiment.DataPlane`, built from it, so a
+lockstep loopback run reproduces the Section VI numbers — and adds the
 serving-only knobs: socket endpoint, admission capacity, slot-loop
 pacing, overload thresholds, and timeouts.
 """

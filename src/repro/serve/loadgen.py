@@ -2,13 +2,14 @@
 
 Each fleet client emulates one commodity phone end-to-end: it joins
 the server, replays a seeded :mod:`repro.traces` motion trace, runs
-the real client display pipeline (:class:`~repro.system.client.Client`
-with a :class:`~repro.system.client.DecoderPool`), evaluates FoV
-coverage against its *own* next-slot pose exactly as the in-process
-experiment does, and reports delivery/release ACKs, the display
-indicator, and the measured delay back each slot.  This module holds
-that phone model and the fleet's config and report types; the driver
-that runs a fleet of them over sockets is :mod:`repro.serve.mux`.
+the experiment's own phone step (:func:`~repro.system.client.play_frame`
+over a :class:`~repro.system.client.Client` with a
+:class:`~repro.system.client.DecoderPool`), which judges FoV coverage
+against its *own* next-slot pose, and reports delivery/release ACKs,
+the display indicator, and the measured delay back each slot.  This
+module holds that phone model and the fleet's config and report
+types; the driver that runs a fleet of them over sockets is
+:mod:`repro.serve.mux`.
 
 With ``seed`` equal to the server's experiment seed, client ``i``'s
 trace is drawn from ``default_rng((seed, 0, seat, 17))`` — the same
@@ -19,7 +20,6 @@ loopback run reproduce the experiment's numbers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -32,12 +32,9 @@ from repro.faults.schedule import FaultSchedule
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose
 from repro.serve.protocol import SlotReport, TilePlan, Welcome, pose_to_wire
-from repro.system.client import Client, DecoderPool
+from repro.system.client import Client, DecoderPool, play_frame
 from repro.traces.motion import MotionConfig, MotionTraceGenerator
 from repro.units import TARGET_FPS
-
-#: Delay clamp applied client-side, matching the experiment loop.
-MAX_DELAY_SLOTS = 60.0
 
 #: Redirects one client will follow before giving up — a guard
 #: against a misconfigured cluster bouncing a client in a loop, far
@@ -276,50 +273,31 @@ def _evaluate_plan(
     coverage: CoverageEvaluator,
     phone: Client,
 ) -> SlotReport:
-    """Run one slot through the client display pipeline.
-
-    Mirrors the experiment loop exactly: coverage is judged against
-    the trace's next-slot pose, the transmission span includes the
-    server's startup delay only when tiles were actually sent, and
-    the reported delay is clamped to the bounded worst case.
-    """
-    display_slot = min(plan.slot + 1, len(trace) - 1)
-    covered = False
-    if plan.level > 0 and plan.predicted_pose is not None:
-        covered = bool(
-            coverage.evaluate(
-                Pose.from_vector(plan.predicted_pose), trace[display_slot]
-            ).covered
-        )
-    transmission_s = (
-        plan.duration_s + plan.startup_delay_s
-        if plan.tile_bits
-        else plan.duration_s
-    )
-    outcome = phone.receive_frame(
-        list(plan.video_ids),
-        list(plan.tile_bits),
-        list(plan.lost_positions),
-        transmission_s,
-        covered,
+    """Run one slot through the phone step and wrap it as a report."""
+    played = play_frame(
+        phone,
+        coverage,
+        trace,
+        plan.slot,
         plan.level,
-    )
-    delay_slots = (
-        min(outcome.delay_slots, MAX_DELAY_SLOTS)
-        if math.isfinite(outcome.delay_slots)
-        else MAX_DELAY_SLOTS
-    )
-    lost = set(plan.lost_positions)
-    delivered = tuple(
-        vid for position, vid in enumerate(plan.video_ids) if position not in lost
+        (
+            Pose.from_vector(plan.predicted_pose)
+            if plan.predicted_pose is not None
+            else None
+        ),
+        plan.video_ids,
+        plan.tile_bits,
+        plan.lost_positions,
+        plan.duration_s,
+        plan.startup_delay_s,
     )
     pose_slot = min(plan.slot, len(trace) - 1)
     return SlotReport(
         slot=plan.slot,
-        delivered_ids=delivered,
+        delivered_ids=played.delivered_ids,
         released_ids=tuple(phone.last_released),
-        indicator=outcome.indicator,
-        delay_slots=delay_slots,
-        viewed_quality=outcome.viewed_quality,
+        indicator=played.outcome.indicator,
+        delay_slots=played.delay_slots,
+        viewed_quality=played.outcome.viewed_quality,
         pose=pose_to_wire(trace[pose_slot].as_vector()),
     )

@@ -3,11 +3,11 @@
 :class:`VrServeServer` binds a TCP listener, admits clients onto
 scheduler seats, and drives the :class:`~repro.serve.slotloop.SlotLoop`
 until ``duration_slots`` transmission slots have run or every client
-has left.  The planning stack is exactly the in-process experiment's —
-:class:`~repro.system.server.EdgeServer` over the same tile database,
-coverage geometry, and Algorithm 1 allocator — with the network
-between server and clients emulated by the seeded
-:class:`~repro.serve.slotloop.DataPlane`.
+has left.  The planning stack and the emulated network are the
+in-process experiment's own: the
+:class:`~repro.system.server.EdgeServer` built by
+:meth:`~repro.system.experiment.SystemExperiment.edge_server` and the
+seeded :class:`~repro.system.experiment.DataPlane`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-from repro.content.gop import GopModel
 from repro.core.allocation import QualityAllocator
 from repro.errors import TransportError
 from repro.faults.injection import FaultInjector
@@ -50,9 +49,8 @@ from repro.serve.protocol2 import (
     send_frame,
 )
 from repro.serve.sessions import Session, SessionRegistry
-from repro.serve.slotloop import DataPlane, SlotLoop
-from repro.system.experiment import SystemExperiment
-from repro.system.server import EdgeServer
+from repro.serve.slotloop import SlotLoop
+from repro.system.experiment import DataPlane, SystemExperiment
 
 
 @dataclass(frozen=True)
@@ -97,30 +95,8 @@ class VrServeServer:
         self.allocator: QualityAllocator = (
             allocator if allocator is not None else ArrayAllocator()
         )
-        self.allocator.reset()
         self.data_plane = DataPlane(cfg)
-        router_of = None
-        router_budgets = None
-        if cfg.router_aware:
-            router_of = [u % cfg.num_routers for u in range(cfg.num_users)]
-            router_budgets = [
-                cfg.router_capacity_mbps * cfg.router_planning_efficiency
-            ] * cfg.num_routers
-        self.edge = EdgeServer(
-            cfg.num_users,
-            self.allocator,
-            cfg.weights,
-            self.experiment.database,
-            self.experiment.coverage,
-            cfg.server_budget_mbps,
-            initial_cap_mbps=cfg.initial_cap_mbps,
-            content_refresh_slots=cfg.content_refresh_slots,
-            safety_factor=cfg.safety_factor,
-            router_of=router_of,
-            router_budgets_mbps=router_budgets,
-            gop=GopModel(cfg.gop_length, cfg.gop_i_to_p_ratio),
-            slot_s=cfg.slot_s,
-        )
+        self.edge = self.experiment.edge_server(self.allocator, self.data_plane)
         self.registry = SessionRegistry(config.max_users)
         self.admission = AdmissionPolicy(config.max_users, PROTOCOL_VERSION)
         self.obs = Obs.from_config(config.obs)

@@ -1,4 +1,4 @@
-"""The server's fixed-cadence slot loop and its emulated data plane.
+"""The server's fixed-cadence slot loop.
 
 Every ``slot_s`` the loop snapshots the connected sessions, folds the
 previous slot's client reports into the scheduler, runs Algorithm 1
@@ -6,24 +6,23 @@ once, emulates the RTP tile delivery, and fans one plan frame out per
 connection — the predict / allocate / encode / send pipeline of
 Fig. 4, with every stage timed against the slot deadline.
 
-The data plane (:class:`DataPlane`) carries the same TC throttles,
-router fair-sharing, fading, interference, and RTP loss as
-:meth:`~repro.system.experiment.SystemExperiment.run_repeat`, drawn
-from the same seeded RNG streams in the same per-slot order, so a
-lockstep loopback run with a full house of clients reproduces the
-in-process experiment exactly.
+The emulated network is the experiment's own
+:class:`~repro.system.experiment.DataPlane` (TC throttles, router
+fair-sharing, fading, interference, RTP loss), and the edge server is
+built by the same
+:meth:`~repro.system.experiment.SystemExperiment.edge_server`, so a
+lockstep loopback run with a full house of clients reproduces
+:meth:`~repro.system.experiment.SystemExperiment.run_repeat` by
+construction.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.content.tiles import VideoId
-from repro.errors import ConfigurationError, TransportError
+from repro.errors import TransportError
 from repro.faults.injection import FaultInjector, truncate_frame_bytes
 from repro.faults.schedule import (
     FAULT_DISCONNECT,
@@ -45,112 +44,15 @@ from repro.serve.protocol import EndOfRun, TilePlan, pose_to_wire
 from repro.serve.protocol2 import BinaryChannelCodec
 from repro.serve.sessions import Session, SessionRegistry
 from repro.simulation.metrics import summarize_ledger
-from repro.system.experiment import ExperimentConfig
-from repro.system.netem import (
-    FadingProcess,
-    InterferenceField,
-    Router,
-    ThrottledLink,
-)
+from repro.system.client import MAX_DELAY_SLOTS, clamp_delay_slots
+from repro.system.experiment import DataPlane
 from repro.system.server import EdgeServer, SlotPlan
 from repro.system.telemetry import SlotUserRecord
 from repro.prediction.pose import Pose
-from repro.system.transport import RtpChannel, TransmissionResult
-
-_EPS = 1e-9
-
-#: Delay (in slots) charged to a session that misses its report —
-#: the same bounded worst case the experiment charges a starved link.
-MISSED_DELAY_SLOTS = 60.0
 
 #: The minimum positive quality level a degraded session is held to
 #: (the constraint (7) floor: keep serving, at the cheapest rate).
 MIN_LEVEL = 1
-
-
-class DataPlane:
-    """The emulated network between the edge server and its seats.
-
-    Construction and per-slot stepping mirror
-    :meth:`~repro.system.experiment.SystemExperiment.run_repeat`
-    bit-for-bit: guidelines come from ``default_rng((seed, repeat,
-    11))``, all fading / interference / RTP loss from ``default_rng((
-    seed, repeat, 13))``, consumed in the experiment's exact order —
-    routers step, links step, then one RTP transmission per seat in
-    seat order (seats with no payload consume no randomness, exactly
-    like level-0 users in the experiment).
-    """
-
-    def __init__(self, config: ExperimentConfig, repeat: int = 0) -> None:
-        self.config = config
-        rng = np.random.default_rng((config.seed, repeat, 11))
-        self.guidelines_mbps: List[float] = [
-            float(rng.choice(list(config.throttle_guidelines)))
-            for _ in range(config.num_users)
-        ]
-        self.links = [
-            ThrottledLink(g, FadingProcess(sigma=config.link_fading_sigma))
-            for g in self.guidelines_mbps
-        ]
-        self.interference = InterferenceField(
-            onset_probability=config.interference_onset,
-            severity_range=tuple(config.interference_severity),
-        )
-        self.routers = [
-            Router(
-                config.router_capacity_mbps,
-                interference=self.interference,
-                fading=FadingProcess(sigma=config.router_fading_sigma),
-                contention_loss_per_flow=config.contention_loss_per_flow,
-            )
-            for _ in range(config.num_routers)
-        ]
-        self.rtp = RtpChannel(
-            base_loss=config.rtp_base_loss,
-            congestion_loss=config.rtp_congestion_loss,
-        )
-        self.net_rng = np.random.default_rng((config.seed, repeat, 13))
-
-    def router_of(self, seat: int) -> int:
-        """Round-robin seat-to-router assignment (as the experiment)."""
-        return seat % self.config.num_routers
-
-    def step(self) -> None:
-        """Advance fading and interference one slot (experiment order)."""
-        for router in self.routers:
-            router.step(self.net_rng)
-        for link in self.links:
-            link.step(self.net_rng)
-
-    def achieved(self, demands_mbps: Sequence[float]) -> List[float]:
-        """Fair-share achieved rate per seat for this slot's demands."""
-        num_users = self.config.num_users
-        if len(demands_mbps) != num_users:
-            raise ConfigurationError(
-                f"expected {num_users} demands, got {len(demands_mbps)}"
-            )
-        caps = [link.effective_mbps for link in self.links]
-        achieved = [0.0] * num_users
-        for r, router in enumerate(self.routers):
-            members = [u for u in range(num_users) if self.router_of(u) == r]
-            wants = [
-                caps[u] if demands_mbps[u] > _EPS else 0.0 for u in members
-            ]
-            rates = router.transmit(wants, [caps[u] for u in members])
-            for u, rate in zip(members, rates):
-                achieved[u] = rate
-        return achieved
-
-    def transmit(
-        self,
-        tile_bits: Sequence[float],
-        demand_mbps: float,
-        achieved_mbps: float,
-    ) -> TransmissionResult:
-        """Emulate one seat's RTP tile delivery for this slot."""
-        return self.rtp.transmit(
-            list(tile_bits), demand_mbps, achieved_mbps, self.net_rng
-        )
 
 
 class SlotLoop:
@@ -256,19 +158,14 @@ class SlotLoop:
             )
             if report is not None:
                 indicators.append(1 if report.indicator else 0)
-                delay = (
-                    min(report.delay_slots, MISSED_DELAY_SLOTS)
-                    if math.isfinite(report.delay_slots)
-                    else MISSED_DELAY_SLOTS
-                )
-                delays_slots.append(max(delay, 0.0))
+                delays_slots.append(clamp_delay_slots(report.delay_slots))
                 delivered_ids.append(list(report.delivered_ids))
                 released_ids.append(list(report.released_ids))
                 poses.append(Pose.from_vector(report.pose))
             elif plan.users[seat].level > 0:
                 # A planned session went silent: charge a failed slot.
                 indicators.append(0)
-                delays_slots.append(MISSED_DELAY_SLOTS)
+                delays_slots.append(MAX_DELAY_SLOTS)
                 delivered_ids.append([])
                 released_ids.append([])
                 poses.append(None)
@@ -291,13 +188,15 @@ class SlotLoop:
                     demand_mbps=plan.users[seat].demand_mbps,
                     achieved_mbps=achieved[seat],
                     believed_cap_mbps=self.server.estimated_cap(seat),
+                    # The report carries only the indicator (displayed
+                    # and covered), so it fills both fields.
                     displayed=bool(indicators[-1]),
                     covered=bool(indicators[-1]),
                     delay_slots=delays_slots[-1],
                 )
             )
-        # Pose uploads land after the ACK fold, as in the experiment's
-        # uplink stream (acks are encoded before the pose update).
+        # Pose uploads land after every seat's ACKs, as in the
+        # experiment's in-memory uplink.
         for seat, pose in enumerate(poses):
             if pose is not None:
                 self.server.observe_pose(seat, pose)

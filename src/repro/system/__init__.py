@@ -16,7 +16,8 @@ testbed as a discrete-event simulation:
 * :mod:`~repro.system.server` — the edge server: estimation, tile
   selection, dedup, and the pluggable quality allocator;
 * :mod:`~repro.system.experiment` — the setup-1 / setup-2 runners
-  behind Figs. 7 and 8.
+  behind Figs. 7 and 8, and the emulated network (``DataPlane``) they
+  share with the live server.
 
 Unlike the Section IV simulator, every quantity the scheduler sees
 here is an *estimate* (EMA throughput, polynomial-regression delay),
@@ -36,6 +37,7 @@ from repro.system.transport import RtpChannel, TcpChannel, TransmissionResult
 from repro.system.client import Client, DecoderPool, FrameOutcome
 from repro.system.server import EdgeServer
 from repro.system.experiment import (
+    DataPlane,
     ExperimentConfig,
     SystemExperiment,
     setup1_config,
@@ -48,14 +50,6 @@ from repro.system.rendering import (
     min_gpus_for,
 )
 from repro.system.telemetry import SlotUserRecord, Telemetry
-from repro.system.protocol import (
-    DeliveryAck,
-    PoseUpdate,
-    ReleaseAck,
-    TileBundleHeader,
-    decode_stream,
-    encode_stream,
-)
 
 __all__ = [
     "EventScheduler",
@@ -72,6 +66,7 @@ __all__ = [
     "Client",
     "FrameOutcome",
     "EdgeServer",
+    "DataPlane",
     "ExperimentConfig",
     "SystemExperiment",
     "setup1_config",
@@ -82,10 +77,4 @@ __all__ = [
     "min_gpus_for",
     "Telemetry",
     "SlotUserRecord",
-    "PoseUpdate",
-    "TileBundleHeader",
-    "DeliveryAck",
-    "ReleaseAck",
-    "encode_stream",
-    "decode_stream",
 ]

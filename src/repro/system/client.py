@@ -9,12 +9,29 @@ displayed or dropped in each time slot", no prefetching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.content.database import ClientTileCache
 from repro.errors import ConfigurationError
+from repro.prediction.fov import CoverageEvaluator
+from repro.prediction.pose import Pose
 from repro.units import CLIENT_DECODERS, SLOT_DURATION_S
+
+#: The bounded worst-case delay (in slots) charged for one frame: a
+#: starved slot (zero achieved rate) has no finite delivery time, and
+#: a session that misses its report is charged the same.  One second's
+#: worth of slots — harsh, but bounded, so a single outlier cannot
+#: smash the polynomial delay fit or the QoE ledger.
+MAX_DELAY_SLOTS = 60.0
+
+
+def clamp_delay_slots(delay_slots: float) -> float:
+    """Bound a measured delay to ``[0, MAX_DELAY_SLOTS]``."""
+    if not math.isfinite(delay_slots):
+        return MAX_DELAY_SLOTS
+    return max(min(delay_slots, MAX_DELAY_SLOTS), 0.0)
 
 
 class DecoderPool:
@@ -185,3 +202,56 @@ class Client:
         if not self._delay_samples:
             return 0.0
         return sum(self._delay_samples) / len(self._delay_samples)
+
+
+@dataclass(frozen=True)
+class PlayedFrame:
+    """One slot of one phone: the display outcome and its uplink."""
+
+    outcome: FrameOutcome
+    #: The measured delay, clamped by :func:`clamp_delay_slots`.
+    delay_slots: float
+    #: Video ids that arrived intact (the delivery ACK).
+    delivered_ids: Tuple[int, ...]
+
+
+def play_frame(
+    phone: Client,
+    coverage: CoverageEvaluator,
+    trace: Sequence[Pose],
+    slot: int,
+    level: int,
+    predicted_pose: Optional[Pose],
+    video_ids: Sequence[int],
+    tile_bits: Sequence[float],
+    lost_positions: Sequence[int],
+    duration_s: float,
+    startup_delay_s: float,
+) -> PlayedFrame:
+    """Play the frame sent in ``slot`` on one phone.
+
+    Coverage is judged against the trace's true pose of the next slot
+    (the display slot); the transmission span includes the server's
+    startup delay only when tiles were actually sent.
+    """
+    covered = False
+    if level > 0 and predicted_pose is not None:
+        true_pose = trace[min(slot + 1, len(trace) - 1)]
+        covered = bool(coverage.evaluate(predicted_pose, true_pose).covered)
+    transmission_s = duration_s + startup_delay_s if tile_bits else duration_s
+    outcome = phone.receive_frame(
+        list(video_ids),
+        list(tile_bits),
+        list(lost_positions),
+        transmission_s,
+        covered,
+        level,
+    )
+    lost = set(lost_positions)
+    return PlayedFrame(
+        outcome=outcome,
+        delay_slots=clamp_delay_slots(outcome.delay_slots),
+        delivered_ids=tuple(
+            vid for position, vid in enumerate(video_ids) if position not in lost
+        ),
+    )

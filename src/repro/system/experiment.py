@@ -40,7 +40,7 @@ from repro.simulation.metrics import (
     MultiEpisodeResults,
     summarize_ledger,
 )
-from repro.system.client import Client, DecoderPool
+from repro.system.client import Client, DecoderPool, play_frame
 from repro.system.events import EventScheduler
 from repro.system.netem import (
     FadingProcess,
@@ -48,10 +48,9 @@ from repro.system.netem import (
     Router,
     ThrottledLink,
 )
-import repro.system.protocol as protocol
 from repro.system.server import EdgeServer
 from repro.system.telemetry import SlotUserRecord, Telemetry
-from repro.system.transport import RtpChannel
+from repro.system.transport import RtpChannel, TransmissionResult
 from repro.traces.motion import MotionConfig, MotionTraceGenerator
 from repro.units import (
     SETUP1_SERVER_MBPS,
@@ -165,6 +164,97 @@ def setup2_config(duration_slots: int = 1800, seed: int = 0) -> ExperimentConfig
     )
 
 
+class DataPlane:
+    """The emulated network between the edge server and its seats.
+
+    TC throttles, router fair-sharing, fading, interference and RTP
+    loss for one run of an :class:`ExperimentConfig`, shared by
+    :meth:`SystemExperiment.run_repeat` and the live slot loop
+    (:class:`~repro.serve.slotloop.SlotLoop`).  Guidelines come from
+    ``default_rng((seed, repeat, 11))``; all fading, interference and
+    RTP loss from ``default_rng((seed, repeat, 13))``, consumed in a
+    fixed order — routers step, links step, then one RTP transmission
+    per seat in seat order (seats with no payload consume no
+    randomness).  Seats are assigned to routers round-robin.
+    """
+
+    def __init__(self, config: ExperimentConfig, repeat: int = 0) -> None:
+        self.config = config
+        rng = np.random.default_rng((config.seed, repeat, 11))
+        self.guidelines_mbps: List[float] = [
+            float(rng.choice(list(config.throttle_guidelines)))
+            for _ in range(config.num_users)
+        ]
+        self.links = [
+            ThrottledLink(g, FadingProcess(sigma=config.link_fading_sigma))
+            for g in self.guidelines_mbps
+        ]
+        self.interference = InterferenceField(
+            onset_probability=config.interference_onset,
+            severity_range=tuple(config.interference_severity),
+        )
+        self.routers = [
+            Router(
+                config.router_capacity_mbps,
+                interference=self.interference,
+                fading=FadingProcess(sigma=config.router_fading_sigma),
+                contention_loss_per_flow=config.contention_loss_per_flow,
+            )
+            for _ in range(config.num_routers)
+        ]
+        self.rtp = RtpChannel(
+            base_loss=config.rtp_base_loss,
+            congestion_loss=config.rtp_congestion_loss,
+        )
+        self.net_rng = np.random.default_rng((config.seed, repeat, 13))
+
+    def router_of(self, seat: int) -> int:
+        """Round-robin seat-to-router assignment."""
+        return seat % self.config.num_routers
+
+    def step(self) -> None:
+        """Advance fading and interference one slot."""
+        for router in self.routers:
+            router.step(self.net_rng)
+        for link in self.links:
+            link.step(self.net_rng)
+
+    def achieved(self, demands_mbps: Sequence[float]) -> List[float]:
+        """Fair-share achieved rate per seat for this slot's demands.
+
+        A flow transmits at its full bottleneck rate (TC throttle or
+        fair share of the router), not paced to its payload: the
+        demand only sets how many bits must cross this slot.
+        """
+        num_users = self.config.num_users
+        if len(demands_mbps) != num_users:
+            raise ConfigurationError(
+                f"expected {num_users} demands, got {len(demands_mbps)}"
+            )
+        caps = [link.effective_mbps for link in self.links]
+        achieved = [0.0] * num_users
+        for r, router in enumerate(self.routers):
+            members = [u for u in range(num_users) if self.router_of(u) == r]
+            wants = [
+                caps[u] if demands_mbps[u] > 1e-9 else 0.0 for u in members
+            ]
+            rates = router.transmit(wants, [caps[u] for u in members])
+            for u, rate in zip(members, rates):
+                achieved[u] = rate
+        return achieved
+
+    def transmit(
+        self,
+        tile_bits: Sequence[float],
+        demand_mbps: float,
+        achieved_mbps: float,
+    ) -> TransmissionResult:
+        """Emulate one seat's RTP tile delivery for this slot."""
+        return self.rtp.transmit(
+            list(tile_bits), demand_mbps, achieved_mbps, self.net_rng
+        )
+
+
 class SystemExperiment:
     """Runs one configuration for any allocator, several repeats."""
 
@@ -187,9 +277,38 @@ class SystemExperiment:
         )
         self.motion = MotionTraceGenerator(self.world, MotionConfig(), config.slot_s)
 
-    def _router_of(self, user: int) -> int:
-        """Round-robin assignment of users to routers."""
-        return user % self.config.num_routers
+    def edge_server(
+        self, allocator: QualityAllocator, data_plane: DataPlane
+    ) -> EdgeServer:
+        """The edge server for this setup, planning with ``allocator``.
+
+        Resets the allocator; a router-aware setup gets one budget per
+        router of ``data_plane`` (capacity x planning efficiency).
+        """
+        cfg = self.config
+        allocator.reset()
+        router_of = None
+        router_budgets = None
+        if cfg.router_aware:
+            router_of = [data_plane.router_of(u) for u in range(cfg.num_users)]
+            router_budgets = [
+                cfg.router_capacity_mbps * cfg.router_planning_efficiency
+            ] * cfg.num_routers
+        return EdgeServer(
+            cfg.num_users,
+            allocator,
+            cfg.weights,
+            self.database,
+            self.coverage,
+            cfg.server_budget_mbps,
+            initial_cap_mbps=cfg.initial_cap_mbps,
+            content_refresh_slots=cfg.content_refresh_slots,
+            safety_factor=cfg.safety_factor,
+            router_of=router_of,
+            router_budgets_mbps=router_budgets,
+            gop=GopModel(cfg.gop_length, cfg.gop_i_to_p_ratio),
+            slot_s=cfg.slot_s,
+        )
 
     def run_repeat(
         self,
@@ -200,6 +319,11 @@ class SystemExperiment:
         faults: Optional[FaultSchedule] = None,
     ) -> EpisodeResult:
         """One full run (one of the paper's five repetitions).
+
+        The testbed is built from the parts the live server uses: the
+        :class:`DataPlane`, :meth:`edge_server`, and one
+        :func:`~repro.system.client.play_frame` per phone per slot.
+        The uplink (acks and pose uploads) is carried in memory.
 
         Pass a :class:`~repro.system.telemetry.Telemetry` collector to
         capture the per-slot planner view and outcomes, and/or an
@@ -238,8 +362,6 @@ class SystemExperiment:
             uplink_drop_seats = {t: frozenset(s) for t, s in u_raw.items()}
             pose_drop_seats = {t: frozenset(s) for t, s in p_raw.items()}
         _EMPTY: frozenset = frozenset()
-        rng = np.random.default_rng((cfg.seed, repeat, 11))
-        net_rng = np.random.default_rng((cfg.seed, repeat, 13))
         slots_counter = (
             obs.registry.counter(
                 "repro_experiment_slots_total",
@@ -254,66 +376,19 @@ class SystemExperiment:
                 "Experiment repeats started",
             ).inc()
 
-        # World state: traces, throttles, routers, channels.
         poses = [
             self.motion.generate(
                 cfg.duration_slots, np.random.default_rng((cfg.seed, repeat, u, 17))
             )
             for u in range(cfg.num_users)
         ]
-        guidelines = [
-            float(rng.choice(list(cfg.throttle_guidelines)))
-            for _ in range(cfg.num_users)
-        ]
-        links = [
-            ThrottledLink(g, FadingProcess(sigma=cfg.link_fading_sigma))
-            for g in guidelines
-        ]
-        interference = InterferenceField(
-            onset_probability=cfg.interference_onset,
-            severity_range=tuple(cfg.interference_severity),
-        )
-        routers = [
-            Router(
-                cfg.router_capacity_mbps,
-                interference=interference,
-                fading=FadingProcess(sigma=cfg.router_fading_sigma),
-                contention_loss_per_flow=cfg.contention_loss_per_flow,
-            )
-            for _ in range(cfg.num_routers)
-        ]
-        rtp = RtpChannel(
-            base_loss=cfg.rtp_base_loss, congestion_loss=cfg.rtp_congestion_loss
-        )
+        data_plane = DataPlane(cfg, repeat)
         decoder_pool = DecoderPool(cfg.num_decoders, cfg.decode_rate_mbps)
         clients = [
             Client(u, cfg.client_cache_tiles, decoder_pool, cfg.slot_s)
             for u in range(cfg.num_users)
         ]
-
-        allocator.reset()
-        router_of = None
-        router_budgets = None
-        if cfg.router_aware:
-            router_of = [self._router_of(u) for u in range(cfg.num_users)]
-            router_budgets = [
-                cfg.router_capacity_mbps * cfg.router_planning_efficiency
-            ] * cfg.num_routers
-        server = EdgeServer(
-            cfg.num_users,
-            allocator,
-            cfg.weights,
-            self.database,
-            self.coverage,
-            cfg.server_budget_mbps,
-            initial_cap_mbps=cfg.initial_cap_mbps,
-            content_refresh_slots=cfg.content_refresh_slots,
-            safety_factor=cfg.safety_factor,
-            router_of=router_of,
-            router_budgets_mbps=router_budgets,
-            gop=GopModel(cfg.gop_length, cfg.gop_i_to_p_ratio),
-            slot_s=cfg.slot_s,
-        )
+        server = self.edge_server(allocator, data_plane)
         if obs is not None:
             server.scheduler.attach_registry(obs.registry)
 
@@ -327,25 +402,10 @@ class SystemExperiment:
         num_tx_slots = cfg.duration_slots - 1
 
         def run_slot(t: int) -> None:
-            for router in routers:
-                router.step(net_rng)
-            for link in links:
-                link.step(net_rng)
-
             plan = server.plan_slot()
             demands = plan.demands_mbps
-            caps = [link.effective_mbps for link in links]
-
-            # A flow transmits at its full bottleneck rate (TC throttle
-            # or fair share of the router), not paced to its payload:
-            # the demand only sets how many bits must cross this slot.
-            achieved = [0.0] * cfg.num_users
-            for r, router in enumerate(routers):
-                members = [u for u in range(cfg.num_users) if self._router_of(u) == r]
-                wants = [caps[u] if demands[u] > 1e-9 else 0.0 for u in members]
-                rates = router.transmit(wants, [caps[u] for u in members])
-                for u, rate in zip(members, rates):
-                    achieved[u] = rate
+            data_plane.step()
+            achieved = data_plane.achieved(demands)
 
             # Injected outages starve the downlink AFTER the router
             # draws (so the network RNG stream keeps its shape) and
@@ -361,50 +421,39 @@ class SystemExperiment:
             delays: List[float] = []
             delivered_ids: List[List[int]] = []
             released_ids: List[List[int]] = []
-            uplink: List[protocol.Message] = []
+            uploads: List[int] = []
+            # Pose upload at the end of the slot (TCP); extra
+            # staleness defers which pose the server learns.
+            stale_t = t - cfg.pose_upload_latency_slots
             for u in range(cfg.num_users):
                 user_plan = plan.users[u]
-                result = rtp.transmit(
-                    user_plan.missing_bits, demands[u], achieved[u], net_rng
+                result = data_plane.transmit(
+                    user_plan.missing_bits, demands[u], achieved[u]
                 )
-                covered = False
-                if user_plan.level > 0 and user_plan.predicted_pose is not None:
-                    covered = bool(
-                        self.coverage.evaluate(
-                            user_plan.predicted_pose, poses[u][t + 1]
-                        ).covered
-                    )
-                outcome = clients[u].receive_frame(
+                played = play_frame(
+                    clients[u],
+                    self.coverage,
+                    poses[u],
+                    t,
+                    user_plan.level,
+                    user_plan.predicted_pose,
                     [VideoId.encode(k) for k in user_plan.missing_keys],
                     user_plan.missing_bits,
                     result.lost_tile_indices,
-                    (
-                        result.duration_s + user_plan.startup_delay_s
-                        if user_plan.missing_bits
-                        else result.duration_s
-                    ),
-                    covered,
-                    user_plan.level,
+                    result.duration_s,
+                    user_plan.startup_delay_s,
                 )
+                outcome = played.outcome
                 indicators.append(outcome.indicator)
-                # A starved slot (zero achieved rate) has no finite
-                # delivery time; charge one second's worth of slots —
-                # harsh, but bounded, so a single outlier cannot smash
-                # the polynomial delay fit or the QoE ledger.
-                delays.append(
-                    min(outcome.delay_slots, 60.0)
-                    if np.isfinite(outcome.delay_slots)
-                    else 60.0
-                )
-                lost = set(result.lost_tile_indices)
-                arrived = [
-                    VideoId.encode(k)
-                    for i, k in enumerate(user_plan.missing_keys)
-                    if i not in lost
-                ]
-                if u not in uplink_lost:
-                    uplink.append(protocol.DeliveryAck(u, t, tuple(arrived)))
-                delivered_ids.append([])  # filled from the decoded acks
+                delays.append(played.delay_slots)
+                if u in uplink_lost:
+                    delivered_ids.append([])
+                    released_ids.append([])
+                else:
+                    delivered_ids.append(list(played.delivered_ids))
+                    released_ids.append(list(clients[u].last_released))
+                if stale_t >= 0 and u not in pose_lost:
+                    uploads.append(u)
                 if telemetry is not None:
                     telemetry.add(
                         SlotUserRecord(
@@ -416,33 +465,11 @@ class SystemExperiment:
                             believed_cap_mbps=server.estimated_cap(u),
                             displayed=outcome.displayed,
                             covered=outcome.covered,
-                            delay_slots=delays[-1],
+                            delay_slots=played.delay_slots,
                         )
                     )
-                if clients[u].last_released and u not in uplink_lost:
-                    uplink.append(
-                        protocol.ReleaseAck(u, tuple(clients[u].last_released))
-                    )
-                released_ids.append([])  # filled from the decoded acks
-                # Pose upload at the end of the slot (TCP); extra
-                # staleness defers which pose the server learns.
-                stale_t = t - cfg.pose_upload_latency_slots
-                if stale_t >= 0 and u not in pose_lost:
-                    uplink.append(
-                        protocol.PoseUpdate(u, stale_t, poses[u][stale_t])
-                    )
-
-            # The control plane crosses the network as real bytes: the
-            # clients' acks and poses are framed, concatenated onto the
-            # TCP uplink, and parsed back on the server side.
-            for message in protocol.decode_stream(protocol.encode_stream(uplink)):
-                if isinstance(message, protocol.PoseUpdate):
-                    server.observe_pose(message.user, message.pose)
-                elif isinstance(message, protocol.DeliveryAck):
-                    delivered_ids[message.user] = list(message.video_ids)
-                elif isinstance(message, protocol.ReleaseAck):
-                    released_ids[message.user] = list(message.video_ids)
-
+            for u in uploads:
+                server.observe_pose(u, poses[u][stale_t])
             server.complete_slot(
                 plan, indicators, delays, achieved, delivered_ids, released_ids
             )

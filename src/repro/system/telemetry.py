@@ -49,7 +49,14 @@ FIELDS = (
 
 @dataclass(frozen=True)
 class SlotUserRecord:
-    """One user's planner view and outcome in one slot."""
+    """One user's planner view and outcome in one slot.
+
+    The experiment records the phone's own ``displayed`` and
+    ``covered``.  A served run learns only the report's indicator
+    (displayed and covered) and writes it into both, so a frame that
+    was displayed but missed the true FoV reads ``displayed=True`` in
+    the experiment and ``False`` when served; every other field agrees.
+    """
 
     slot: int
     user: int

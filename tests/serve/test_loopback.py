@@ -11,14 +11,12 @@ assertions are exact, not statistical.
 import asyncio
 from dataclasses import replace
 
-import pytest
-
-from repro.core.allocation import DensityValueGreedyAllocator
 from repro.serve.admission import REJECT_CAPACITY
 from repro.serve.config import serve_setup1
 from repro.serve.loadgen import LoadGenConfig
 from repro.serve.mux import run_serve_and_mux_fleet
-from repro.system.experiment import SystemExperiment, setup1_config
+from repro.system.experiment import setup1_config
+from tests.system._lockstep import assert_served_equals_experiment
 
 
 def run_loopback(serve_config, fleet_config):
@@ -140,9 +138,9 @@ class TestDeterminism:
 
 class TestExperimentEquivalence:
     def test_eight_clients_match_in_process_setup1(self):
-        """The ISSUE acceptance bar: 8 clients, >= 50 slots, per-user
-        mean viewed quality within 10% of the in-process experiment
-        under the same seed — lockstep makes it exact."""
+        """8 clients, >= 50 slots: every per-user ledger summary and
+        telemetry record equals the in-process experiment under the
+        same seed — lockstep makes it exact."""
         slots = 61
         serve_config = serve_setup1(
             max_users=8, duration_slots=slots, seed=0, expect_clients=8,
@@ -154,16 +152,9 @@ class TestExperimentEquivalence:
         assert result.slots == slots - 1 >= 50
         assert result.deadline_hit_rate >= 0.95
 
-        experiment = SystemExperiment(
-            setup1_config(duration_slots=slots, seed=0)
+        assert serve_config.experiment == setup1_config(
+            duration_slots=slots, seed=0
         )
-        reference = experiment.run_repeat(DensityValueGreedyAllocator(), 0)
-
-        served = result.metrics.per_user_quality()
-        assert set(served) == set(range(8))
-        for user, summary in enumerate(reference.users):
-            assert served[user] == pytest.approx(summary.quality, rel=0.10)
-        # The fleet's client-side view agrees with the server.
-        client_side = fleet.mean_viewed_quality()
-        for user in range(8):
-            assert client_side[user] == pytest.approx(served[user], rel=1e-9)
+        assert_served_equals_experiment(
+            serve_config.experiment, result, fleet
+        )

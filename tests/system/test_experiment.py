@@ -1,5 +1,7 @@
 """Integration tests for the real-system experiment runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import DensityValueGreedyAllocator, FireflyAllocator, PavqAllocator
@@ -11,6 +13,7 @@ from repro.system.experiment import (
     setup1_config,
     setup2_config,
 )
+from repro.system.telemetry import Telemetry
 
 
 class TestConfigs:
@@ -90,6 +93,38 @@ class TestSystemExperiment:
             small_experiment.run(DensityValueGreedyAllocator(), repeats=0)
         with pytest.raises(ConfigurationError):
             small_experiment.compare({})
+
+
+class TestUplink:
+    """The in-memory uplink carries the phones' state to the server."""
+
+    def test_static_dedup_is_built_from_acks(self):
+        """Dedup state is built from the delivery acks; a static scene
+        must offer far less traffic than a live one (moving users
+        still fetch new cells, so it does not reach zero)."""
+        def total_demand(refresh):
+            config = replace(
+                scaled_config(setup1_config(seed=12), duration_slots=240),
+                content_refresh_slots=refresh,
+            )
+            telemetry = Telemetry()
+            SystemExperiment(config).run_repeat(
+                DensityValueGreedyAllocator(), 0, telemetry=telemetry
+            )
+            return sum(r.demand_mbps for r in telemetry.records)
+
+        assert total_demand(0) < 0.7 * total_demand(1)
+
+    def test_uploaded_poses_feed_prediction(self):
+        """Coverage stays high, so the uploaded poses feed prediction."""
+        config = scaled_config(setup1_config(seed=13), duration_slots=240)
+        telemetry = Telemetry()
+        SystemExperiment(config).run_repeat(
+            DensityValueGreedyAllocator(), 0, telemetry=telemetry
+        )
+        transmitted = [r for r in telemetry.records if r.level > 0]
+        covered = sum(1 for r in transmitted if r.covered)
+        assert covered / len(transmitted) > 0.5
 
 
 class TestSystemShape:
