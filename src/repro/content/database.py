@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Tuple
 
-from repro.content.rate import RateModel
+from repro.content.rate import QualityRateCurve, RateModel
 from repro.content.tiles import GridWorld, TileGrid, TileKey, VideoId
 from repro.errors import ConfigurationError
 from repro.units import SLOT_DURATION_S
@@ -56,16 +56,33 @@ class TileDatabase:
 
     def tile_rate_mbps(self, key: TileKey) -> float:
         """Mbps-equivalent delivery rate of one tile for one slot."""
+        return self._tile_rate_mbps(self.rate_model.curve(key.cell_id), key)
+
+    def tile_size_bits(self, key: TileKey, slot_s: float = SLOT_DURATION_S) -> float:
+        """Stored size of one tile in bits."""
+        return self.tile_size_bits_from(
+            self.rate_model.curve(key.cell_id), key, slot_s
+        )
+
+    def tile_size_bits_from(
+        self,
+        curve: QualityRateCurve,
+        key: TileKey,
+        slot_s: float = SLOT_DURATION_S,
+    ) -> float:
+        """:meth:`tile_size_bits` given the rate curve of ``key.cell_id``.
+
+        For a caller that already holds the curve; the result is the
+        same float, computed in the same order.
+        """
+        return self._tile_rate_mbps(curve, key) * 1e6 * slot_s
+
+    def _tile_rate_mbps(self, curve: QualityRateCurve, key: TileKey) -> float:
         if not 0 <= key.tile_index < self.grid.num_tiles:
             raise ConfigurationError(
                 f"tile_index must be in 0..{self.grid.num_tiles - 1}, got {key.tile_index}"
             )
-        curve = self.rate_model.curve(key.cell_id)
         return curve.size(key.level) / self.typical_tiles_delivered
-
-    def tile_size_bits(self, key: TileKey, slot_s: float = SLOT_DURATION_S) -> float:
-        """Stored size of one tile in bits."""
-        return self.tile_rate_mbps(key) * 1e6 * slot_s
 
     def tiles_for(
         self, cell_id: int, tile_indices: Iterable[int], level: int
@@ -93,10 +110,13 @@ class TileDatabase:
 class ServerTileCache:
     """Runtime memory window over the database, per user.
 
-    The cache admits every tile of every cell within ``radius_cells``
-    of the user's current cell.  Moving shifts the window: cells that
-    fall out are evicted, new cells are loaded (counted as misses, the
-    "swapping overhead" the paper's buffer avoids during steady state).
+    The window is a centre cell plus a Chebyshev radius: every tile of
+    every cell within ``radius_cells`` rows and columns of the centre
+    (clipped to the grid) is resident.  The cache stores only that
+    clipped rectangle, never the cells in it, so its size does not grow
+    with the radius.  Re-centring reports how many cells entered and
+    left the window (the "swapping overhead" the paper's buffer avoids
+    during steady state); a lookup outside the window is a miss.
     """
 
     def __init__(self, database: TileDatabase, radius_cells: int = 10) -> None:
@@ -104,10 +124,14 @@ class ServerTileCache:
             raise ConfigurationError(
                 f"radius_cells must be non-negative, got {radius_cells}"
             )
-        self._db = database
+        world = database.world
+        self._cols = world.cols
+        self._rows = world.rows
         self._radius = radius_cells
-        self._window: Set[int] = set()
         self._center: int = -1
+        # Resident rows [r0, r1) and columns [c0, c1); empty until the
+        # first move_to.
+        self._box: Tuple[int, int, int, int] = (0, 0, 0, 0)
         self.hits: int = 0
         self.misses: int = 0
 
@@ -115,25 +139,33 @@ class ServerTileCache:
     def center_cell(self) -> int:
         return self._center
 
-    @property
-    def cached_cells(self) -> Set[int]:
-        return set(self._window)
-
     def move_to(self, cell_id: int) -> Tuple[int, int]:
         """Re-centre the window on a new cell.
 
         Returns ``(loaded, evicted)`` cell counts for instrumentation.
         """
-        new_window = set(self._db.world.cells_within(cell_id, self._radius))
-        loaded = len(new_window - self._window)
-        evicted = len(self._window - new_window)
-        self._window = new_window
+        row, col = divmod(cell_id, self._cols)
+        r = self._radius
+        r0, c0 = max(0, row - r), max(0, col - r)
+        r1 = max(r0, min(self._rows, row + r + 1))
+        c1 = max(c0, min(self._cols, col + r + 1))
+        old_r0, old_r1, old_c0, old_c1 = self._box
+        kept = max(0, min(r1, old_r1) - max(r0, old_r0)) * max(
+            0, min(c1, old_c1) - max(c0, old_c0)
+        )
+        self._box = (r0, r1, c0, c1)
         self._center = cell_id
+        loaded = (r1 - r0) * (c1 - c0) - kept
+        evicted = (old_r1 - old_r0) * (old_c1 - old_c0) - kept
         return loaded, evicted
 
     def lookup(self, cell_id: int) -> bool:
         """True (hit) when a cell's tiles are resident in memory."""
-        if cell_id in self._window:
+        # The box lies inside the grid, so a row test also rejects ids
+        # outside 0..num_cells-1.
+        row, col = divmod(cell_id, self._cols)
+        r0, r1, c0, c1 = self._box
+        if r0 <= row < r1 and c0 <= col < c1:
             self.hits += 1
             return True
         self.misses += 1

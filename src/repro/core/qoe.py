@@ -13,8 +13,9 @@ users (eq. (1)).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -54,13 +55,15 @@ class UserQoELedger:
     Record each slot with :meth:`record`; query components at any
     horizon.  The ledger stores the *viewed* quality
     ``q_n(t) * 1_n(t)`` per slot plus the delivery delay, which is all
-    the QoE definition needs.
+    the QoE definition needs.  The three series are packed arrays of
+    machine doubles and 64-bit ints, since a seat appends to them every
+    slot for the whole session.
     """
 
     def __init__(self) -> None:
-        self._viewed: List[float] = []
-        self._levels: List[int] = []
-        self._delays: List[float] = []
+        self._viewed = array("d")
+        self._levels = array("q")
+        self._delays = array("d")
         # Running sums keep mean/variance O(1) per query.
         self._sum_viewed = 0.0
         self._sum_viewed_sq = 0.0

@@ -15,6 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.content.database import ServerTileCache, TileDatabase
 from repro.content.gop import GopModel
+from repro.content.rate import QualityRateCurve
 from repro.content.tiles import TileKey, VideoId
 from repro.core.allocation import QualityAllocator
 from repro.core.qoe import QoEWeights
@@ -192,6 +193,13 @@ class EdgeServer:
             for _ in range(num_users)
         ]
         self.cache_miss_penalty_s = cache_miss_penalty_s
+        # Each seat's last (cell, rate curve): a seat stays in one cell
+        # for many slots, so the curve is rebuilt only when it moves.
+        # One entry per seat, not per cell visited, keeps memory flat;
+        # the curve depends on the cell alone, so it survives resets.
+        self._seat_curves: List[Optional[Tuple[int, QualityRateCurve]]] = [
+            None
+        ] * num_users
         self._epoch = 0
         self._slot = 0
 
@@ -344,6 +352,7 @@ class EdgeServer:
                 for delivered in self._delivered:
                     delivered.clear()
         sizes: List[Sequence[float]] = []
+        curves: List[QualityRateCurve] = []
         delay_fns = []
         caps = []
         raw_caps = []
@@ -362,8 +371,12 @@ class EdgeServer:
             else:
                 cells.append(self.coverage.world.cell_of(pose.x, pose.y))
                 tile_sets.append(tuple(sorted(self.coverage.tiles_to_deliver(pose))))
-            curve = self.database.rate_model.curve(cells[n])
-            sizes.append(curve.as_tuple())
+            held = self._seat_curves[n]
+            if held is None or held[0] != cells[n]:
+                held = (cells[n], self.database.rate_model.curve(cells[n]))
+                self._seat_curves[n] = held
+            curves.append(held[1])
+            sizes.append(held[1].as_tuple())
             delay_fns.append(self._delay_predictors[n].predict)
             if pose is None:
                 # An empty seat (no pose ever observed) must not draw
@@ -417,7 +430,9 @@ class EdgeServer:
                     if VideoId.encode(key) not in self._delivered[n]:
                         missing_keys.append(key)
                         missing_bits.append(
-                            self.database.tile_size_bits(key, self.slot_s)
+                            self.database.tile_size_bits_from(
+                                curves[n], key, self.slot_s
+                            )
                             * frame_multiplier
                         )
             demand_mbps = sum(missing_bits) / 1e6 / self.slot_s

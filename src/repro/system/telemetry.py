@@ -20,7 +20,7 @@ import csv
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import IO, Dict, List, Optional, Sequence, Union
+from typing import IO, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs.registry import Counter, MetricsRegistry
@@ -56,7 +56,14 @@ class SlotUserRecord:
     (displayed and covered) and writes it into both, so a frame that
     was displayed but missed the true FoV reads ``displayed=True`` in
     the experiment and ``False`` when served; every other field agrees.
+
+    A run keeps one record per seat per slot, so the record is slotted
+    (no per-instance ``__dict__``).  ``__reduce__`` rebuilds it through
+    the constructor, which ``pickle`` and ``copy`` need because a
+    frozen instance rejects the attribute writes of the default path.
     """
+
+    __slots__ = FIELDS
 
     slot: int
     user: int
@@ -67,6 +74,9 @@ class SlotUserRecord:
     displayed: bool
     covered: bool
     delay_slots: float
+
+    def __reduce__(self) -> Tuple[Type["SlotUserRecord"], Tuple[object, ...]]:
+        return (type(self), tuple(self.as_row()))
 
     def as_row(self) -> List[object]:
         return [getattr(self, field) for field in FIELDS]

@@ -107,6 +107,51 @@ class TestUserQoELedger:
         assert ledger.horizon == 0
 
 
+class _ListLedger(UserQoELedger):
+    """The ledger with plain-list columns, as it was before packing."""
+
+    def __init__(self):
+        super().__init__()
+        self._viewed, self._levels, self._delays = [], [], []
+
+
+class TestPackedLedger:
+    def _feed(self, ledger, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            level = int(rng.integers(0, 7))
+            indicator = int(rng.integers(0, 2))
+            delay = float(rng.uniform(0, 3)) if level > 0 else 0.0
+            ledger.record(level, indicator, delay)
+        return ledger
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_list_backed_ledger(self, seed):
+        weights = QoEWeights(0.1, 0.5)
+        packed = self._feed(UserQoELedger(), seed)
+        listed = self._feed(_ListLedger(), seed)
+        assert packed.export_state() == listed.export_state()
+        assert packed.qoe(weights) == listed.qoe(weights)
+        assert packed.mean_allocated_level() == listed.mean_allocated_level()
+        assert packed.viewed_qualities == listed.viewed_qualities
+        assert packed.allocated_levels == listed.allocated_levels
+        assert packed.delays == listed.delays
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_restore_round_trip(self, seed):
+        weights = QoEWeights(0.1, 0.5)
+        listed = self._feed(_ListLedger(), seed)
+        restored = UserQoELedger()
+        restored.restore_state(self._feed(UserQoELedger(), seed).export_state())
+        assert restored.export_state() == listed.export_state()
+        assert restored.qoe(weights) == listed.qoe(weights)
+        assert restored.quality_variance() == listed.quality_variance()
+        assert all(
+            type(level) is int and type(ind) is int and type(delay) is float
+            for level, ind, delay in restored.export_state()
+        )
+
+
 class TestSystemQoE:
     def test_sums_over_users(self):
         weights = QoEWeights(0.1, 0.5)

@@ -196,3 +196,39 @@ class TestServerTileCacheWindow:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ConfigurationError):
             make_server(cache_miss_penalty_s=-0.001)
+
+
+class TestSeatRateCurves:
+    """Each seat's held rate curve is rebuilt exactly when its cell moves."""
+
+    def _plan_rows(self, plan):
+        return [
+            (p.cell_id, p.level, p.nominal_rate_mbps, p.missing_bits)
+            for p in plan.users
+        ]
+
+    def test_held_curves_plan_like_fresh_ones(self, monkeypatch):
+        held, fresh = make_server(), make_server()
+        model = held.database.rate_model
+        calls = []
+        build = model.curve
+        monkeypatch.setattr(model, "curve", lambda c: calls.append(c) or build(c))
+        last_cell = [None, None]
+        moves = 0
+        for step in range(40):
+            for server in (held, fresh):
+                for u in range(2):
+                    # 2 and 4 cm per slot across 5 cm cells: some slots
+                    # change cell, most do not.
+                    server.observe_pose(u, pose(x=2.0 + 0.02 * (u + 1) * step))
+            # The reference forgets every held curve before planning.
+            fresh._seat_curves = [None] * fresh.num_users
+            ours, reference = held.plan_slot(), fresh.plan_slot()
+            assert self._plan_rows(ours) == self._plan_rows(reference)
+            for u, user_plan in enumerate(ours.users):
+                moves += user_plan.cell_id != last_cell[u]
+                last_cell[u] = user_plan.cell_id
+            complete(held, ours)
+            complete(fresh, reference)
+        assert 10 < moves < 80
+        assert len(calls) == moves

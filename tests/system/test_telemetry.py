@@ -1,5 +1,9 @@
 """Tests for the telemetry collector and its experiment integration."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import DensityValueGreedyAllocator
@@ -73,6 +77,44 @@ class TestTelemetry:
         telemetry.add(record())
         telemetry.clear()
         assert len(telemetry) == 0
+
+
+class TestSlotUserRecord:
+    """The record is slotted and frozen; every copy path still works."""
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(record(), "__dict__")
+        assert SlotUserRecord.__slots__ == FIELDS
+
+    def test_still_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record().level = 5
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda r: pickle.loads(pickle.dumps(r)),
+            lambda r: pickle.loads(pickle.dumps(r, protocol=0)),
+            copy.copy,
+            copy.deepcopy,
+            lambda r: SlotUserRecord.from_dict(r.as_dict()),
+            lambda r: dataclasses.replace(r),
+        ],
+        ids=["pickle", "pickle-0", "copy", "deepcopy", "dict", "replace"],
+    )
+    def test_round_trips(self, clone):
+        original = record(slot=7, user=3, displayed=True, covered=False)
+        restored = clone(original)
+        assert type(restored) is SlotUserRecord
+        assert restored == original
+        assert restored.as_row() == original.as_row()
+        assert hash(restored) == hash(original)
+
+    def test_replace_changes_one_field(self):
+        changed = dataclasses.replace(record(level=3), level=5)
+        assert changed.level == 5
+        assert changed == record(level=5)
+        assert changed != record(level=3)
 
 
 class TestJsonlExport:
