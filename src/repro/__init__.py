@@ -28,31 +28,29 @@ Quickstart::
     print(results.means())
 """
 
-from repro.core import (
-    CollaborativeVrScheduler,
-    DensityGreedyAllocator,
-    DensityValueGreedyAllocator,
-    FireflyAllocator,
-    LossAwareAllocator,
-    OfflineOptimalAllocator,
-    PavqAllocator,
-    QoEWeights,
-    QualityAllocator,
-    SlotProblem,
-    UserQoELedger,
-    UserSlotState,
-    ValueGreedyAllocator,
-    horizon_optimal_qoe,
-    system_qoe,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "CollaborativeVrScheduler", "DensityGreedyAllocator",
+            "DensityValueGreedyAllocator", "FireflyAllocator",
+            "LossAwareAllocator", "OfflineOptimalAllocator", "PavqAllocator",
+            "QoEWeights", "QualityAllocator", "SlotProblem", "UserQoELedger",
+            "UserSlotState", "ValueGreedyAllocator", "horizon_optimal_qoe",
+            "system_qoe",
+        ),
+        "repro.core.baselines": ("MaxMinFairAllocator", "UniformAllocator"),
+        "repro.simulation": (
+            "MM1DelayModel", "MultiEpisodeResults", "SimulationConfig",
+            "TraceSimulator",
+        ),
+        "repro.analysis": (
+            "EmpiricalCdf", "comparison_table", "improvement_percent",
+        ),
+    },
 )
-from repro.core.baselines import MaxMinFairAllocator, UniformAllocator
-from repro.simulation import (
-    MM1DelayModel,
-    MultiEpisodeResults,
-    SimulationConfig,
-    TraceSimulator,
-)
-from repro.analysis import EmpiricalCdf, comparison_table, improvement_percent
 
 __version__ = "1.0.0"
 

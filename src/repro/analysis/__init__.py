@@ -1,16 +1,19 @@
 """Analysis utilities: empirical CDFs and textual figure reports."""
 
-from repro.analysis.ascii import ascii_bars, ascii_cdf
-from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.report import (
-    comparison_table,
-    format_table,
-    improvement_percent,
-)
-from repro.analysis.stats import (
-    bootstrap_ci,
-    jain_fairness,
-    mean_difference_significant,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.ascii": ("ascii_bars", "ascii_cdf"),
+        "repro.analysis.cdf": ("EmpiricalCdf",),
+        "repro.analysis.report": (
+            "comparison_table", "format_table", "improvement_percent",
+        ),
+        "repro.analysis.stats": (
+            "bootstrap_ci", "jain_fairness", "mean_difference_significant",
+        ),
+    },
 )
 
 __all__ = [

@@ -25,21 +25,25 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis import ascii_bars, ascii_cdf, comparison_table, format_table
+from repro.analysis.ascii import ascii_bars, ascii_cdf
+from repro.analysis.report import comparison_table, format_table
 from repro.content.rate import RateModel
-from repro.core import (
-    DensityValueGreedyAllocator,
-    FireflyAllocator,
-    OfflineOptimalAllocator,
-    PavqAllocator,
-)
+from repro.core.allocation import DensityValueGreedyAllocator
+from repro.core.baselines.firefly import FireflyAllocator
+from repro.core.baselines.pavq import PavqAllocator
+from repro.core.offline import OfflineOptimalAllocator
 from repro.faults.cli import add_faults_arguments, run_faults_command
-from repro.knapsack import combined_greedy, solve_exact
+from repro.knapsack.exact import solve_exact
+from repro.knapsack.greedy import combined_greedy
 from repro.lint.cli import add_lint_arguments, run_lint_command
 from repro.obs.cli import add_obs_arguments, run_obs_command
-from repro.simulation import SimulationConfig, TraceSimulator
 from repro.simulation.delaymodel import mean_rtt_curve
-from repro.system import SystemExperiment, setup1_config, setup2_config
+from repro.simulation.simulator import SimulationConfig, TraceSimulator
+from repro.system.experiment import (
+    SystemExperiment,
+    setup1_config,
+    setup2_config,
+)
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
@@ -268,9 +272,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.errors import ReproError
-    from repro.faults import FaultSchedule
-    from repro.obs import ObsConfig
-    from repro.serve import VrServeServer, serve_setup1
+    from repro.faults.schedule import FaultSchedule
+    from repro.obs.config import ObsConfig
+    from repro.serve.config import serve_setup1
+    from repro.serve.server import VrServeServer
     from repro.units import SLOT_DURATION_S
 
     slot_s = SLOT_DURATION_S if args.slot_ms is None else args.slot_ms / 1e3
@@ -339,12 +344,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.errors import ReproError
-    from repro.faults import FaultSchedule
-    from repro.serve import (
-        LoadGenConfig,
-        ReconnectPolicy,
-        run_mux_fleet,
-    )
+    from repro.faults.schedule import FaultSchedule
+    from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
+    from repro.serve.mux import run_mux_fleet
 
     try:
         faults = (

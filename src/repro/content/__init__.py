@@ -10,22 +10,27 @@ field of view touches) and the *rate curve* (how tile size grows with
 quality, Fig. 1a), both of which are modelled here.
 """
 
-from repro.content.crf import (
-    CRF_BITRATE_DOUBLING,
-    crf_to_level,
-    level_to_crf,
-    quality_levels,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.content.crf": (
+            "CRF_BITRATE_DOUBLING", "crf_to_level", "level_to_crf",
+            "quality_levels",
+        ),
+        "repro.content.rate": ("QualityRateCurve", "RateModel"),
+        "repro.content.projection": (
+            "EquirectangularProjection", "FieldOfView",
+            "fov_solid_angle_fraction", "wrap_angle_deg",
+        ),
+        "repro.content.tiles": ("GridWorld", "TileGrid", "TileKey", "VideoId"),
+        "repro.content.database": (
+            "ClientTileCache", "ServerTileCache", "TileDatabase",
+        ),
+        "repro.content.gop": ("GopModel",),
+    },
 )
-from repro.content.rate import QualityRateCurve, RateModel
-from repro.content.projection import (
-    EquirectangularProjection,
-    FieldOfView,
-    fov_solid_angle_fraction,
-    wrap_angle_deg,
-)
-from repro.content.tiles import GridWorld, TileGrid, TileKey, VideoId
-from repro.content.database import ClientTileCache, ServerTileCache, TileDatabase
-from repro.content.gop import GopModel
 
 __all__ = [
     "CRF_BITRATE_DOUBLING",

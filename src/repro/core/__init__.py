@@ -16,26 +16,30 @@ Public surface:
   state machine tying estimators to the allocator.
 """
 
-from repro.core.qoe import QoEWeights, UserQoELedger, system_qoe
-from repro.core.decomposition import (
-    slot_objective,
-    slot_objective_curve,
-    variance_penalty_term,
-    welford_decomposition,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.qoe": ("QoEWeights", "UserQoELedger", "system_qoe"),
+        "repro.core.decomposition": (
+            "slot_objective", "slot_objective_curve", "variance_penalty_term",
+            "welford_decomposition",
+        ),
+        "repro.core.allocation": (
+            "DensityValueGreedyAllocator", "DensityGreedyAllocator",
+            "QualityAllocator", "SlotProblem", "UserSlotState",
+            "ValueGreedyAllocator",
+        ),
+        "repro.core.offline": ("OfflineOptimalAllocator",),
+        "repro.core.baselines": ("FireflyAllocator", "PavqAllocator"),
+        "repro.core.scheduler": ("CollaborativeVrScheduler",),
+        "repro.core.horizon": ("horizon_optimal_qoe",),
+        "repro.core.extensions": (
+            "LossAwareAllocator", "delivery_success_probability",
+        ),
+    },
 )
-from repro.core.allocation import (
-    DensityValueGreedyAllocator,
-    DensityGreedyAllocator,
-    QualityAllocator,
-    SlotProblem,
-    UserSlotState,
-    ValueGreedyAllocator,
-)
-from repro.core.offline import OfflineOptimalAllocator
-from repro.core.baselines import FireflyAllocator, PavqAllocator
-from repro.core.scheduler import CollaborativeVrScheduler
-from repro.core.horizon import horizon_optimal_qoe
-from repro.core.extensions import LossAwareAllocator, delivery_success_probability
 
 __all__ = [
     "QoEWeights",

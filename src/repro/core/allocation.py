@@ -18,13 +18,8 @@ from typing import Callable, List, Sequence, Tuple
 from repro.core.decomposition import skip_objective, slot_objective_curve
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
-from repro.knapsack import (
-    ItemCurve,
-    SeparableKnapsack,
-    combined_greedy,
-    density_greedy,
-    value_greedy,
-)
+from repro.knapsack.greedy import combined_greedy, density_greedy, value_greedy
+from repro.knapsack.problem import ItemCurve, SeparableKnapsack
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,18 @@
   (Section IV bullet 2).
 """
 
-from repro.core.baselines.firefly import FireflyAllocator
-from repro.core.baselines.pavq import PavqAllocator
-from repro.core.baselines.simple import MaxMinFairAllocator, UniformAllocator
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.baselines.firefly": ("FireflyAllocator",),
+        "repro.core.baselines.pavq": ("PavqAllocator",),
+        "repro.core.baselines.simple": (
+            "MaxMinFairAllocator", "UniformAllocator",
+        ),
+    },
+)
 
 __all__ = [
     "FireflyAllocator",

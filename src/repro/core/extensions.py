@@ -21,7 +21,8 @@ from typing import List, Tuple
 
 from repro.core.allocation import QualityAllocator, SlotProblem
 from repro.errors import ConfigurationError
-from repro.knapsack import ItemCurve, SeparableKnapsack, combined_greedy
+from repro.knapsack.greedy import combined_greedy
+from repro.knapsack.problem import ItemCurve, SeparableKnapsack
 
 
 def delivery_success_probability(

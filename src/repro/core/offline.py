@@ -16,7 +16,7 @@ from typing import List
 
 from repro.core.allocation import QualityAllocator, SlotProblem
 from repro.errors import ConfigurationError
-from repro.knapsack import solve_exact
+from repro.knapsack.exact import solve_exact
 
 
 @dataclass

@@ -13,28 +13,22 @@ The chaos test tier (``tests/chaos``) asserts that one seed always
 yields one fault timeline and one recovery outcome.
 """
 
-from repro.faults.injection import (
-    FaultInjector,
-    corrupt_frame_bytes,
-    truncate_frame_bytes,
-)
-from repro.faults.schedule import (
-    CLIENT_KINDS,
-    FAULT_CORRUPT_REPORT,
-    FAULT_CRASH_CLIENT,
-    FAULT_DELAY_REPORT,
-    FAULT_DISCONNECT,
-    FAULT_KINDS,
-    FAULT_MIGRATION_STALL,
-    FAULT_SHARD_KILL,
-    FAULT_STALL_READ,
-    FAULT_STALL_WRITE,
-    FAULT_TRUNCATE_FRAME,
-    SERVER_KINDS,
-    SHARD_KINDS,
-    TIMED_KINDS,
-    FaultEvent,
-    FaultSchedule,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.injection": (
+            "FaultInjector", "corrupt_frame_bytes", "truncate_frame_bytes",
+        ),
+        "repro.faults.schedule": (
+            "CLIENT_KINDS", "FAULT_CORRUPT_REPORT", "FAULT_CRASH_CLIENT",
+            "FAULT_DELAY_REPORT", "FAULT_DISCONNECT", "FAULT_KINDS",
+            "FAULT_MIGRATION_STALL", "FAULT_SHARD_KILL", "FAULT_STALL_READ",
+            "FAULT_STALL_WRITE", "FAULT_TRUNCATE_FRAME", "SERVER_KINDS",
+            "SHARD_KINDS", "TIMED_KINDS", "FaultEvent", "FaultSchedule",
+        ),
+    },
 )
 
 __all__ = [

@@ -23,11 +23,20 @@ See the "Slot kernel" section of ``benchmarks/perf/README.md`` for
 layout and performance notes.
 """
 
-from repro.kernel.allocator import ArrayAllocator
-from repro.kernel.batch import SlotBatch, mm1_delay_matrix
-from repro.kernel.coverage import BatchCoverage
-from repro.kernel.predict import BatchMotionPredictor
-from repro.kernel.solver import ArraySolution, solve_arrays, solve_batch
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.kernel.allocator": ("ArrayAllocator",),
+        "repro.kernel.batch": ("SlotBatch", "mm1_delay_matrix"),
+        "repro.kernel.coverage": ("BatchCoverage",),
+        "repro.kernel.predict": ("BatchMotionPredictor",),
+        "repro.kernel.solver": (
+            "ArraySolution", "solve_arrays", "solve_batch",
+        ),
+    },
+)
 
 __all__ = [
     "ArrayAllocator",

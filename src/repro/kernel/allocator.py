@@ -25,7 +25,7 @@ from repro.core.allocation import (
 from repro.errors import ConfigurationError
 from repro.kernel.batch import SlotBatch
 from repro.kernel.solver import solve_batch
-from repro.knapsack import combined_greedy
+from repro.knapsack.greedy import combined_greedy
 
 
 @dataclass

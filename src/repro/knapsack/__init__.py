@@ -22,15 +22,21 @@ the paper can be tested and benchmarked in isolation:
   relaxation used in the proof of Theorem 1.
 """
 
-from repro.knapsack.problem import ItemCurve, SeparableKnapsack, Solution
-from repro.knapsack.greedy import (
-    STRATEGIES,
-    combined_greedy,
-    density_greedy,
-    value_greedy,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.knapsack.problem": (
+            "ItemCurve", "SeparableKnapsack", "Solution",
+        ),
+        "repro.knapsack.greedy": (
+            "STRATEGIES", "combined_greedy", "density_greedy", "value_greedy",
+        ),
+        "repro.knapsack.exact": ("solve_exact", "solve_dynamic_programming"),
+        "repro.knapsack.bounds": ("fractional_upper_bound",),
+    },
 )
-from repro.knapsack.exact import solve_exact, solve_dynamic_programming
-from repro.knapsack.bounds import fractional_upper_bound
 
 __all__ = [
     "ItemCurve",

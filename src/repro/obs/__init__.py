@@ -19,81 +19,53 @@ The layer has four public pieces, all zero-dependency:
 scrapes what they produce.
 """
 
-from repro.obs.buildinfo import (
-    BUILD_INFO_METRIC,
-    config_fingerprint,
-    register_build_info,
-)
-from repro.obs.cluster import (
-    COORDINATOR_SHARD,
-    MERGE_CONFLICTS_METRIC,
-    SHARD_LABEL,
-    merge_conflicts,
-    merge_registries,
-)
-from repro.obs.config import DEFAULT_SAMPLE_EVERY, Obs, ObsConfig
-from repro.obs.flight import (
-    AnyFlightRecorder,
-    FlightDump,
-    FlightRecorder,
-    NullFlightRecorder,
-    TRIGGER_ADMISSION_REJECT,
-    TRIGGER_DEADLINE_MISS,
-    TRIGGER_MIGRATION_STALL,
-    TRIGGER_SHARD_KILL,
-    TRIGGER_SHARD_RESPAWN,
-    TRIGGER_SLO_BREACH,
-    TRIGGER_WRITE_DROP,
-    TRIGGERS,
-)
-from repro.obs.http import ObsHttpServer, PROMETHEUS_CONTENT_TYPE
-from repro.obs.promtext import ExpositionSummary, validate_exposition
-from repro.obs.registry import (
-    BucketHistogram,
-    Counter,
-    DEFAULT_LATENCY_BUCKETS_S,
-    Gauge,
-    MetricFamily,
-    MetricsRegistry,
-)
-from repro.obs.slo import (
-    SLO_BREACHES_METRIC,
-    SLO_BURN_METRIC,
-    SLO_KINDS,
-    SloConfig,
-    SloEngine,
-    SloObjective,
-    SloSample,
-    SloStatus,
-    default_slo_config,
-    evaluate_sample,
-    load_slo_config,
-    sample_registry,
-    sample_snapshot,
-)
-from repro.obs.spans import (
-    SPAN_SCHEMA_VERSION,
-    SPAN_STREAM_KIND,
-    Span,
-    read_span_stream,
-    read_span_stream_tolerant,
-    write_span_stream,
-)
-from repro.obs.stitch import (
-    MIGRATION_SPAN_NAME,
-    MigrationEvent,
-    SessionTimeline,
-    ShardSegment,
-    UserSlotSample,
-    format_timeline,
-    stitch_spans,
-)
-from repro.obs.tracer import (
-    AnyTracer,
-    NullTracer,
-    SlotSpanBuilder,
-    Tracer,
-    stage_latency_table,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.buildinfo": (
+            "BUILD_INFO_METRIC", "config_fingerprint", "register_build_info",
+        ),
+        "repro.obs.cluster": (
+            "COORDINATOR_SHARD", "MERGE_CONFLICTS_METRIC", "SHARD_LABEL",
+            "merge_conflicts", "merge_registries",
+        ),
+        "repro.obs.config": ("DEFAULT_SAMPLE_EVERY", "Obs", "ObsConfig"),
+        "repro.obs.flight": (
+            "AnyFlightRecorder", "FlightDump", "FlightRecorder",
+            "NullFlightRecorder", "TRIGGER_ADMISSION_REJECT",
+            "TRIGGER_DEADLINE_MISS", "TRIGGER_MIGRATION_STALL",
+            "TRIGGER_SHARD_KILL", "TRIGGER_SHARD_RESPAWN",
+            "TRIGGER_SLO_BREACH", "TRIGGER_WRITE_DROP", "TRIGGERS",
+        ),
+        "repro.obs.http": ("ObsHttpServer", "PROMETHEUS_CONTENT_TYPE"),
+        "repro.obs.promtext": ("ExpositionSummary", "validate_exposition"),
+        "repro.obs.registry": (
+            "BucketHistogram", "Counter", "DEFAULT_LATENCY_BUCKETS_S",
+            "Gauge", "MetricFamily", "MetricsRegistry",
+        ),
+        "repro.obs.slo": (
+            "SLO_BREACHES_METRIC", "SLO_BURN_METRIC", "SLO_KINDS",
+            "SloConfig", "SloEngine", "SloObjective", "SloSample",
+            "SloStatus", "default_slo_config", "evaluate_sample",
+            "load_slo_config", "sample_registry", "sample_snapshot",
+        ),
+        "repro.obs.spans": (
+            "SPAN_SCHEMA_VERSION", "SPAN_STREAM_KIND", "Span",
+            "read_span_stream", "read_span_stream_tolerant",
+            "write_span_stream",
+        ),
+        "repro.obs.stitch": (
+            "MIGRATION_SPAN_NAME", "MigrationEvent", "SessionTimeline",
+            "ShardSegment", "UserSlotSample", "format_timeline",
+            "stitch_spans",
+        ),
+        "repro.obs.tracer": (
+            "AnyTracer", "NullTracer", "SlotSpanBuilder", "Tracer",
+            "stage_latency_table",
+        ),
+    },
 )
 
 __all__ = [

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import platform
 
+from repro import __version__
 from repro.obs.registry import Gauge, MetricsRegistry
 
 #: Family name of the build-identity gauge.
@@ -20,17 +21,6 @@ BUILD_INFO_METRIC = "repro_build_info"
 
 #: Label names, in declaration order.
 BUILD_INFO_LABELS = ("version", "python", "config_hash", "shard")
-
-
-def _version() -> str:
-    """The package version, resolved lazily.
-
-    ``repro/__init__`` defines ``__version__`` *after* importing its
-    subpackages, so a module-level import here would be circular.
-    """
-    import repro
-
-    return str(getattr(repro, "__version__", "unknown"))
 
 
 def config_fingerprint(config: object) -> str:
@@ -61,7 +51,7 @@ def register_build_info(
         BUILD_INFO_LABELS,
     )
     gauge = family.gauge_child(
-        version=_version(),
+        version=__version__,
         python=platform.python_version(),
         config_hash=config_hash,
         shard=str(shard),

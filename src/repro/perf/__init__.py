@@ -9,27 +9,22 @@ histories.  Run both with ``python -m repro bench`` (see
 ``benchmarks/perf/README.md``).
 """
 
-from repro.perf.bench import (
-    BENCH_KINDS,
-    BenchKind,
-    bench_allocator,
-    bench_kernel,
-    bench_obs,
-    bench_scale,
-    bench_serve,
-    bench_simulator,
-    persist_run,
-)
-from repro.perf.regression import (
-    CHECK_MODES,
-    CHECK_RULES,
-    CheckReport,
-    CheckResult,
-    CheckRule,
-    check_bench,
-    check_run,
-    format_report,
-    latest_run,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.bench": (
+            "BENCH_KINDS", "BenchKind", "bench_allocator", "bench_kernel",
+            "bench_obs", "bench_scale", "bench_serve", "bench_simulator",
+            "persist_run",
+        ),
+        "repro.perf.regression": (
+            "CHECK_MODES", "CHECK_RULES", "CheckReport", "CheckResult",
+            "CheckRule", "check_bench", "check_run", "format_report",
+            "latest_run",
+        ),
+    },
 )
 
 __all__ = [

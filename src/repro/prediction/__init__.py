@@ -15,19 +15,26 @@ estimates:
   (Section V).
 """
 
-from repro.prediction.pose import Pose
-from repro.prediction.motion import LinearMotionPredictor
-from repro.prediction.predictors import (
-    PREDICTOR_REGISTRY,
-    ConstantVelocityPredictor,
-    ExponentialSmoothingPredictor,
-    LastPosePredictor,
-    make_predictor,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.prediction.pose": ("Pose",),
+        "repro.prediction.motion": ("LinearMotionPredictor",),
+        "repro.prediction.predictors": (
+            "PREDICTOR_REGISTRY", "ConstantVelocityPredictor",
+            "ExponentialSmoothingPredictor", "LastPosePredictor",
+            "make_predictor",
+        ),
+        "repro.prediction.fov": ("CoverageEvaluator", "CoverageOutcome"),
+        "repro.prediction.accuracy": (
+            "RunningMean", "PredictionAccuracyTracker",
+        ),
+        "repro.prediction.throughput": ("EmaThroughputEstimator",),
+        "repro.prediction.delay": ("PolynomialDelayPredictor",),
+    },
 )
-from repro.prediction.fov import CoverageEvaluator, CoverageOutcome
-from repro.prediction.accuracy import RunningMean, PredictionAccuracyTracker
-from repro.prediction.throughput import EmaThroughputEstimator
-from repro.prediction.delay import PolynomialDelayPredictor
 
 __all__ = [
     "Pose",

@@ -14,6 +14,7 @@ scheduler's ``E[d_n(f^R(q))]`` term.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Sequence, Tuple
 
@@ -72,11 +73,19 @@ class PolynomialDelayPredictor:
         return len(self._samples)
 
     def observe(self, rate_mbps: float, delay: float) -> None:
-        """Record one measured (sending rate, delay) pair."""
-        if rate_mbps < 0:
-            raise ConfigurationError(f"rate must be non-negative, got {rate_mbps}")
-        if delay < 0:
-            raise ConfigurationError(f"delay must be non-negative, got {delay}")
+        """Record one measured (sending rate, delay) pair.
+
+        A non-finite sample would make every prediction NaN until it
+        left the window, so NaN and infinities are refused.
+        """
+        if not (math.isfinite(rate_mbps) and rate_mbps >= 0):
+            raise ConfigurationError(
+                f"rate must be finite and non-negative, got {rate_mbps}"
+            )
+        if not (math.isfinite(delay) and delay >= 0):
+            raise ConfigurationError(
+                f"delay must be finite and non-negative, got {delay}"
+            )
         self._samples.append((rate_mbps, delay))
         self._dirty = True
 
@@ -85,8 +94,9 @@ class PolynomialDelayPredictor:
         delays = np.array([s[1] for s in self._samples], dtype=float)
         # A window of near-identical rates makes the Vandermonde matrix
         # rank deficient; degrade the fit degree to what the data
-        # supports instead of emitting garbage coefficients.
-        distinct = len(np.unique(np.round(rates, 6)))
+        # supports instead of emitting garbage coefficients.  (A set,
+        # not ``np.unique``: that would import ``numpy.ma`` mid-slot.)
+        distinct = len(set(np.round(rates, 6).tolist()))
         degree = min(self.degree, max(distinct - 1, 0))
         if degree == 0:
             self._coeffs = np.array([float(delays.mean())])

@@ -13,32 +13,30 @@ graceful degradation under overload, and a
 over loopback.
 """
 
-from repro.serve.admission import (
-    REJECT_CAPACITY,
-    REJECT_DRAINING,
-    REJECT_RESUME,
-    REJECT_VERSION,
-    AdmissionDecision,
-    AdmissionPolicy,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.admission": (
+            "REJECT_CAPACITY", "REJECT_DRAINING", "REJECT_RESUME",
+            "REJECT_VERSION", "AdmissionDecision", "AdmissionPolicy",
+        ),
+        "repro.serve.config": (
+            "PROTOCOL_VERSION", "ServeConfig", "resume_enabled",
+            "serve_setup1",
+        ),
+        "repro.serve.loadgen": (
+            "ClientReport", "FleetReport", "LoadGenConfig", "ReconnectPolicy",
+        ),
+        "repro.serve.metrics": ("LatencyHistogram", "ServingMetrics"),
+        "repro.serve.mux": ("run_mux_fleet", "run_serve_and_mux_fleet"),
+        "repro.serve.protocol2": ("BinaryChannelCodec", "WireFrame"),
+        "repro.serve.server": ("ServeResult", "VrServeServer"),
+        "repro.serve.sessions": ("Session", "SessionRegistry"),
+        "repro.serve.slotloop": ("DataPlane", "SlotLoop"),
+    },
 )
-from repro.serve.config import (
-    PROTOCOL_VERSION,
-    ServeConfig,
-    resume_enabled,
-    serve_setup1,
-)
-from repro.serve.loadgen import (
-    ClientReport,
-    FleetReport,
-    LoadGenConfig,
-    ReconnectPolicy,
-)
-from repro.serve.metrics import LatencyHistogram, ServingMetrics
-from repro.serve.mux import run_mux_fleet, run_serve_and_mux_fleet
-from repro.serve.protocol2 import BinaryChannelCodec, WireFrame
-from repro.serve.server import ServeResult, VrServeServer
-from repro.serve.sessions import Session, SessionRegistry
-from repro.serve.slotloop import DataPlane, SlotLoop
 
 __all__ = [
     "AdmissionDecision",

@@ -18,7 +18,7 @@ endpoint exposes are the same instruments, not parallel bookkeeping.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import (
@@ -412,18 +412,9 @@ class ServingMetrics:
     def per_user_quality(self) -> Dict[int, float]:
         """Mean viewed quality per seat from the telemetry stream.
 
-        "Viewed quality" follows the experiment's convention: the
-        allocated level when the frame was displayed, 0 otherwise —
-        averaged over the seat's planned slots.
+        See :meth:`~repro.system.telemetry.Telemetry.viewed_quality_by_user`.
         """
-        totals: Dict[int, Tuple[float, int]] = {}
-        for record in self.telemetry.records:
-            quality = float(record.level) if record.displayed else 0.0
-            total, count = totals.get(record.user, (0.0, 0))
-            totals[record.user] = (total + quality, count + 1)
-        return {
-            user: total / count for user, (total, count) in sorted(totals.items())
-        }
+        return self.telemetry.viewed_quality_by_user()
 
     def summary(self) -> Dict[str, object]:
         """One JSON-serialisable dict with every headline figure."""

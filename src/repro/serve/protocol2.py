@@ -95,9 +95,12 @@ TYPE_REPORT_BATCH = 11
 #: enforced by construction rather than by a mid-slot exception.
 BATCH_SOFT_BYTES = MAX_FRAME_BYTES // 2
 
-#: Decoded/sent pose memory per channel.  The ack loop keeps the
-#: distance between the client's delta base and the server's newest
-#: decoded slot at one in-flight plan, so a small ring is ample.
+#: Decoded/sent pose memory per channel, in report slots.  Both rings
+#: evict their oldest slot past this size, in step, so the base a
+#: sender picks (the newest slot its peer acked) is still in the
+#: decoder's ring; a delta against an evicted base decodes as corrupt.
+#: The ack loop keeps that base within one in-flight plan, so 256 slots
+#: is head-room, not a working set.
 _POSE_MEMORY_SLOTS = 256
 
 _F64 = struct.Struct("!d")
@@ -392,12 +395,13 @@ class BinaryChannelCodec:
     """
 
     def __init__(self) -> None:
-        #: Report poses we sent, awaiting ack: channel -> slot -> pose.
-        self._sent_poses: Dict[int, Dict[int, Tuple[float, ...]]] = {}
+        #: Report poses we sent, awaiting ack: channel -> slot -> the
+        #: pose as its 48 ``_POSE_F`` bytes (what the XOR delta uses).
+        self._sent_poses: Dict[int, Dict[int, bytes]] = {}
         #: Highest report slot the peer acked per channel.
         self._peer_ack: Dict[int, int] = {}
-        #: Report poses we decoded: channel -> slot -> pose.
-        self._decoded_poses: Dict[int, Dict[int, Tuple[float, ...]]] = {}
+        #: Report poses we decoded: channel -> slot -> ``_POSE_F`` bytes.
+        self._decoded_poses: Dict[int, Dict[int, bytes]] = {}
         #: Highest report slot we decoded per channel (our next ack).
         self._decoded_last: Dict[int, int] = {}
 
@@ -583,18 +587,19 @@ class BinaryChannelCodec:
             if base_slot >= 0
             else None
         )
+        packed = _POSE_F.pack(*pose)
         if base is not None:
             _put_bool(body, True)
             _put_varint(body, base_slot + 1)
-            pose_bits6 = _POSE_U.unpack(_POSE_F.pack(*pose))
-            base_bits6 = _POSE_U.unpack(_POSE_F.pack(*base))
+            pose_bits6 = _POSE_U.unpack(packed)
+            base_bits6 = _POSE_U.unpack(base)
             for current_bits, base_bits in zip(pose_bits6, base_bits6):
                 _put_varint(body, current_bits ^ base_bits)
         else:
             _put_bool(body, False)
-            body += _POSE_F.pack(*pose)
+            body += packed
         sent = self._sent_poses.setdefault(channel, {})
-        sent[report.slot] = pose
+        sent[report.slot] = packed
         if len(sent) > _POSE_MEMORY_SLOTS:
             del sent[min(sent)]
         _put_int_tuple(body, report.delivered_ids)
@@ -794,25 +799,22 @@ class BinaryChannelCodec:
                     f"delta report against unknown base pose "
                     f"(channel {channel}, base slot {base_slot})"
                 )
-            base_bits6 = _POSE_U.unpack(_POSE_F.pack(*base))
+            base_bits6 = _POSE_U.unpack(base)
             delta_bits6 = tuple(cursor.varint() for _ in range(6))
-            pose = tuple(
-                float(v)
-                for v in _POSE_F.unpack(
-                    _POSE_U.pack(
-                        *(b ^ d for b, d in zip(base_bits6, delta_bits6))
-                    )
-                )
+            packed = _POSE_U.pack(
+                *(b ^ d for b, d in zip(base_bits6, delta_bits6))
             )
+            pose = tuple(float(v) for v in _POSE_F.unpack(packed))
         else:
             pose = cursor.pose()
+            packed = _POSE_F.pack(*pose)
         delivered_ids = cursor.int_tuple()
         released_ids = cursor.int_tuple()
         indicator = cursor.zigzag()
         delay_slots = cursor.f64()
         viewed_quality = cursor.f64()
         decoded = self._decoded_poses.setdefault(channel, {})
-        decoded[slot] = pose
+        decoded[slot] = packed
         if len(decoded) > _POSE_MEMORY_SLOTS:
             del decoded[min(decoded)]
         if slot > self._decoded_last.get(channel, -1):

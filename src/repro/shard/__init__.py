@@ -18,24 +18,24 @@ restart-with-backoff on top, and :func:`~repro.shard.coordinator.
 run_cluster_and_fleet` runs a cluster and its client fleet in-process.
 """
 
-from repro.shard.config import ShardClusterConfig, derive_trace_path
-from repro.shard.coordinator import (
-    REDIRECT_ASSIGNED,
-    REDIRECT_REBALANCE,
-    REDIRECT_SHARD_KILL,
-    ClusterResult,
-    ShardCoordinator,
-    run_cluster_and_fleet,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.shard.config": ("ShardClusterConfig", "derive_trace_path"),
+        "repro.shard.coordinator": (
+            "REDIRECT_ASSIGNED", "REDIRECT_REBALANCE", "REDIRECT_SHARD_KILL",
+            "ClusterResult", "ShardCoordinator", "run_cluster_and_fleet",
+        ),
+        "repro.shard.handoff": (
+            "HANDOFF_SCHEMA_KIND", "HANDOFF_SCHEMA_VERSION",
+            "HANDOFF_SUPPORTED_VERSIONS", "capture_seat", "install_seat",
+        ),
+        "repro.shard.router": ("SessionRouter",),
+        "repro.shard.supervisor": ("RestartPolicy", "ShardSupervisor"),
+    },
 )
-from repro.shard.handoff import (
-    HANDOFF_SCHEMA_KIND,
-    HANDOFF_SCHEMA_VERSION,
-    HANDOFF_SUPPORTED_VERSIONS,
-    capture_seat,
-    install_seat,
-)
-from repro.shard.router import SessionRouter
-from repro.shard.supervisor import RestartPolicy, ShardSupervisor
 
 __all__ = [
     "ClusterResult",

@@ -9,15 +9,22 @@ coverage indicator against the true pose, and accumulates each user's
 QoE ledger.
 """
 
-from repro.simulation.delaymodel import MM1DelayModel, sample_rtts
-from repro.simulation.metrics import (
-    EpisodeResult,
-    MultiEpisodeResults,
-    UserEpisodeSummary,
-    summarize_ledger,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.simulation.delaymodel": ("MM1DelayModel", "sample_rtts"),
+        "repro.simulation.metrics": (
+            "EpisodeResult", "MultiEpisodeResults", "UserEpisodeSummary",
+            "summarize_ledger",
+        ),
+        "repro.simulation.simulator": ("SimulationConfig", "TraceSimulator"),
+        "repro.simulation.sweep": (
+            "SweepPoint", "best_point", "run_sweep", "sweep_table",
+        ),
+    },
 )
-from repro.simulation.simulator import SimulationConfig, TraceSimulator
-from repro.simulation.sweep import SweepPoint, best_point, run_sweep, sweep_table
 
 __all__ = [
     "SweepPoint",

@@ -24,32 +24,31 @@ here is an *estimate* (EMA throughput, polynomial-regression delay),
 which is exactly the robustness regime Figs. 7-8 probe.
 """
 
-from repro.system.events import EventScheduler
-from repro.system.netem import (
-    FadingProcess,
-    InterferenceField,
-    Router,
-    ThrottledLink,
-    TokenBucket,
-    max_min_fair_share,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.system.events": ("EventScheduler",),
+        "repro.system.netem": (
+            "FadingProcess", "InterferenceField", "Router", "ThrottledLink",
+            "TokenBucket", "max_min_fair_share",
+        ),
+        "repro.system.transport": (
+            "RtpChannel", "TcpChannel", "TransmissionResult",
+        ),
+        "repro.system.client": ("Client", "DecoderPool", "FrameOutcome"),
+        "repro.system.server": ("EdgeServer",),
+        "repro.system.experiment": (
+            "DataPlane", "ExperimentConfig", "SystemExperiment",
+            "setup1_config", "setup2_config",
+        ),
+        "repro.system.rendering": (
+            "GpuSpec", "OnlineRenderingPipeline", "RenderJob", "min_gpus_for",
+        ),
+        "repro.system.telemetry": ("SlotUserRecord", "Telemetry"),
+    },
 )
-from repro.system.transport import RtpChannel, TcpChannel, TransmissionResult
-from repro.system.client import Client, DecoderPool, FrameOutcome
-from repro.system.server import EdgeServer
-from repro.system.experiment import (
-    DataPlane,
-    ExperimentConfig,
-    SystemExperiment,
-    setup1_config,
-    setup2_config,
-)
-from repro.system.rendering import (
-    GpuSpec,
-    OnlineRenderingPipeline,
-    RenderJob,
-    min_gpus_for,
-)
-from repro.system.telemetry import SlotUserRecord, Telemetry
 
 __all__ = [
     "EventScheduler",

@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
+from array import array
 from dataclasses import dataclass
-from typing import IO, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs.registry import Counter, MetricsRegistry
@@ -45,6 +46,10 @@ FIELDS = (
     "covered",
     "delay_slots",
 )
+
+#: Bits of :class:`Telemetry`'s flag column.
+_DISPLAYED = 1
+_COVERED = 2
 
 
 @dataclass(frozen=True)
@@ -114,11 +119,46 @@ class SlotUserRecord:
 
 
 class Telemetry:
-    """Append-only per-slot record store with summary helpers."""
+    """Append-only per-slot record store with summary helpers.
+
+    A served run adds one record per seat per slot, so the store keeps
+    columns, not record objects: ``slot``, ``user`` and ``level`` in
+    ``array("q")``, the four floats in ``array("d")`` and the two flags
+    as bits of one ``array("B")`` — 57 bytes per record.  Queries build
+    :class:`SlotUserRecord` rows on demand; numeric fields read back as
+    ``int`` and ``float``, the types every producer writes.
+    """
 
     def __init__(self) -> None:
-        self._records: List[SlotUserRecord] = []
+        self._slot = array("q")
+        self._user = array("q")
+        self._level = array("q")
+        self._demand = array("d")
+        self._achieved = array("d")
+        self._believed = array("d")
+        self._flags = array("B")
+        self._delay = array("d")
         self._counter: Optional["Counter"] = None
+
+    def _columns(self) -> Tuple["array[Any]", ...]:
+        return (
+            self._slot, self._user, self._level, self._demand,
+            self._achieved, self._believed, self._flags, self._delay,
+        )
+
+    def _row(self, i: int) -> SlotUserRecord:
+        flags = self._flags[i]
+        return SlotUserRecord(
+            self._slot[i],
+            self._user[i],
+            self._level[i],
+            self._demand[i],
+            self._achieved[i],
+            self._believed[i],
+            bool(flags & _DISPLAYED),
+            bool(flags & _COVERED),
+            self._delay[i],
+        )
 
     def attach_registry(self, registry: "MetricsRegistry") -> None:
         """Mirror the record count onto a metrics registry.
@@ -130,23 +170,33 @@ class Telemetry:
             "repro_telemetry_records_total",
             "Slot-user telemetry records collected",
         )
-        if self._records:
-            self._counter.inc(len(self._records))
+        if len(self):
+            self._counter.inc(len(self))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._slot)
 
     @property
     def records(self) -> Sequence[SlotUserRecord]:
-        return tuple(self._records)
+        return tuple(self._row(i) for i in range(len(self)))
 
     def add(self, record: SlotUserRecord) -> None:
-        self._records.append(record)
+        self._slot.append(record.slot)
+        self._user.append(record.user)
+        self._level.append(record.level)
+        self._demand.append(record.demand_mbps)
+        self._achieved.append(record.achieved_mbps)
+        self._believed.append(record.believed_cap_mbps)
+        self._flags.append(
+            (_DISPLAYED if record.displayed else 0)
+            | (_COVERED if record.covered else 0)
+        )
+        self._delay.append(record.delay_slots)
         if self._counter is not None:
             self._counter.inc()
 
     def for_user(self, user: int) -> List[SlotUserRecord]:
-        return [r for r in self._records if r.user == user]
+        return [self._row(i) for i, u in enumerate(self._user) if u == user]
 
     def extract_user(self, user: int) -> List[SlotUserRecord]:
         """Remove and return one user's records (slot order preserved).
@@ -158,8 +208,11 @@ class Telemetry:
         deliberately *not* decremented — it counts collections, not
         residency.
         """
-        extracted = [r for r in self._records if r.user == user]
-        self._records = [r for r in self._records if r.user != user]
+        extracted = self.for_user(user)
+        if extracted:
+            keep = [i for i, u in enumerate(self._user) if u != user]
+            for column in self._columns():
+                column[:] = array(column.typecode, [column[i] for i in keep])
         return extracted
 
     def ingest(self, records: Sequence[SlotUserRecord]) -> None:
@@ -168,14 +221,16 @@ class Telemetry:
             self.add(record)
 
     def for_slot(self, slot: int) -> List[SlotUserRecord]:
-        return [r for r in self._records if r.slot == slot]
+        return [self._row(i) for i, s in enumerate(self._slot) if s == slot]
 
     def miss_slots(self, user: int) -> List[int]:
         """Slots where the user had content allocated but no display."""
         return [
-            r.slot
-            for r in self._records
-            if r.user == user and r.level > 0 and not r.displayed
+            slot
+            for slot, u, level, flags in zip(
+                self._slot, self._user, self._level, self._flags
+            )
+            if u == user and level > 0 and not flags & _DISPLAYED
         ]
 
     def level_timeline(self, user: int) -> List[int]:
@@ -191,13 +246,29 @@ class Telemetry:
         ]
         return sum(samples) / len(samples) if samples else 0.0
 
+    def viewed_quality_by_user(self) -> Dict[int, float]:
+        """Mean viewed quality per user, in user order.
+
+        "Viewed quality" follows the experiment's convention: the
+        allocated level when the frame was displayed, 0 otherwise —
+        averaged over the user's records.
+        """
+        totals: Dict[int, Tuple[float, int]] = {}
+        for user, level, flags in zip(self._user, self._level, self._flags):
+            quality = float(level) if flags & _DISPLAYED else 0.0
+            total, count = totals.get(user, (0.0, 0))
+            totals[user] = (total + quality, count + 1)
+        return {
+            user: total / count for user, (total, count) in sorted(totals.items())
+        }
+
     def summary(self) -> Dict[str, float]:
         """Aggregate counters across all records."""
-        if not self._records:
+        if not len(self):
             raise ConfigurationError("no telemetry recorded yet")
-        total = len(self._records)
-        transmitted = [r for r in self._records if r.level > 0]
-        displayed = sum(1 for r in transmitted if r.displayed)
+        total = len(self)
+        transmitted = [i for i, level in enumerate(self._level) if level > 0]
+        displayed = sum(1 for i in transmitted if self._flags[i] & _DISPLAYED)
         return {
             "records": float(total),
             "transmit_fraction": len(transmitted) / total,
@@ -205,12 +276,12 @@ class Telemetry:
                 displayed / len(transmitted) if transmitted else 0.0
             ),
             "mean_demand_mbps": (
-                sum(r.demand_mbps for r in transmitted) / len(transmitted)
+                sum(self._demand[i] for i in transmitted) / len(transmitted)
                 if transmitted
                 else 0.0
             ),
             "mean_achieved_mbps": (
-                sum(r.achieved_mbps for r in transmitted) / len(transmitted)
+                sum(self._achieved[i] for i in transmitted) / len(transmitted)
                 if transmitted
                 else 0.0
             ),
@@ -221,8 +292,8 @@ class Telemetry:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(FIELDS)
-            for record in self._records:
-                writer.writerow(record.as_row())
+            for i in range(len(self)):
+                writer.writerow(self._row(i).as_row())
 
     def to_jsonl(self, handle: IO[str]) -> None:
         """Write all records as a versioned JSONL stream.
@@ -237,8 +308,8 @@ class Telemetry:
             "fields": list(FIELDS),
         }
         handle.write(json.dumps(header) + "\n")
-        for record in self._records:
-            handle.write(json.dumps(record.as_dict()) + "\n")
+        for i in range(len(self)):
+            handle.write(json.dumps(self._row(i).as_dict()) + "\n")
 
     def save_jsonl(self, path: PathLike) -> None:
         """:meth:`to_jsonl` to a file path."""
@@ -280,7 +351,8 @@ class Telemetry:
         return telemetry
 
     def clear(self) -> None:
-        self._records.clear()
+        for column in self._columns():
+            del column[:]
 
 
 def _parse_json_line(line: str, number: int) -> Dict[str, object]:

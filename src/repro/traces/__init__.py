@@ -15,24 +15,25 @@ matches how the paper consumes the data:
 See DESIGN.md for the substitution rationale.
 """
 
-from repro.traces.network import (
-    FccWebBrowsingModel,
-    LteMobilityModel,
-    NetworkTrace,
-    TraceCatalog,
-    TraceSegment,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.traces.network": (
+            "FccWebBrowsingModel", "LteMobilityModel", "NetworkTrace",
+            "TraceCatalog", "TraceSegment",
+        ),
+        "repro.traces.motion": ("MotionConfig", "MotionTraceGenerator"),
+        "repro.traces.dataset": ("SlotSchedule", "TraceDataset"),
+        "repro.traces.io": (
+            "load_network_trace_csv", "load_network_trace_json",
+            "load_pose_trace_csv", "save_network_trace_csv",
+            "save_network_trace_json", "save_pose_trace_csv",
+        ),
+        "repro.traces.datasets": ("load_bandwidth_log", "load_fcc_webget_csv"),
+    },
 )
-from repro.traces.motion import MotionConfig, MotionTraceGenerator
-from repro.traces.dataset import SlotSchedule, TraceDataset
-from repro.traces.io import (
-    load_network_trace_csv,
-    load_network_trace_json,
-    load_pose_trace_csv,
-    save_network_trace_csv,
-    save_network_trace_json,
-    save_pose_trace_csv,
-)
-from repro.traces.datasets import load_bandwidth_log, load_fcc_webget_csv
 
 __all__ = [
     "load_fcc_webget_csv",

@@ -82,3 +82,31 @@ class TestPolynomialDelayPredictor:
             predictor.observe(1.0, -0.5)
         with pytest.raises(ConfigurationError):
             predictor.predict(-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_samples(self, bad):
+        """One NaN or infinite sample would poison every later fit."""
+        predictor = PolynomialDelayPredictor(min_samples=3)
+        for rate in (10.0, 20.0, 30.0):
+            predictor.observe(rate, rate / 100.0)
+        with pytest.raises(ConfigurationError):
+            predictor.observe(bad, 0.5)
+        with pytest.raises(ConfigurationError):
+            predictor.observe(15.0, bad)
+        assert predictor.num_samples == 3
+        assert predictor.predict(25.0) == pytest.approx(0.25)
+        with pytest.raises(ConfigurationError):
+            PolynomialDelayPredictor().restore_state([(10.0, 0.1), (bad, 0.2)])
+
+    def test_fit_degree_counts_rates_equal_at_six_decimals(self):
+        """The fit degree follows ``np.unique`` over the rounded rates."""
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            base = rng.choice([0.0, -0.0, 1e-7, 4e-7, 1.0000004, 1.0, 5e8, 3.5])
+            rates = np.abs(base + rng.integers(0, 3, size=12) * 1e-7)
+            predictor = PolynomialDelayPredictor(degree=3, min_samples=4)
+            for rate in rates:
+                predictor.observe(float(rate), float(rng.uniform(0.1, 2.0)))
+            predictor.predict(1.0)
+            distinct = len(np.unique(np.round(rates, 6)))
+            assert len(predictor._coeffs) - 1 == min(3, distinct - 1)
