@@ -3,21 +3,22 @@
 :class:`~repro.prediction.motion.LinearMotionPredictor` fits one user
 at a time; a 10k-user slot pays 10k python fits.
 :class:`BatchMotionPredictor` keeps every user's sliding window in one
-``(N, window, 6)`` ring buffer and fits all users of equal history
-length in a single vectorized sweep, using exactly the arithmetic of
-the per-user predictor (same closed-form slope, same unwrap/clamp/wrap
-post-processing) so predictions agree bit-for-bit — property-tested
-in ``tests/kernel/test_batch_predictor.py``.
+``(N, window, 6)`` array and fits all users of equal history
+length in one :func:`~repro.prediction.motion.fit_windows` call — the
+same regression the per-user predictor runs, so predictions agree
+bit-for-bit (property-tested in ``tests/kernel/test_batch_predictor.py``).
+The edge server keeps every seat's pose window here and predicts all
+seats with one :meth:`BatchMotionPredictor.predict` call per slot.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.prediction.motion import _ANGULAR_AXES, _PITCH_AXIS, _unwrap_deg
+from repro.prediction.motion import fit_windows
 
 
 class BatchMotionPredictor:
@@ -40,9 +41,10 @@ class BatchMotionPredictor:
         self.num_users = num_users
         self.window = window
         self.horizon = horizon
+        # Each user's last ``window`` poses, oldest first and newest in
+        # the last row; only the last ``count`` rows are ever read.
         self._buffer = np.zeros((num_users, window, 6), dtype=float)
         self._counts = np.zeros(num_users, dtype=np.int64)
-        self._starts = np.zeros(num_users, dtype=np.int64)
 
     @property
     def num_observations(self) -> np.ndarray:
@@ -70,32 +72,37 @@ class BatchMotionPredictor:
             users = np.nonzero(np.asarray(mask, dtype=bool))[0]
         if users.size == 0:
             return
-        full = self._counts[users] >= self.window
-        slots = np.where(full, self._starts[users], self._counts[users])
-        self._buffer[users, slots] = vectors[users]
+        self._buffer[users, :-1] = self._buffer[users, 1:]
+        self._buffer[users, -1] = vectors[users]
         self._counts[users] = np.minimum(self._counts[users] + 1, self.window)
-        self._starts[users] = np.where(
-            full, (self._starts[users] + 1) % self.window, self._starts[users]
-        )
+
+    def observe_user(self, user: int, vector: Sequence[float]) -> None:
+        """Record one user's measured pose vector (a one-seat observe)."""
+        self._check_user(user)
+        rows = self._buffer[user]
+        rows[:-1] = rows[1:]
+        rows[-1] = vector
+        self._counts[user] = min(int(self._counts[user]) + 1, self.window)
+
+    def export_user(self, user: int) -> List[List[float]]:
+        """One user's pose window as plain vectors (oldest first)."""
+        self._check_user(user)
+        return self._buffer[user, self.window - int(self._counts[user]):].tolist()
 
     def reset_user(self, user: int) -> None:
         """Forget one user's history (teleport / seat reuse)."""
+        self._check_user(user)
+        self._counts[user] = 0
+
+    def _check_user(self, user: int) -> None:
         if not 0 <= user < self.num_users:
             raise ConfigurationError(
                 f"user index must be in [0, {self.num_users}), got {user}"
             )
-        self._counts[user] = 0
-        self._starts[user] = 0
 
     def reset(self) -> None:
         """Forget all history."""
         self._counts[:] = 0
-        self._starts[:] = 0
-
-    def _ordered_history(self, users: np.ndarray, length: int) -> np.ndarray:
-        """``(G, length, 6)`` windows in observation order."""
-        offsets = (self._starts[users, None] + np.arange(length, dtype=np.int64)) % self.window
-        return self._buffer[users[:, None], offsets]
 
     def predict(self, horizon: Optional[int] = None) -> np.ndarray:
         """``(num_users, 6)`` predicted pose vectors for the next slot.
@@ -109,37 +116,9 @@ class BatchMotionPredictor:
         out = np.full((self.num_users, 6), np.nan, dtype=float)
         singles = np.nonzero(self._counts == 1)[0]
         if singles.size:
-            out[singles] = self._buffer[singles, 0]
-        for length in np.unique(self._counts[self._counts >= 2]).tolist():
+            out[singles] = self._buffer[singles, -1]
+        # A set, not ``np.unique``: that would import ``numpy.ma``.
+        for length in sorted(set(self._counts[self._counts >= 2].tolist())):
             users = np.nonzero(self._counts == length)[0]
-            data = self._ordered_history(users, length)
-            out[users] = self._fit(data, length, h)
+            out[users] = fit_windows(self._buffer[users, self.window - length:], h)
         return out
-
-    @staticmethod
-    def _fit(data: np.ndarray, length: int, horizon: int) -> np.ndarray:
-        """Vectorized least-squares fit, one group of equal windows.
-
-        The arithmetic mirrors ``LinearMotionPredictor.predict`` line
-        by line (same intermediate expressions, same reduction
-        lengths), which is what makes the results bit-identical.
-        """
-        times = np.arange(length, dtype=float)
-        target_t = float(length - 1 + horizon)
-        t_mean = times.mean()
-        centered_t = times - t_mean
-        denom = float((centered_t ** 2).sum())
-        predicted = np.empty((data.shape[0], 6), dtype=float)
-        for axis in range(6):
-            series = data[:, :, axis]
-            if axis in _ANGULAR_AXES:
-                series = _unwrap_deg(series)
-            s_mean = series.mean(axis=-1)
-            slope = (centered_t * (series - s_mean[:, None])).sum(axis=-1) / denom
-            predicted[:, axis] = s_mean + slope * (target_t - t_mean)
-        predicted[:, _PITCH_AXIS] = np.minimum(
-            np.maximum(predicted[:, _PITCH_AXIS], -90.0), 90.0
-        )
-        for axis in _ANGULAR_AXES:
-            predicted[:, axis] = (predicted[:, axis] + 180.0) % 360.0 - 180.0
-        return predicted

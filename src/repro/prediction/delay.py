@@ -65,7 +65,8 @@ class PolynomialDelayPredictor:
         self.min_samples = min_samples
         self.fallback_delay = fallback_delay
         self._samples: Deque[Tuple[float, float]] = deque(maxlen=window)
-        self._coeffs: np.ndarray = np.array([])
+        # Highest power first, as np.polyfit returns them.
+        self._coeffs: Tuple[float, ...] = ()
         self._dirty = True
 
     @property
@@ -99,9 +100,9 @@ class PolynomialDelayPredictor:
         distinct = len(set(np.round(rates, 6).tolist()))
         degree = min(self.degree, max(distinct - 1, 0))
         if degree == 0:
-            self._coeffs = np.array([float(delays.mean())])
+            self._coeffs = (float(delays.mean()),)
         else:
-            self._coeffs = np.polyfit(rates, delays, degree)
+            self._coeffs = tuple(np.polyfit(rates, delays, degree).tolist())
         self._dirty = False
 
     def predict(self, rate_mbps: float) -> float:
@@ -114,12 +115,17 @@ class PolynomialDelayPredictor:
             return float(np.mean([s[1] for s in self._samples]))
         if self._dirty:
             self._fit()
-        value = float(np.polyval(self._coeffs, rate_mbps))
+        # Horner's rule in Python floats: np.polyval's exact sequence
+        # of multiplies and adds, without a numpy scalar per query.
+        rate = float(rate_mbps)
+        value = 0.0
+        for coeff in self._coeffs:
+            value = value * rate + coeff
         return max(value, 0.0)
 
     def reset(self) -> None:
         self._samples.clear()
-        self._coeffs = np.array([])
+        self._coeffs = ()
         self._dirty = True
 
     def export_state(self) -> Tuple[Tuple[float, float], ...]:

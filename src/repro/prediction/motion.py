@@ -14,11 +14,10 @@ boundary does not produce a spurious 360-degree jump.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Deque, Optional
 
 import numpy as np
 
-from repro.content.projection import wrap_angle_deg
 from repro.errors import ConfigurationError
 from repro.prediction.pose import Pose
 
@@ -31,6 +30,41 @@ _PITCH_AXIS = 4
 def _unwrap_deg(values: np.ndarray) -> np.ndarray:
     """Unwrap a degree series so consecutive steps are < 180 apart."""
     return np.degrees(np.unwrap(np.radians(values)))
+
+
+def fit_windows(windows: np.ndarray, horizon: int) -> np.ndarray:
+    """The per-axis regression: one predicted vector per pose window.
+
+    ``windows`` is a ``(G, n, 6)`` array of ``G`` windows of ``n >= 2``
+    observed pose vectors each (oldest first).  Each axis is fit with
+    the closed-form degree-1 least-squares line over slot indices
+    (polyfit's rank warnings on constant series never arise) and read
+    ``horizon`` slots past the last pose; pitch is clamped and the
+    angles wrapped.  Returns ``(G, 6)``.  Every linear-regression
+    predictor in the package calls this one function, which keeps the
+    scalar, the per-trajectory and the across-user predictions equal
+    bit for bit.
+    """
+    length = windows.shape[1]
+    times = np.arange(length, dtype=float)
+    target_t = float(length - 1 + horizon)
+    t_mean = times.mean()
+    centered_t = times - t_mean
+    denom = float((centered_t ** 2).sum())
+    predicted = np.empty((windows.shape[0], 6), dtype=float)
+    for axis in range(6):
+        series = windows[:, :, axis]
+        if axis in _ANGULAR_AXES:
+            series = _unwrap_deg(series)
+        s_mean = series.mean(axis=-1)
+        slope = (centered_t * (series - s_mean[:, None])).sum(axis=-1) / denom
+        predicted[:, axis] = s_mean + slope * (target_t - t_mean)
+    predicted[:, _PITCH_AXIS] = np.minimum(
+        np.maximum(predicted[:, _PITCH_AXIS], -90.0), 90.0
+    )
+    for axis in _ANGULAR_AXES:
+        predicted[:, axis] = (predicted[:, axis] + 180.0) % 360.0 - 180.0
+    return predicted
 
 
 class LinearMotionPredictor:
@@ -69,21 +103,6 @@ class LinearMotionPredictor:
         """Forget all history (e.g., after a teleport/scene change)."""
         self._history.clear()
 
-    def export_state(self) -> Tuple[Tuple[float, ...], ...]:
-        """The observed pose window as plain vectors (oldest first)."""
-        return tuple(tuple(p.as_vector()) for p in self._history)
-
-    def restore_state(self, vectors: Sequence[Sequence[float]]) -> None:
-        """Rebuild the pose window from :meth:`export_state` output.
-
-        Replays the vectors through :meth:`observe`, so a restored
-        predictor produces bit-identical predictions to the original
-        (the session-migration handoff relies on this).
-        """
-        self._history.clear()
-        for vector in vectors:
-            self.observe(Pose.from_vector(vector))
-
     def predict(self, horizon: Optional[int] = None) -> Optional[Pose]:
         """Extrapolate the pose ``horizon`` slots past the last one.
 
@@ -98,28 +117,8 @@ class LinearMotionPredictor:
         if len(self._history) == 1:
             return self._history[0]
 
-        n = len(self._history)
-        times = np.arange(n, dtype=float)
-        target_t = float(n - 1 + h)
-        data = np.array([p.as_vector() for p in self._history], dtype=float)
-
-        predicted = np.empty(6, dtype=float)
-        for axis in range(6):
-            series = data[:, axis]
-            if axis in _ANGULAR_AXES:
-                series = _unwrap_deg(series)
-            # Degree-1 least squares fit; closed form avoids polyfit's
-            # rank warnings on constant series.
-            t_mean = times.mean()
-            s_mean = series.mean()
-            denom = float(((times - t_mean) ** 2).sum())
-            slope = float(((times - t_mean) * (series - s_mean)).sum()) / denom
-            predicted[axis] = s_mean + slope * (target_t - t_mean)
-
-        predicted[_PITCH_AXIS] = min(max(predicted[_PITCH_AXIS], -90.0), 90.0)
-        for axis in _ANGULAR_AXES:
-            predicted[axis] = wrap_angle_deg(predicted[axis])
-        return Pose.from_vector(predicted)
+        data = np.array([[p.as_vector() for p in self._history]], dtype=float)
+        return Pose.from_vector(fit_windows(data, h)[0])
 
     def predict_or_last(self, horizon: Optional[int] = None) -> Pose:
         """Like :meth:`predict` but raises if no pose was ever seen."""
@@ -127,27 +126,6 @@ class LinearMotionPredictor:
         if pose is None:
             raise ConfigurationError("predict_or_last called before any observation")
         return pose
-
-
-def _fit_window_vector(data: np.ndarray, horizon: int) -> np.ndarray:
-    """One window's prediction — the exact per-axis math of `predict`."""
-    n = data.shape[0]
-    times = np.arange(n, dtype=float)
-    target_t = float(n - 1 + horizon)
-    predicted = np.empty(6, dtype=float)
-    for axis in range(6):
-        series = data[:, axis]
-        if axis in _ANGULAR_AXES:
-            series = _unwrap_deg(series)
-        t_mean = times.mean()
-        s_mean = series.mean()
-        denom = float(((times - t_mean) ** 2).sum())
-        slope = float(((times - t_mean) * (series - s_mean)).sum()) / denom
-        predicted[axis] = s_mean + slope * (target_t - t_mean)
-    predicted[_PITCH_AXIS] = min(max(predicted[_PITCH_AXIS], -90.0), 90.0)
-    for axis in _ANGULAR_AXES:
-        predicted[axis] = wrap_angle_deg(predicted[axis])
-    return predicted
 
 
 def batch_linear_predictions(
@@ -164,9 +142,9 @@ def batch_linear_predictions(
     bit-for-bit.  Row 0 is NaN (no observation yet); the caller
     applies its own fallback, as the simulator does.
 
-    Warm-up rows (fewer than ``window`` observations) reuse the
-    sequential per-window fit; full windows are evaluated in one
-    vectorized sweep over a sliding-window view.
+    Warm-up rows (fewer than ``window`` observations) are fit one
+    prefix at a time; full windows go through one :func:`fit_windows`
+    call over a sliding-window view.
     """
     if window < 2:
         raise ConfigurationError(f"window must be >= 2, got {window}")
@@ -182,28 +160,12 @@ def batch_linear_predictions(
     if num_slots > 1:
         out[1] = vectors[0]  # single observation: zero-velocity fallback
     for t in range(2, min(window, num_slots)):
-        out[t] = _fit_window_vector(vectors[:t], horizon)
+        out[t] = fit_windows(vectors[None, :t], horizon)[0]
     if num_slots <= window:
         return out
-
-    times = np.arange(window, dtype=float)
-    t_mean = times.mean()
-    centered = times - t_mean
-    denom = float((centered ** 2).sum())
-    target_t = float(window - 1 + horizon)
     # windows[i] = vectors[i : i + window] predicts slot t = i + window.
     windows = np.lib.stride_tricks.sliding_window_view(vectors, window, axis=0)
-    windows = windows[: num_slots - window]
-    for axis in range(6):
-        series = windows[:, axis, :]
-        if axis in _ANGULAR_AXES:
-            series = _unwrap_deg(series)
-        s_mean = series.mean(axis=-1)
-        slope = (centered * (series - s_mean[:, None])).sum(axis=-1) / denom
-        out[window:, axis] = s_mean + slope * (target_t - t_mean)
-    out[window:, _PITCH_AXIS] = np.minimum(
-        np.maximum(out[window:, _PITCH_AXIS], -90.0), 90.0
+    out[window:] = fit_windows(
+        windows[: num_slots - window].transpose(0, 2, 1), horizon
     )
-    for axis in _ANGULAR_AXES:
-        out[window:, axis] = (out[window:, axis] + 180.0) % 360.0 - 180.0
     return out

@@ -1,6 +1,6 @@
 """Structured serving metrics: deadlines, stage latencies, realized QoE.
 
-The slot loop must finish predict + allocate + encode + send inside
+The slot loop must finish fold + allocate + encode + send inside
 one ``SLOT_DURATION_S`` period or the frame misses its display slot
 (Section III ties QoE directly to that deadline).  The serving layer
 therefore times every stage of every slot, tracks the slot-deadline
@@ -29,7 +29,7 @@ from repro.obs.registry import (
 from repro.system.telemetry import Telemetry
 
 #: Pipeline stages timed by the slot loop, in execution order.
-STAGES = ("predict", "allocate", "encode", "send", "slot")
+STAGES = ("fold", "allocate", "encode", "send", "slot")
 
 
 class LatencyHistogram:

@@ -3,7 +3,7 @@
 Every ``slot_s`` the loop snapshots the connected sessions, folds the
 previous slot's client reports into the scheduler, runs Algorithm 1
 once, emulates the RTP tile delivery, and fans one plan frame out per
-connection — the predict / allocate / encode / send pipeline of
+connection — the fold / allocate / encode / send pipeline of
 Fig. 4, with every stage timed against the slot deadline.
 
 The emulated network is the experiment's own
@@ -458,9 +458,9 @@ class SlotLoop:
             stage_s = started_s
             self._fold_pending()
             stage_end_s = loop.time()
-            self.metrics.record_stage("predict", stage_end_s - stage_s)
+            self.metrics.record_stage("fold", stage_end_s - stage_s)
             if builder is not None:
-                builder.stage("predict", stage_s, stage_end_s)
+                builder.stage("fold", stage_s, stage_end_s)
 
             if self.slot_hook is not None and not self.slot_hook(slot):
                 # The coordinator pulled this shard out of service

@@ -21,9 +21,9 @@ from repro.core.allocation import QualityAllocator
 from repro.core.qoe import QoEWeights
 from repro.core.scheduler import CollaborativeVrScheduler
 from repro.errors import ConfigurationError
+from repro.kernel.predict import BatchMotionPredictor
 from repro.prediction.delay import PolynomialDelayPredictor
 from repro.prediction.fov import CoverageEvaluator
-from repro.prediction.motion import LinearMotionPredictor
 from repro.prediction.pose import Pose
 from repro.units import SLOT_DURATION_S
 
@@ -156,13 +156,15 @@ class EdgeServer:
         self.scheduler = CollaborativeVrScheduler(
             num_users, allocator, weights, allow_skip=True
         )
-        self._predictor_window = predictor_window
-        self._prediction_horizon = prediction_horizon
         self._initial_cap_mbps = float(initial_cap_mbps)
-        self._predictors = [
-            LinearMotionPredictor(window=predictor_window, horizon=prediction_horizon)
-            for _ in range(num_users)
-        ]
+        # Every seat's pose window, predicted in one sweep per slot.
+        self._motion = BatchMotionPredictor(
+            num_users, window=predictor_window, horizon=prediction_horizon
+        )
+        # Each seat's newest observed pose: a seat with one observation
+        # plans with that very object, since rebuilding it from the
+        # stored vector would wrap its angles a second time.
+        self._last_poses: List[Optional[Pose]] = [None] * num_users
         # Plain float estimates with EMA updates on saturated samples;
         # see observe-throughput logic in complete_slot.
         self._cap_estimates = [float(initial_cap_mbps)] * num_users
@@ -208,7 +210,8 @@ class EdgeServer:
     # ------------------------------------------------------------------
     def observe_pose(self, user: int, pose: Pose) -> None:
         """Fold a pose upload (TCP) into the user's motion history."""
-        self._predictors[user].observe(pose)
+        self._motion.observe_user(user, pose.as_vector())
+        self._last_poses[user] = pose
 
     def acknowledge_release(self, user: int, video_ids: Sequence[int]) -> None:
         """Client evicted tiles: forget them so they can be resent."""
@@ -234,7 +237,8 @@ class EdgeServer:
             raise ConfigurationError(
                 f"user index must be in [0, {self.num_users}), got {user}"
             )
-        self._predictors[user].reset()
+        self._motion.reset_user(user)
+        self._last_poses[user] = None
         self._delay_predictors[user].reset()
         self._delivered[user].clear()
         self._cap_estimates[user] = self._initial_cap_mbps
@@ -263,9 +267,7 @@ class EdgeServer:
             )
         cache = self._tile_caches[user]
         return {
-            "pose_window": [
-                list(v) for v in self._predictors[user].export_state()
-            ],
+            "pose_window": self._motion.export_user(user),
             "delay_samples": [
                 list(s) for s in self._delay_predictors[user].export_state()
             ],
@@ -309,9 +311,8 @@ class EdgeServer:
         misses = _seat_int(state, "cache_misses")
 
         self.reset_user(user)
-        self._predictors[user].restore_state(
-            [[float(x) for x in vector] for vector in pose_window]
-        )
+        for vector in pose_window:
+            self.observe_pose(user, Pose.from_vector(vector))
         self._delay_predictors[user].restore_state(
             [(float(s[0]), float(s[1])) for s in delay_samples]
         )
@@ -332,6 +333,19 @@ class EdgeServer:
     def estimated_cap(self, user: int) -> float:
         """Safety-discounted capacity estimate used as ``B_n(t)``."""
         return self._cap_estimates[user] * self._safety
+
+    def _predicted_poses(self) -> List[Optional[Pose]]:
+        """Every seat's display-time pose from one batched regression."""
+        rows = self._motion.predict().tolist()
+        predicted: List[Optional[Pose]] = []
+        for n, count in enumerate(self._motion.num_observations.tolist()):
+            if count == 0:
+                predicted.append(None)
+            elif count == 1:
+                predicted.append(self._last_poses[n])
+            else:
+                predicted.append(Pose.from_vector(rows[n]))
+        return predicted
 
     def plan_slot(self, max_levels: Optional[Sequence[int]] = None) -> SlotPlan:
         """Allocate quality and select missing tiles for every user.
@@ -356,13 +370,11 @@ class EdgeServer:
         delay_fns = []
         caps = []
         raw_caps = []
-        predicted: List[Optional[Pose]] = []
         cells: List[int] = []
         tile_sets: List[Tuple[int, ...]] = []
 
-        for n in range(self.num_users):
-            pose = self._predictors[n].predict()
-            predicted.append(pose)
+        predicted = self._predicted_poses()
+        for n, pose in enumerate(predicted):
             if pose is None:
                 # No pose yet: plan a placeholder the allocator can
                 # skip; cell 0 keeps the rate curve well defined.

@@ -1,4 +1,4 @@
-"""BatchMotionPredictor vs per-user LinearMotionPredictor.
+"""BatchMotionPredictor vs the reference scalar motion predictor.
 
 Property test: drive a population through random walks with partial
 observation masks and a mid-stream reset, and demand ``np.array_equal``
@@ -11,8 +11,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernel import BatchMotionPredictor
-from repro.prediction.motion import LinearMotionPredictor
 from repro.prediction.pose import Pose
+from tests.prediction._reference_motion import ReferenceLinearMotionPredictor
 
 SEED = 20220806
 
@@ -42,7 +42,8 @@ def test_matches_scalar_predictors_under_masks_and_resets():
     rng = np.random.default_rng(SEED)
     batch = BatchMotionPredictor(num_users, window=window, horizon=1)
     scalars = [
-        LinearMotionPredictor(window=window, horizon=1) for _ in range(num_users)
+        ReferenceLinearMotionPredictor(window=window, horizon=1)
+        for _ in range(num_users)
     ]
     for step in range(steps):
         poses = _random_poses(rng, num_users)
@@ -63,7 +64,8 @@ def test_smooth_walk_matches_scalar_predictors():
     rng = np.random.default_rng(SEED + 1)
     batch = BatchMotionPredictor(num_users, window=window, horizon=2)
     scalars = [
-        LinearMotionPredictor(window=window, horizon=2) for _ in range(num_users)
+        ReferenceLinearMotionPredictor(window=window, horizon=2)
+        for _ in range(num_users)
     ]
     poses = _random_poses(rng, num_users)
     for step in range(steps):
@@ -117,3 +119,28 @@ def test_bad_observe_and_predict_rejected():
         batch.predict(horizon=0)
     with pytest.raises(ConfigurationError):
         batch.reset_user(2)
+
+
+def test_one_seat_observe_and_window_export():
+    # observe_user is observe with a one-hot mask; export_user reads the
+    # window back oldest first, also once it is full and sliding.
+    rng = np.random.default_rng(SEED + 2)
+    num_users, window = 3, 4
+    single = BatchMotionPredictor(num_users, window=window)
+    masked = BatchMotionPredictor(num_users, window=window)
+    seen = [[] for _ in range(num_users)]
+    for _ in range(11):
+        poses = _random_poses(rng, num_users)
+        user = int(rng.integers(num_users))
+        single.observe_user(user, poses[user])
+        masked.observe(poses, mask=np.arange(num_users) == user)
+        seen[user].append(list(poses[user]))
+        assert np.array_equal(single.predict(), masked.predict(), equal_nan=True)
+        for n in range(num_users):
+            assert single.export_user(n) == seen[n][-window:]
+    single.reset_user(0)
+    assert single.export_user(0) == []
+    with pytest.raises(ConfigurationError):
+        single.observe_user(num_users, poses[0])
+    with pytest.raises(ConfigurationError):
+        single.export_user(-1)

@@ -59,7 +59,7 @@ class TestDeadlineMissFlightDump:
         # the per-user allocation grandchildren under allocate.
         assert span.attrs["deadline_hit"] is False
         stage_names = [c.name for c in span.children]
-        assert stage_names == ["predict", "allocate", "encode", "send"]
+        assert stage_names == ["fold", "allocate", "encode", "send"]
         allocate = span.find("allocate")[0]
         seats = [u.attrs["seat"] for u in allocate.find("user")]
         assert seats, "allocate stage has no per-user spans"

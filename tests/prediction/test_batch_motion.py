@@ -1,4 +1,4 @@
-"""Vectorized batch predictions vs the sequential predictor."""
+"""The vectorized motion regression vs the reference scalar predictor."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.prediction.motion import LinearMotionPredictor, batch_linear_predictions
 from repro.prediction.pose import Pose
+from tests.prediction._reference_motion import ReferenceLinearMotionPredictor
 
 
 def _random_walk(rng, num_slots):
@@ -17,6 +18,26 @@ def _random_walk(rng, num_slots):
     return [Pose.from_vector(raw[t]) for t in range(num_slots)]
 
 
+class TestLinearMotionPredictor:
+    @pytest.mark.parametrize("window", [2, 3, 10])
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_equal_to_reference(self, window, horizon):
+        rng = np.random.default_rng(7)
+        predictor = LinearMotionPredictor(window=window, horizon=horizon)
+        reference = ReferenceLinearMotionPredictor(window=window, horizon=horizon)
+        for t, pose in enumerate(_random_walk(rng, 120)):
+            # repr compares every float exactly, signs of zero included.
+            assert repr(predictor.predict()) == repr(reference.predict()), t
+            predictor.observe(pose)
+            reference.observe(pose)
+
+    def test_single_observation_is_the_observed_pose(self):
+        pose = Pose(1.0, 2.0, 0.5, 179.99999999999997, 10.0, -5.0)
+        predictor = LinearMotionPredictor(window=4, horizon=2)
+        predictor.observe(pose)
+        assert predictor.predict() is pose
+
+
 class TestBatchLinearPredictions:
     @pytest.mark.parametrize("window", [2, 3, 10])
     def test_bitwise_equal_to_sequential(self, window):
@@ -25,7 +46,7 @@ class TestBatchLinearPredictions:
         vectors = np.array([p.as_vector() for p in poses])
         batch = batch_linear_predictions(vectors, window=window, horizon=1)
 
-        predictor = LinearMotionPredictor(window=window, horizon=1)
+        predictor = ReferenceLinearMotionPredictor(window=window, horizon=1)
         for t, pose in enumerate(poses):
             sequential = predictor.predict()
             if sequential is None:

@@ -1,7 +1,11 @@
 """Tests for the polynomial-regression delay predictor."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.prediction.delay import PolynomialDelayPredictor
@@ -110,3 +114,57 @@ class TestPolynomialDelayPredictor:
             predictor.predict(1.0)
             distinct = len(np.unique(np.round(rates, 6)))
             assert len(predictor._coeffs) - 1 == min(3, distinct - 1)
+
+
+def _polyval_reference(predictor, rate):
+    """The prediction as ``np.polyval`` computes it on the same fit."""
+    samples = predictor.export_state()
+    if len(samples) < predictor.min_samples:
+        if not samples:
+            return predictor.fallback_delay
+        return float(np.mean([s[1] for s in samples]))
+    rates = np.array([s[0] for s in samples])
+    delays = np.array([s[1] for s in samples])
+    distinct = len(np.unique(np.round(rates, 6)))
+    degree = min(predictor.degree, max(distinct - 1, 0))
+    if degree == 0:
+        coeffs = np.array([float(delays.mean())])
+    else:
+        coeffs = np.polyfit(rates, delays, degree)
+    return max(float(np.polyval(coeffs, rate)), 0.0)
+
+
+_RATES = st.one_of(
+    st.sampled_from([0.0, 12.5, 40.0]),
+    st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    degree=st.integers(min_value=1, max_value=3),
+    samples=st.lists(
+        st.tuples(
+            _RATES,
+            st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        ),
+        max_size=20,
+    ),
+    queries=st.lists(_RATES, min_size=1, max_size=7),
+)
+def test_horner_prediction_equals_polyval(degree, samples, queries):
+    """Bit-identical to ``np.polyval``: degree-0 and degree-1 fits (a
+    window of one or two distinct rates), the under-``min_samples``
+    mean, the empty fallback and the ``0.0`` clamp (compared with
+    the sign of zero)."""
+    predictor = PolynomialDelayPredictor(
+        degree=degree, min_samples=degree + 1
+    )
+    for rate, delay in samples:
+        predictor.observe(rate, delay)
+    for rate in queries:
+        got = predictor.predict(rate)
+        want = _polyval_reference(predictor, rate)
+        assert (got, math.copysign(1.0, got)) == (
+            want, math.copysign(1.0, want)
+        )

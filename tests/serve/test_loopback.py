@@ -53,7 +53,7 @@ class TestSmoke:
         result, _ = run_loopback(
             serve_config, LoadGenConfig(num_clients=2, seed=0)
         )
-        for stage in ("predict", "allocate", "encode", "send", "slot"):
+        for stage in ("fold", "allocate", "encode", "send", "slot"):
             assert len(result.metrics.stage_latency[stage]) == result.slots
 
 

@@ -1,5 +1,6 @@
 """Tests for the edge server planner."""
 
+import numpy as np
 import pytest
 
 from repro.content.database import TileDatabase
@@ -232,3 +233,48 @@ class TestSeatRateCurves:
             complete(fresh, reference)
         assert 10 < moves < 80
         assert len(calls) == moves
+
+
+class TestBatchedMotionState:
+    """Seat motion state lives in one batched predictor."""
+
+    @pytest.mark.parametrize("fill", [0, 1, 4, 10, 23])
+    def test_export_import_round_trips_every_window_fill(self, fill):
+        # 0 (empty), 1 (single pose), 4 (partial), 10 (full) and 23
+        # (the ring has wrapped) observations in a window of 10.
+        rng = np.random.default_rng(fill)
+
+        def random_pose():
+            return Pose(
+                float(rng.uniform(1, 7)), float(rng.uniform(1, 7)), 1.6,
+                float(rng.uniform(-180, 180)), float(rng.uniform(-60, 60)),
+            )
+
+        source = make_server(num_users=1, refresh=0)
+        for _ in range(fill):
+            source.observe_pose(0, random_pose())
+            complete(source, source.plan_slot())
+        state = source.export_seat(0)
+        assert len(state["pose_window"]) == min(fill, 10)
+        target = make_server(num_users=1, refresh=0)
+        target.import_seat(0, state)
+        assert target.export_seat(0) == state
+        for _ in range(12):
+            ours, theirs = source.plan_slot(), target.plan_slot()
+            assert ours.users == theirs.users
+            complete(source, ours)
+            complete(target, theirs)
+            next_pose = random_pose()
+            source.observe_pose(0, next_pose)
+            target.observe_pose(0, next_pose)
+
+    def test_single_pose_window_plans_with_that_pose(self):
+        # Rebuilding this pose from its vector would wrap yaw 180.0
+        # to -180.0: the planner must hand back the observed object.
+        observed = Pose(4.0, 4.0, 1.6, -180.0 - 2.0 ** -45, 0.0)
+        assert Pose.from_vector(observed.as_vector()) != observed
+        server = make_server(num_users=2)
+        server.observe_pose(1, observed)
+        plan = server.plan_slot()
+        assert plan.users[0].predicted_pose is None
+        assert plan.users[1].predicted_pose is observed
