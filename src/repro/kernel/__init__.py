@@ -16,8 +16,11 @@ arrays instead of ``N`` per-user objects:
   array solver with automatic object-solver fallback.
 - :class:`~repro.kernel.predict.BatchMotionPredictor` — all users'
   linear-regression motion fits in one sweep.
-- :class:`~repro.kernel.coverage.BatchCoverage` — vectorized FoV
-  coverage indicators sharing the scalar evaluator's exact caches.
+
+FoV coverage has one implementation,
+:class:`~repro.prediction.fov.CoverageEvaluator`, whose
+``tiles_to_deliver`` and ``indicators`` already take whole-slot
+arrays; :mod:`repro.kernel.coverage` only keeps an alias of it.
 
 See the "Slot kernel" section of ``benchmarks/perf/README.md`` for
 layout and performance notes.
@@ -30,7 +33,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.kernel.allocator": ("ArrayAllocator",),
         "repro.kernel.batch": ("SlotBatch", "mm1_delay_matrix"),
-        "repro.kernel.coverage": ("BatchCoverage",),
         "repro.kernel.predict": ("BatchMotionPredictor",),
         "repro.kernel.solver": (
             "ArraySolution", "solve_arrays", "solve_batch",
@@ -41,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(
 __all__ = [
     "ArrayAllocator",
     "ArraySolution",
-    "BatchCoverage",
     "BatchMotionPredictor",
     "SlotBatch",
     "mm1_delay_matrix",

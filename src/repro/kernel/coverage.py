@@ -1,178 +1,11 @@
-"""Vectorized FoV-coverage indicators over a user population.
+"""Former home of the batched FoV-coverage indicators.
 
-The scalar :class:`~repro.prediction.fov.CoverageEvaluator` answers
-one user at a time: tile-overlap queries through an exact
-yaw-bucket / pitch-row memo, then a cell-proximity plus
-tile-subset check.  :class:`BatchCoverage` evaluates all ``N`` users
-of a slot at once: the bucket keys are computed with array
-arithmetic (replicating the scalar key derivation bit-for-bit), the
-distinct keys of the slot — a handful, the key space is tiny — are
-resolved through the evaluator's own memo, and the subset check runs
-on tile *bitmasks* (the paper's grid has four tiles, so a mask is one
-small integer).
-
-When the evaluator's exact bucket does not exist (cache disabled or
-non-integral geometry), the batch path degrades to calling the scalar
-evaluator per user — slower, never different.
+:class:`~repro.prediction.fov.CoverageEvaluator` is the one coverage
+path, and its ``indicators`` scores a whole slot or episode on
+arrays.  The e2e benchmark's traced pass wraps
+``BatchCoverage.indicators`` by name, so the old name stays an alias.
 """
 
-from __future__ import annotations
+from repro.prediction.fov import CoverageEvaluator as BatchCoverage
 
-from typing import Dict, FrozenSet, Tuple
-
-import numpy as np
-
-from repro.content.projection import FieldOfView
-from repro.errors import ConfigurationError
-from repro.prediction.fov import CoverageEvaluator
-from repro.prediction.pose import Pose
-
-#: Bound on the bitmask memos, mirroring the scalar evaluator's
-#: tile-cache guard.
-_MASK_CACHE_LIMIT = 65536
-
-
-def _mask_of(tiles: FrozenSet[int]) -> int:
-    mask = 0
-    for tile in tiles:
-        mask |= 1 << tile
-    return mask
-
-
-class BatchCoverage:
-    """Slot-wide ``1_n(t)`` evaluation on arrays.
-
-    Wraps a :class:`CoverageEvaluator` and reproduces its
-    :meth:`~repro.prediction.fov.CoverageEvaluator.evaluate` decision
-    for every user in one call.  Cells are taken as arrays (callers
-    already vectorize :meth:`~repro.content.tiles.GridWorld.cells_of`).
-    """
-
-    def __init__(self, evaluator: CoverageEvaluator) -> None:
-        self.evaluator = evaluator
-        self._deliver_masks: Dict[Tuple[int, int, int], int] = {}
-        self._needed_masks: Dict[Tuple[int, int, int], int] = {}
-
-    def _keys(
-        self, yaw: np.ndarray, pitch: np.ndarray, fov: FieldOfView, bucket: float
-    ) -> np.ndarray:
-        """``(N, 3)`` exact memo keys — the scalar key math on arrays."""
-        half_h = fov.horizontal_deg / 2.0
-        half_v = fov.vertical_deg / 2.0
-        yaw_lo = yaw - half_h
-        if np.isinf(bucket):
-            yaw_key = np.zeros(yaw.shape, dtype=np.int64)
-        else:
-            wrapped = (yaw_lo + 180.0) % 360.0 - 180.0
-            yaw_key = np.floor(wrapped / bucket).astype(np.int64)
-        rows = self.evaluator.grid.rows
-        pitch_lo = np.maximum(pitch - half_v, -90.0)
-        pitch_hi = np.minimum(pitch + half_v, 90.0)
-        row_lo = np.minimum(
-            ((90.0 - pitch_lo) / 180.0 * rows).astype(np.int64), rows - 1
-        )
-        row_hi = np.minimum(
-            ((90.0 - pitch_hi) / 180.0 * rows).astype(np.int64), rows - 1
-        )
-        return np.stack([yaw_key, row_lo, row_hi], axis=1)
-
-    def _tile_masks(
-        self,
-        yaw: np.ndarray,
-        pitch: np.ndarray,
-        fov: FieldOfView,
-        bucket: float,
-        masks: Dict[Tuple[int, int, int], int],
-    ) -> np.ndarray:
-        """Per-user delivered/needed tile sets as integer bitmasks."""
-        keys = self._keys(yaw, pitch, fov, bucket)
-        unique, first_index, inverse = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
-        unique_masks = np.empty(unique.shape[0], dtype=np.int64)
-        for i in range(unique.shape[0]):
-            key = (int(unique[i, 0]), int(unique[i, 1]), int(unique[i, 2]))
-            mask = masks.get(key)
-            if mask is None:
-                if len(masks) >= _MASK_CACHE_LIMIT:
-                    masks.clear()
-                representative = int(first_index[i])
-                tiles = self.evaluator.grid.tiles_overlapping(
-                    float(yaw[representative]), float(pitch[representative]), fov
-                )
-                mask = masks[key] = _mask_of(tiles)
-            unique_masks[i] = mask
-        return unique_masks[inverse]
-
-    def indicators(
-        self,
-        predicted_yaw: np.ndarray,
-        predicted_pitch: np.ndarray,
-        actual_yaw: np.ndarray,
-        actual_pitch: np.ndarray,
-        predicted_cells: np.ndarray,
-        actual_cells: np.ndarray,
-    ) -> np.ndarray:
-        """``1_n(t)`` per user — identical to scalar ``evaluate``."""
-        arrays = [
-            np.asarray(a, dtype=float)
-            for a in (predicted_yaw, predicted_pitch, actual_yaw, actual_pitch)
-        ]
-        predicted_yaw, predicted_pitch, actual_yaw, actual_pitch = arrays
-        predicted_cells = np.asarray(predicted_cells, dtype=np.int64)
-        actual_cells = np.asarray(actual_cells, dtype=np.int64)
-        num = predicted_yaw.shape[0]
-        for a in (predicted_pitch, actual_yaw, actual_pitch,
-                  predicted_cells, actual_cells):
-            if a.shape != (num,):
-                raise ConfigurationError(
-                    "all batch coverage inputs must share one (N,) shape"
-                )
-        evaluator = self.evaluator
-        deliver_bucket = evaluator._deliver_bucket
-        needed_bucket = evaluator._needed_bucket
-        if deliver_bucket is None or needed_bucket is None:
-            return self._indicators_scalar(
-                predicted_yaw, predicted_pitch, actual_yaw, actual_pitch,
-                predicted_cells, actual_cells,
-            )
-        delivered = self._tile_masks(
-            predicted_yaw, predicted_pitch, evaluator._delivery_fov,
-            deliver_bucket, self._deliver_masks,
-        )
-        needed = self._tile_masks(
-            actual_yaw, actual_pitch, evaluator.fov,
-            needed_bucket, self._needed_masks,
-        )
-        world_cols = evaluator.world.cols
-        row_a, col_a = np.divmod(predicted_cells, world_cols)
-        row_b, col_b = np.divmod(actual_cells, world_cols)
-        tolerance = evaluator.cell_tolerance
-        close = (np.abs(row_a - row_b) <= tolerance) & (
-            np.abs(col_a - col_b) <= tolerance
-        )
-        covered = close & ((needed & ~delivered) == 0)
-        return covered.astype(np.int64)
-
-    def _indicators_scalar(
-        self,
-        predicted_yaw: np.ndarray,
-        predicted_pitch: np.ndarray,
-        actual_yaw: np.ndarray,
-        actual_pitch: np.ndarray,
-        predicted_cells: np.ndarray,
-        actual_cells: np.ndarray,
-    ) -> np.ndarray:
-        """Per-user fallback when no exact bucket exists."""
-        out = np.empty(predicted_yaw.shape[0], dtype=np.int64)
-        for n in range(out.size):
-            outcome = self.evaluator.evaluate(
-                Pose(0.0, 0.0, 0.0,
-                     float(predicted_yaw[n]), float(predicted_pitch[n]), 0.0),
-                Pose(0.0, 0.0, 0.0,
-                     float(actual_yaw[n]), float(actual_pitch[n]), 0.0),
-                predicted_cell=int(predicted_cells[n]),
-                actual_cell=int(actual_cells[n]),
-            )
-            out[n] = outcome.indicator
-        return out
+__all__ = ["BatchCoverage"]

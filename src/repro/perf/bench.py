@@ -11,8 +11,9 @@ arguments, so tests call them directly at tiny scale:
 * :func:`bench_simulator` — episode replay slots/s (cold and warm)
   and the serial vs ``max_workers`` episode fan-out.
 * :func:`bench_kernel` — one slot of the per-user-object pipeline vs
-  the array kernel, plus batched motion prediction and FoV coverage
-  against their scalar twins; levels must agree on every slot.
+  the array kernel, plus batched motion prediction against its scalar
+  twin and ``CoverageEvaluator.indicators`` against per-user
+  ``evaluate``; levels must agree on every slot.
 * :func:`bench_serve` — paced loopback fleets: slot-deadline hit rate,
   p50/p99 slot latency and the largest fleet sustained at the target.
 * :func:`bench_obs` — the slot-pipeline cost of full observability.
@@ -77,7 +78,6 @@ from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
 from repro.kernel.allocator import ArrayAllocator
 from repro.kernel.batch import SlotBatch, mm1_delay_matrix
-from repro.kernel.coverage import BatchCoverage
 from repro.kernel.predict import BatchMotionPredictor
 from repro.kernel.solver import solve_arrays
 from repro.knapsack.greedy import combined_greedy
@@ -387,10 +387,9 @@ def _bench_predictor(
 def _bench_coverage(
     rng: np.random.Generator, num_users: int, repeats: int
 ) -> Dict[str, object]:
-    """Batched vs per-user coverage indicators on one population."""
+    """``indicators`` vs per-user ``evaluate`` on one population."""
     world = GridWorld()
     evaluator = CoverageEvaluator(world, TileGrid(), FieldOfView())
-    batch = BatchCoverage(evaluator)
     pyaw = rng.uniform(-180.0, 180.0, size=num_users)
     ppitch = rng.uniform(-90.0, 90.0, size=num_users)
     ayaw = pyaw + rng.normal(0.0, 10.0, size=num_users)
@@ -412,7 +411,7 @@ def _bench_coverage(
         ]
 
     def batch_pass() -> np.ndarray:
-        return batch.indicators(pyaw, ppitch, ayaw, apitch, pcell, acell)
+        return evaluator.indicators(pyaw, ppitch, ayaw, apitch, pcell, acell)
 
     batch_s = _best_of(repeats, batch_pass)
     scalar_s = _best_of(repeats, scalar_pass)

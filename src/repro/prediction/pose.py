@@ -7,11 +7,26 @@ paper's predictor tracks per user (Section II).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.content.projection import angular_difference_deg, wrap_angle_deg
 from repro.errors import ConfigurationError
+
+
+def is_finite_vector(vec: object) -> bool:
+    """Whether ``vec`` is six finite real numbers.
+
+    Untrusted poses (wire frames, JSON handoff blobs) are checked with
+    this: downstream, a NaN becomes a garbage cell, not an error.
+    """
+    if not isinstance(vec, (list, tuple)) or len(vec) != 6:
+        return False
+    try:
+        return all(map(math.isfinite, vec))
+    except (TypeError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FrameCorruptError, TransportError
+from repro.prediction.pose import is_finite_vector
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     Bye,
@@ -130,6 +131,15 @@ def _check_finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise TransportError(f"cannot encode non-finite {what}: {value!r}")
     return float(value)
+
+
+def _finite_pose(values: Tuple[float, ...]) -> Tuple[float, ...]:
+    # The encoder never sends a non-finite pose; refuse one on decode
+    # too, so a hostile peer cannot plan a seat at a garbage cell.
+    pose = tuple(float(v) for v in values)
+    if not is_finite_vector(pose):
+        raise FrameCorruptError(f"non-finite pose component in {pose!r}")
+    return pose
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +314,7 @@ class _Cursor:
             raise FrameCorruptError("frame body truncated (pose)")
         values = _POSE_F.unpack_from(self._data, self._pos)
         self._pos += 48
-        return tuple(float(v) for v in values)
+        return _finite_pose(values)
 
     def int_tuple(self) -> Tuple[int, ...]:
         count = self.varint()
@@ -804,7 +814,7 @@ class BinaryChannelCodec:
             packed = _POSE_U.pack(
                 *(b ^ d for b, d in zip(base_bits6, delta_bits6))
             )
-            pose = tuple(float(v) for v in _POSE_F.unpack(packed))
+            pose = _finite_pose(_POSE_F.unpack(packed))
         else:
             pose = cursor.pose()
             packed = _POSE_F.pack(*pose)

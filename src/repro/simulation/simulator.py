@@ -23,8 +23,8 @@ inputs are allocator-independent: pose predictions and viewpoint
 cells are precomputed per episode with vectorized numpy (bit-identical
 to the sequential predictor — see
 :func:`repro.prediction.motion.batch_linear_predictions`), rate curves
-and M/M/1 delay closures are memoized, and the coverage evaluator
-memoizes its tile-overlap queries on exact keys.  Because the random
+and M/M/1 delay closures are memoized, and every ``1_n(t)`` of an
+episode comes from one batched coverage call.  Because the random
 substrate depends only on ``(config.seed, episode)``, episodes are
 independent and :meth:`TraceSimulator.run` can fan them out over a
 process pool (``max_workers``) with results identical to the serial
@@ -310,6 +310,16 @@ class TraceSimulator:
             [[p.x for p in row[:num_slots]] for row in schedule.poses],
             [[p.y for p in row[:num_slots]] for row in schedule.poses],
         )
+        # 1_n(t) for every (user, slot) in one batched call; the loop
+        # reads it only where the user was served.
+        covered = self.coverage.indicators(
+            [p.yaw for row in predicted_poses for p in row],
+            [p.pitch for row in predicted_poses for p in row],
+            [p.yaw for row in schedule.poses for p in row[:num_slots]],
+            [p.pitch for row in schedule.poses for p in row[:num_slots]],
+            predicted_cells.ravel(),
+            actual_cells.ravel(),
+        ).reshape(predicted_cells.shape).tolist()
 
         for t in range(num_slots):
             caps = schedule.bandwidth_mbps[:, t]
@@ -333,26 +343,14 @@ class TraceSimulator:
             )
             levels = scheduler.allocate(problem)
 
-            indicators = []
-            delays = []
-            for n in range(cfg.num_users):
-                actual = schedule.poses[n][t]
-                if levels[n] > 0:
-                    outcome = self.coverage.evaluate(
-                        predicted_poses[n][t],
-                        actual,
-                        predicted_cell=int(predicted_cells[n][t]),
-                        actual_cell=int(actual_cells[n][t]),
-                    )
-                    indicators.append(outcome.indicator)
-                    delays.append(
-                        self.delay_model.delay(
-                            sizes[n][levels[n] - 1], float(caps[n])
-                        )
-                    )
-                else:
-                    indicators.append(0)
-                    delays.append(0.0)
+            served = [n for n in range(cfg.num_users) if levels[n] > 0]
+            indicators = [0] * cfg.num_users
+            delays = [0.0] * cfg.num_users
+            for n in served:
+                indicators[n] = covered[n][t]
+                delays[n] = self.delay_model.delay(
+                    sizes[n][levels[n] - 1], float(caps[n])
+                )
 
             scheduler.record_outcomes(levels, indicators, delays)
             if telemetry is not None:

@@ -10,6 +10,7 @@ delay), and transmits only the tiles the user does not already hold
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -24,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.kernel.predict import BatchMotionPredictor
 from repro.prediction.delay import PolynomialDelayPredictor
 from repro.prediction.fov import CoverageEvaluator
-from repro.prediction.pose import Pose
+from repro.prediction.pose import Pose, is_finite_vector
 from repro.units import SLOT_DURATION_S
 
 _EPS = 1e-9
@@ -301,10 +302,24 @@ class EdgeServer:
             raise ConfigurationError("seat state 'delivered_ids' must be a list")
         if not isinstance(sched_state, Mapping):
             raise ConfigurationError("seat state 'scheduler' must be an object")
+        # The blob is JSON, which admits NaN and Infinity: a non-finite
+        # pose or a negative/non-finite cap would poison every later
+        # plan_slot on this shard, so refuse it here.
+        for vector in pose_window:
+            if not is_finite_vector(vector):
+                raise ConfigurationError(
+                    "seat state 'pose_window' entries must be six finite "
+                    f"numbers, got {vector!r}"
+                )
         cap = state.get("cap_estimate_mbps")
-        if isinstance(cap, bool) or not isinstance(cap, (int, float)):
+        if (
+            isinstance(cap, bool)
+            or not isinstance(cap, (int, float))
+            or not 0 <= cap <= sys.float_info.max  # False for NaN
+        ):
             raise ConfigurationError(
-                f"seat state 'cap_estimate_mbps' must be a number, got {cap!r}"
+                "seat state 'cap_estimate_mbps' must be a finite number "
+                f">= 0, got {cap!r}"
             )
         center = _seat_int(state, "cache_center_cell")
         hits = _seat_int(state, "cache_hits")
@@ -370,19 +385,25 @@ class EdgeServer:
         delay_fns = []
         caps = []
         raw_caps = []
-        cells: List[int] = []
-        tile_sets: List[Tuple[int, ...]] = []
 
         predicted = self._predicted_poses()
+        # Seats with no pose yet plan a placeholder the allocator can
+        # skip; cell 0 keeps the rate curve well defined.  Every live
+        # seat's cell and tiles come from one batched sweep each.
+        cells: List[int] = [0] * self.num_users
+        tile_sets: List[Tuple[int, ...]] = [()] * self.num_users
+        live = [n for n, pose in enumerate(predicted) if pose is not None]
+        live_poses = [predicted[n] for n in live]
+        live_cells = self.coverage.world.cells_of(
+            [p.x for p in live_poses], [p.y for p in live_poses]
+        ).tolist()
+        live_tiles = self.coverage.tiles_to_deliver(
+            [p.yaw for p in live_poses], [p.pitch for p in live_poses]
+        )
+        for n, cell, tiles in zip(live, live_cells, live_tiles):
+            cells[n] = cell
+            tile_sets[n] = tiles
         for n, pose in enumerate(predicted):
-            if pose is None:
-                # No pose yet: plan a placeholder the allocator can
-                # skip; cell 0 keeps the rate curve well defined.
-                cells.append(0)
-                tile_sets.append(tuple())
-            else:
-                cells.append(self.coverage.world.cell_of(pose.x, pose.y))
-                tile_sets.append(tuple(sorted(self.coverage.tiles_to_deliver(pose))))
             held = self._seat_curves[n]
             if held is None or held[0] != cells[n]:
                 held = (cells[n], self.database.rate_model.curve(cells[n]))

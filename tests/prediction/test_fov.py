@@ -56,9 +56,9 @@ class TestCoverageEvaluator:
 
     def test_delivered_superset_of_prediction_fov(self, evaluator):
         predicted = pose(yaw=30.0)
-        delivered = evaluator.tiles_to_deliver(predicted)
-        needed_if_exact = evaluator.tiles_needed(predicted)
-        assert needed_if_exact <= delivered
+        [delivered] = evaluator.tiles_to_deliver([predicted.yaw], [predicted.pitch])
+        needed_if_exact = evaluator.evaluate(predicted, predicted).needed_tiles
+        assert needed_if_exact <= frozenset(delivered)
 
     def test_outcome_reports_tile_sets(self, evaluator):
         outcome = evaluator.evaluate(pose(), pose())

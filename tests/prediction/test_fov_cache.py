@@ -1,4 +1,4 @@
-"""The coverage cache must never change an evaluate() outcome."""
+"""The coverage memo must never change an evaluate() outcome."""
 
 import numpy as np
 
@@ -6,6 +6,8 @@ from repro.content.projection import FieldOfView
 from repro.content.tiles import GridWorld, TileGrid
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose
+
+from tests.prediction._reference_fov import ReferenceCoverageEvaluator
 
 
 def _random_pose(rng, world):
@@ -21,10 +23,12 @@ def _random_pose(rng, world):
 
 class TestCoverageCache:
     def test_cached_equals_uncached(self):
+        # The memoized evaluator against the reference with its cache
+        # switched off: every tile set straight from the grid.
         world = GridWorld(0.0, 4.0, 0.0, 4.0, cell_size=0.05)
         grid = TileGrid()
-        cached = CoverageEvaluator(world, grid, FieldOfView(), cache=True)
-        plain = CoverageEvaluator(world, grid, FieldOfView(), cache=False)
+        cached = CoverageEvaluator(world, grid, FieldOfView())
+        plain = ReferenceCoverageEvaluator(world, grid, FieldOfView(), cache=False)
         rng = np.random.default_rng(13)
         for _ in range(400):
             predicted = _random_pose(rng, world)
@@ -32,9 +36,9 @@ class TestCoverageCache:
             a = cached.evaluate(predicted, actual)
             b = plain.evaluate(predicted, actual)
             assert a == b
-        # The cache must actually be in play for the default geometry.
-        assert cached._deliver_bucket is not None
-        assert cached._deliver_cache
+        # The memo must actually be in play for the default geometry.
+        assert cached._deliver.bucket is not None
+        assert cached._deliver.entries
 
     def test_precomputed_cells_match(self):
         world = GridWorld(0.0, 4.0, 0.0, 4.0, cell_size=0.05)

@@ -1,6 +1,7 @@
 """Wire limits: the lines the binary codec holds.
 
-Non-finite floats are refused on encode, the 1 MiB frame cap chokes
+Non-finite floats are refused on encode (and a non-finite pose on
+decode, should a peer skip that check), the 1 MiB frame cap chokes
 the encoder (the reader's header-time check is pinned by
 ``test_protocol2_fuzz.py``) while a frame just under it survives, and
 a resumed session's fresh codec state starts with an absolute pose so
@@ -8,6 +9,7 @@ no delta can reference state the peer lost.
 """
 
 import asyncio
+import math
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,10 @@ from repro.serve.config import serve_setup1
 from repro.serve.loadgen import LoadGenConfig, ReconnectPolicy
 from repro.serve.mux import run_serve_and_mux_fleet
 from repro.serve.protocol import MAX_FRAME_BYTES, Bye, Ready, SlotReport
+from repro.serve import protocol2
 from repro.serve.protocol2 import BinaryChannelCodec
+from tests.serve.test_pose_memory import _plan_ack
+from tests.serve.test_protocol2_fuzz import _split
 
 
 def _report(**overrides):
@@ -37,6 +42,28 @@ class TestNonFiniteSymmetry:
                 BinaryChannelCodec().encode(Ready(pose=(bad,) + (0.0,) * 5))
             with pytest.raises(TransportError):
                 BinaryChannelCodec().encode(_report(delay_slots=bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_binary_decoder_quarantines_non_finite_poses(self, monkeypatch, bad):
+        """A peer that skips the encoder's check gets its frame dropped,
+        whether the pose is sent whole or XOR-delta-coded, instead of
+        handing the planner a non-finite position or view direction."""
+        monkeypatch.setattr(
+            protocol2, "_check_finite", lambda value, what: float(value)
+        )
+        poison = (0.5, bad, 0.5, 0.5, 0.5, 0.5)
+        client, server = BinaryChannelCodec(), BinaryChannelCodec()
+
+        def receive(message):
+            (unit,) = server.decode(*_split(client.encode(message)))
+            return unit.message
+
+        assert receive(Ready(pose=poison)) is None
+        assert receive(_report(slot=0, pose=poison)) is None
+        assert receive(_report(slot=1)) == _report(slot=1)
+        _plan_ack(server, client, 1)
+        assert receive(_report(slot=2, pose=poison)) is None
+        assert receive(_report(slot=3)) == _report(slot=3)
 
 
 class TestMaxFrameSymmetry:

@@ -173,6 +173,21 @@ class TestRejection:
         replacement = park_session(target, client="retry")
         assert replacement.seat == 0
 
+    def test_non_finite_seat_state_leaves_target_seat_free(self):
+        import json
+
+        target = make_server()
+        blob = self.make_blob()
+        blob["seat"]["pose_window"] = [[float("nan"), 4.0, 1.6, 0.0, 0.0, 0.0]]
+        blob = json.loads(json.dumps(blob))
+        with pytest.raises(ConfigurationError, match="pose_window"):
+            install_seat(target, blob)
+        assert target.registry.occupancy() == 0
+        assert target.metrics.migrations_in == 0
+        assert target.edge.export_seat(0)["pose_window"] == []
+        replacement = park_session(target, client="retry")
+        assert replacement.seat == 0
+
     def test_bad_telemetry_rolls_back_admission(self):
         target = make_server()
         blob = self.make_blob()

@@ -126,7 +126,6 @@ def test_tile_cache_is_bounded(monkeypatch):
         world=GridWorld(),
         grid=TileGrid(rows=2, cols=2),
         fov=FieldOfView(horizontal_deg=90.0, vertical_deg=90.0),
-        cache=True,
     )
     from repro.prediction.pose import Pose
 
@@ -136,5 +135,9 @@ def test_tile_cache_is_bounded(monkeypatch):
         pose = Pose(
             0, 0, 0, float(rng.uniform(-180, 180)), float(rng.uniform(-90, 90)), 0
         )
-        evaluator.tiles_needed(pose)
-    assert len(evaluator._needed_cache) <= 4
+        evaluator.evaluate(pose, pose)
+    assert 0 < len(evaluator._needed.entries) <= 4
+    evaluator.tiles_to_deliver(
+        rng.uniform(-180, 180, size=64), rng.uniform(-90, 90, size=64)
+    )
+    assert 0 < len(evaluator._deliver.entries) <= 4

@@ -1,5 +1,8 @@
 """Tests for the edge server planner."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -278,3 +281,47 @@ class TestBatchedMotionState:
         plan = server.plan_slot()
         assert plan.users[0].predicted_pose is None
         assert plan.users[1].predicted_pose is observed
+
+
+class TestImportSeatRejectsNonFinite:
+    """A handoff blob is JSON, which admits NaN and Infinity.
+
+    Each bad value below used to be accepted and then broke the next
+    ``plan_slot`` for the whole shard (or planned one seat without a
+    capacity limit); ``import_seat`` must refuse it up front.
+    """
+
+    def _state(self, **changes):
+        source = make_server(num_users=1, refresh=0)
+        for step in range(3):
+            source.observe_pose(0, pose(x=4.0 + 0.01 * step, yaw=10.0 * step))
+            complete(source, source.plan_slot())
+        state = source.export_seat(0)
+        state.update(changes)
+        # Through the wire format: json carries NaN/Infinity as-is.
+        return json.loads(json.dumps(state))
+
+    def _assert_rejected(self, state):
+        target = make_server(num_users=2)
+        target.observe_pose(0, pose())
+        with pytest.raises(ConfigurationError):
+            target.import_seat(1, state)
+        # The shard keeps planning, and the target seat stayed empty.
+        plan = target.plan_slot()
+        assert plan.users[0].level > 0
+        assert plan.users[1].predicted_pose is None
+        assert target.export_seat(1)["pose_window"] == []
+
+    @pytest.mark.parametrize("axis", [0, 3], ids=["x", "yaw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pose_window_rejected(self, axis, value):
+        state = self._state()
+        state["pose_window"][1][axis] = value
+        self._assert_rejected(json.loads(json.dumps(state)))
+
+    def test_negative_cap_rejected(self):
+        self._assert_rejected(self._state(cap_estimate_mbps=-5.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_cap_rejected(self, value):
+        self._assert_rejected(self._state(cap_estimate_mbps=value))
