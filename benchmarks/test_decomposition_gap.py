@@ -105,7 +105,7 @@ def sequential_policy_qoe(horizon):
         bandwidth = _bandwidth(t)
         user = UserSlotState(
             sizes=SIZES,
-            delay_of_rate=_MODEL.delay_fn(bandwidth),
+            delays=_MODEL.delays(SIZES, bandwidth),
             delta=1.0,
             qbar=qbar,
             cap_mbps=bandwidth,

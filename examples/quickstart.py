@@ -30,10 +30,12 @@ def main() -> None:
     caps = [40.0, 55.0, 25.0, 70.0, 35.0]
     qbars = [3.0, 4.2, 1.8, 4.8, 2.5]
     deltas = [0.95, 0.90, 0.97, 0.88, 0.93]
+    sizes = [rate_model.curve(content_id=n).as_tuple() for n in range(num_users)]
     users = tuple(
         UserSlotState(
-            sizes=rate_model.curve(content_id=n).as_tuple(),
-            delay_of_rate=delay_model.delay_fn(caps[n]),
+            sizes=sizes[n],
+            # Expected M/M/1 delay of sending each level on this link.
+            delays=delay_model.delays(sizes[n], caps[n]),
             delta=deltas[n],
             qbar=qbars[n],
             cap_mbps=caps[n],

@@ -1,8 +1,9 @@
 """Per-slot quality allocation — Algorithm 1 of the paper.
 
 :class:`SlotProblem` carries everything the per-slot problem (5)-(7)
-needs: each user's rate curve, delay predictor, prediction accuracy,
-running viewed-quality mean, and the two throughput constraints.
+needs: each user's rate curve, the expected delay at each of its
+levels, prediction accuracy, running viewed-quality mean, and the two
+throughput constraints.
 :class:`DensityValueGreedyAllocator` solves it with the paper's
 combined density/value greedy, guaranteed to reach at least half the
 per-slot optimum under the model's concavity/convexity assumptions
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.decomposition import skip_objective, slot_objective_curve
 from repro.core.qoe import QoEWeights
@@ -31,10 +32,10 @@ class UserSlotState:
     sizes:
         ``(f^R(1), ..., f^R(L))`` — Mbps-equivalent size per level for
         the content this user needs this slot.
-    delay_of_rate:
-        Maps a sending rate to the expected delivery delay
-        (``d_n``): the M/M/1 model in the simulator, the polynomial
-        predictor in the real system.
+    delays:
+        ``(E[d_n(f^R(1))], ..., E[d_n(f^R(L))])`` — the expected
+        delivery delay of sending each of ``sizes``: the M/M/1 model
+        in the simulator, the polynomial predictor in the real system.
     delta:
         Prediction success probability estimate ``delta_bar_n(t)``.
     qbar:
@@ -50,7 +51,7 @@ class UserSlotState:
     """
 
     sizes: Tuple[float, ...]
-    delay_of_rate: Callable[[float], float]
+    delays: Tuple[float, ...]
     delta: float
     qbar: float
     cap_mbps: float
@@ -59,6 +60,11 @@ class UserSlotState:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ConfigurationError("a user needs at least one quality level")
+        if len(self.delays) != len(self.sizes):
+            raise ConfigurationError(
+                f"expected one delay per level ({len(self.sizes)}), "
+                f"got {len(self.delays)}"
+            )
         if not 0.0 <= self.delta <= 1.0:
             raise ConfigurationError(f"delta must be in [0, 1], got {self.delta}")
         if self.qbar < 0:
@@ -108,8 +114,15 @@ class SlotProblem:
             raise ConfigurationError(
                 "router_of and router_budgets_mbps must be provided together"
             )
-        if self.router_of is not None and len(self.router_of) != len(self.users):
-            raise ConfigurationError("router_of must have one entry per user")
+        if self.router_of is not None:
+            if len(self.router_of) != len(self.users):
+                raise ConfigurationError("router_of must have one entry per user")
+            num_routers = len(self.router_budgets_mbps)
+            for n, router in enumerate(self.router_of):
+                if not 0 <= router < num_routers:
+                    raise ConfigurationError(
+                        f"user {n} router index {router} outside 0..{num_routers - 1}"
+                    )
 
     @property
     def num_users(self) -> int:
@@ -123,13 +136,12 @@ class SlotProblem:
         """``(h_n(1), ..., h_n(L))`` for user ``n`` (eq. (9))."""
         user = self.users[n]
         return slot_objective_curve(
-            len(user.sizes),
             self.t,
             user.qbar,
             user.delta,
             self.weights.alpha,
             self.weights.beta,
-            lambda level: user.delay_of_rate(user.sizes[level - 1]),
+            user.delays,
         )
 
     def skip_value(self, n: int) -> float:

@@ -73,7 +73,7 @@ class PavqAllocator(QualityAllocator):
         beta = problem.weights.beta
         return tuple(
             level
-            - alpha * user.delay_of_rate(user.sizes[level - 1])
+            - alpha * user.delays[level - 1]
             - beta * ratio * (level - mean) ** 2
             for level in range(1, len(user.sizes) + 1)
         )

@@ -21,7 +21,7 @@ probability ``delta_n`` the user views quality ``q`` (deviation
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -120,24 +120,24 @@ def slot_objective(
 
 
 def slot_objective_curve(
-    num_levels: int,
     t: int,
     qbar_prev: float,
     delta: float,
     alpha: float,
     beta: float,
-    delay_of_level: Callable[[int], float],
+    delays: Sequence[float],
 ) -> Tuple[float, ...]:
     """``(h_n(1), ..., h_n(L))`` for one user in one slot.
 
-    ``delay_of_level(q)`` must return ``E[d_n(f^R(q))]``; the caller
-    composes the rate curve with its delay model or predictor.
+    ``delays[q - 1]`` must be ``E[d_n(f^R(q))]``, one entry per level;
+    the caller composes the rate curve with its delay model or
+    predictor.
     """
-    if num_levels < 1:
-        raise ConfigurationError(f"num_levels must be >= 1, got {num_levels}")
+    if not delays:
+        raise ConfigurationError("a user needs at least one quality level")
     return tuple(
-        slot_objective(q, t, qbar_prev, delta, alpha, beta, delay_of_level(q))
-        for q in range(1, num_levels + 1)
+        slot_objective(q, t, qbar_prev, delta, alpha, beta, delay)
+        for q, delay in enumerate(delays, start=1)
     )
 
 

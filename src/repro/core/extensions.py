@@ -73,7 +73,7 @@ class LossAwareAllocator(QualityAllocator):
             success = user.delta * delivery_success_probability(
                 rate, user.cap_mbps, self.knee, self.steepness
             )
-            expected_delay = user.delay_of_rate(rate)
+            expected_delay = user.delays[level - 1]
             variance_penalty = beta * ratio * (
                 success * (level - user.qbar) ** 2
                 + (1.0 - success) * user.qbar ** 2

@@ -3,8 +3,9 @@
 The decomposition couples slots only through two running statistics
 per user — the viewed-quality mean ``qbar_n(t-1)`` and the prediction
 accuracy estimate ``delta_bar_n(t)``.  The scheduler owns those, turns
-a slot's raw inputs (rate curves, delay models, throughput estimates)
-into a :class:`~repro.core.allocation.SlotProblem`, delegates to any
+a slot's raw inputs (rate curves, the expected delay at each level,
+throughput estimates) into a
+:class:`~repro.core.allocation.SlotProblem`, delegates to any
 :class:`~repro.core.allocation.QualityAllocator`, and folds the slot's
 realized outcome back into the running state and the QoE ledgers.
 
@@ -15,14 +16,9 @@ so the algorithms are executed by identical code in both worlds.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.allocation import QualityAllocator, SlotProblem, UserSlotState
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
-    import numpy as np
-
-    from repro.kernel.batch import SlotBatch
 from repro.core.qoe import QoEWeights, UserQoELedger, system_qoe
 from repro.errors import ConfigurationError
 from repro.obs.registry import Counter, MetricsRegistry
@@ -141,24 +137,28 @@ class CollaborativeVrScheduler:
     def build_slot_problem(
         self,
         sizes: Sequence[Sequence[float]],
-        delay_fns: Sequence[Callable[[float], float]],
+        delays: Sequence[Sequence[float]],
         caps_mbps: Sequence[float],
         budget_mbps: float,
         raw_caps_mbps: Optional[Sequence[float]] = None,
         router_of: Optional[Sequence[int]] = None,
         router_budgets_mbps: Optional[Sequence[float]] = None,
     ) -> SlotProblem:
-        """Assemble the next slot's problem from raw per-user inputs."""
-        if not (len(sizes) == len(delay_fns) == len(caps_mbps) == self.num_users):
+        """Assemble the next slot's problem from raw per-user inputs.
+
+        ``delays[n][k]`` is user ``n``'s expected delay of sending
+        ``sizes[n][k]``.
+        """
+        if not (len(sizes) == len(delays) == len(caps_mbps) == self.num_users):
             raise ConfigurationError(
-                "sizes, delay_fns, and caps must all have one entry per user"
+                "sizes, delays, and caps must all have one entry per user"
             )
         if raw_caps_mbps is not None and len(raw_caps_mbps) != self.num_users:
             raise ConfigurationError("raw caps must have one entry per user")
         users = tuple(
             UserSlotState(
                 sizes=tuple(float(s) for s in sizes[n]),
-                delay_of_rate=delay_fns[n],
+                delays=tuple(delays[n]),
                 delta=self.delta(n),
                 qbar=self.qbar(n),
                 cap_mbps=float(caps_mbps[n]),
@@ -177,57 +177,6 @@ class CollaborativeVrScheduler:
             router_of=tuple(router_of) if router_of is not None else None,
             router_budgets_mbps=(
                 tuple(float(b) for b in router_budgets_mbps)
-                if router_budgets_mbps is not None
-                else None
-            ),
-        )
-
-    def build_slot_batch(
-        self,
-        sizes: "np.ndarray",
-        delays: "np.ndarray",
-        caps_mbps: "np.ndarray",
-        budget_mbps: float,
-        router_of: Optional["np.ndarray"] = None,
-        router_budgets_mbps: Optional["np.ndarray"] = None,
-    ) -> "SlotBatch":
-        """Assemble the next slot as a flat-array :class:`SlotBatch`.
-
-        The array twin of :meth:`build_slot_problem` for callers that
-        already hold ``(N, L)`` matrices: ``delays`` carries the
-        pre-evaluated delay of sending ``sizes[n, k]`` to user ``n``
-        (e.g. :func:`repro.kernel.batch.mm1_delay_matrix`), so no
-        per-user closures are built.  ``delta``/``qbar`` come from the
-        same running statistics the object path reads.
-        """
-        import numpy as np
-
-        from repro.kernel.batch import SlotBatch
-
-        sizes = np.asarray(sizes, dtype=float)
-        if sizes.ndim != 2 or sizes.shape[0] != self.num_users:
-            raise ConfigurationError(
-                f"sizes must be ({self.num_users}, L), got {sizes.shape}"
-            )
-        delta = np.array([self.delta(n) for n in range(self.num_users)])
-        qbar = np.array([self.qbar(n) for n in range(self.num_users)])
-        return SlotBatch(
-            t=self.current_slot,
-            sizes=sizes,
-            delays=np.asarray(delays, dtype=float),
-            delta=delta,
-            qbar=qbar,
-            caps_mbps=np.asarray(caps_mbps, dtype=float),
-            budget_mbps=float(budget_mbps),
-            weights=self.weights,
-            allow_skip=self.allow_skip,
-            router_of=(
-                np.asarray(router_of, dtype=np.int64)
-                if router_of is not None
-                else None
-            ),
-            router_budgets_mbps=(
-                np.asarray(router_budgets_mbps, dtype=float)
                 if router_budgets_mbps is not None
                 else None
             ),

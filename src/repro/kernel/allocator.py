@@ -4,8 +4,11 @@
 :class:`~repro.core.allocation.QualityAllocator` interface, so every
 caller of the object pipeline (scheduler, simulator, system
 emulation) can switch to the vectorized solver and get bit-identical
-allocations; the serve slot loop always uses it.  Whenever the fast
-path cannot run — ragged level menus, or a priority structure the
+allocations; the serve slot loop always uses it.  It flattens the
+problem's sizes and per-level delays into a
+:class:`~repro.kernel.batch.SlotBatch` and solves it with
+:func:`~repro.kernel.solver.solve_batch`.  Whenever the fast path
+cannot run — ragged level menus, or a priority structure the
 sorted sweep refuses — it falls back to the object heap solver, so
 correctness never depends on the vectorization applying.
 """
@@ -13,9 +16,7 @@ correctness never depends on the vectorization applying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.core.allocation import (
     QualityAllocator,
@@ -48,15 +49,6 @@ class ArrayAllocator(QualityAllocator):
         if levels is None:
             return self._fallback(problem)
         return [int(level) for level in levels]
-
-    def allocate_batch(self, batch: SlotBatch) -> Optional[np.ndarray]:
-        """Array-native entry point: levels per user, or ``None``.
-
-        ``None`` means the sorted sweep refused this batch; callers
-        that build batches directly must route the slot through an
-        object :class:`~repro.core.allocation.SlotProblem` instead.
-        """
-        return solve_batch(batch)
 
     def _fallback(self, problem: SlotProblem) -> List[int]:
         self.fallbacks += 1

@@ -1,11 +1,12 @@
 """Flat-array view of one slot's allocation inputs.
 
 The object pipeline builds a :class:`~repro.core.allocation.SlotProblem`
-out of ``N`` per-user dataclasses and evaluates eq. (9) one closure
-call at a time.  :class:`SlotBatch` carries the same information as a
-handful of ``(N, L)`` / ``(N,)`` numpy arrays, so the gain matrix, the
-M/M/1 delays, and the greedy candidate sort are each one vectorized
-sweep.  All arithmetic matches the scalar path bit-for-bit:
+out of ``N`` per-user dataclasses, each carrying its sizes and its
+expected delay at every level, and evaluates eq. (9) one level at a
+time.  :class:`SlotBatch` carries the same numbers as a handful of
+``(N, L)`` / ``(N,)`` numpy arrays, so the gain matrix, the M/M/1
+delays, and the greedy candidate sort are each one vectorized sweep.
+All arithmetic matches the scalar path bit-for-bit:
 ``gain_matrix()[n, q-1] == slot_objective(q, ...)`` exactly (the
 scalar objective squares via multiplication for this reason), and
 :func:`mm1_delay_matrix` replicates
@@ -110,8 +111,14 @@ class SlotBatch:
             raise ConfigurationError(
                 "router_of and router_budgets_mbps must be provided together"
             )
-        if self.router_of is not None and self.router_of.shape != (n,):
-            raise ConfigurationError("router_of must have one entry per user")
+        if self.router_of is not None and self.router_budgets_mbps is not None:
+            if self.router_of.shape != (n,):
+                raise ConfigurationError("router_of must have one entry per user")
+            num_routers = len(self.router_budgets_mbps)
+            if np.any((self.router_of < 0) | (self.router_of >= num_routers)):
+                raise ConfigurationError(
+                    f"a router index is outside 0..{num_routers - 1}"
+                )
 
     @property
     def num_users(self) -> int:
@@ -137,21 +144,10 @@ class SlotBatch:
                     "SlotBatch requires a rectangular level menu; got "
                     f"{len(user.sizes)} levels vs {num_levels}"
                 )
-        sizes = np.array([user.sizes for user in problem.users], dtype=float)
-        # Delay closures are the one per-user part that cannot be
-        # flattened generically; evaluate them on the same python
-        # floats the object path feeds them.
-        delays = np.array(
-            [
-                [user.delay_of_rate(user.sizes[k]) for k in range(num_levels)]
-                for user in problem.users
-            ],
-            dtype=float,
-        )
         return cls(
             t=problem.t,
-            sizes=sizes,
-            delays=delays,
+            sizes=np.array([user.sizes for user in problem.users], dtype=float),
+            delays=np.array([user.delays for user in problem.users], dtype=float),
             delta=np.array([user.delta for user in problem.users], dtype=float),
             qbar=np.array([user.qbar for user in problem.users], dtype=float),
             caps_mbps=np.array(

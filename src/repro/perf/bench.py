@@ -36,12 +36,11 @@ same fleets under lockstep miss nothing.
 
 A note on the serve bench's ``mux`` row at 128 clients: on a one-core
 box the slot budget is lost in the planner, not on the wire.  The
-solve itself is small.  Replaying 60 lockstep slots at 128 seats on a
-2-vCPU Xeon box, the server's ``ArrayAllocator`` spends ~9.5 ms per
-slot in ``allocate`` (the heap solver ~23 ms, with identical levels):
-~3.3 ms in the sorted-sweep solve and ~5.9 ms in
-``SlotBatch.from_problem``, which evaluates every seat's delay
-closure at every level.  Encode and send stay near 3 ms at p99.
+solve itself is small: in ``SystemExperiment`` setup 1 scaled to 128
+seats on a 2-vCPU Xeon box, the server's ``ArrayAllocator`` takes
+~0.5-0.7 ms of CPU per slot in ``allocate``.  The seats x levels
+delay-predictor calls that price each level happen before it, in
+``EdgeServer.plan_slot``.  Encode and send stay near 3 ms at p99.
 """
 
 from __future__ import annotations
@@ -76,10 +75,9 @@ from repro.core.allocation import (
 )
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
-from repro.kernel.allocator import ArrayAllocator
 from repro.kernel.batch import SlotBatch, mm1_delay_matrix
 from repro.kernel.predict import BatchMotionPredictor
-from repro.kernel.solver import solve_arrays
+from repro.kernel.solver import solve_arrays, solve_batch
 from repro.knapsack.greedy import combined_greedy
 from repro.knapsack.problem import SeparableKnapsack
 from repro.knapsack.random_instances import random_instance
@@ -308,7 +306,7 @@ def _object_slot(
     users = tuple(
         UserSlotState(
             sizes=tuple(sizes[n]),
-            delay_of_rate=model.delay_fn(float(caps[n])),
+            delays=model.delays(sizes[n], float(caps[n])),
             delta=float(inputs["delta"][n]),
             qbar=float(inputs["qbar"][n]),
             cap_mbps=float(caps[n]),
@@ -339,13 +337,10 @@ def _slot_batch(
 
 
 def _array_slot(
-    inputs: Dict[str, np.ndarray],
-    t: int,
-    weights: QoEWeights,
-    allocator: ArrayAllocator,
+    inputs: Dict[str, np.ndarray], t: int, weights: QoEWeights
 ) -> np.ndarray:
     """The array-kernel pipeline (matrix construction included)."""
-    levels = allocator.allocate_batch(_slot_batch(inputs, t, weights))
+    levels = solve_batch(_slot_batch(inputs, t, weights))
     if levels is None:
         raise ConfigurationError("array kernel refused a benchmark slot")
     return levels
@@ -435,10 +430,10 @@ def bench_kernel(
     """Object vs array pipeline over seeded slots; JSON-ready dict.
 
     The object arm builds per-user :class:`UserSlotState` dataclasses
-    with M/M/1 delay closures, a :class:`SlotProblem`, and solves it
+    with their M/M/1 delay rows, a :class:`SlotProblem`, and solves it
     with the heap-based :class:`DensityValueGreedyAllocator`; the array
     arm builds a :class:`SlotBatch` (delay matrix included) and solves
-    it with :meth:`ArrayAllocator.allocate_batch`.  ``num_slots``
+    it with :func:`solve_batch`.  ``num_slots``
     distinct seeded populations are each timed ``repeats`` times per
     arm (best-of); levels must agree on every slot or the benchmark
     raises instead of reporting a speedup for a wrong answer.
@@ -451,7 +446,6 @@ def bench_kernel(
     weights = QoEWeights.simulation_defaults()
     model = MM1DelayModel()
     object_alloc = DensityValueGreedyAllocator()
-    array_alloc = ArrayAllocator()
 
     object_s = 0.0
     array_s = 0.0
@@ -463,7 +457,7 @@ def bench_kernel(
     ]
     for t, inputs in slots:
         want = _object_slot(inputs, t, weights, model, object_alloc)
-        got = _array_slot(inputs, t, weights, array_alloc)
+        got = _array_slot(inputs, t, weights)
         if list(got) != list(want):
             identical = False
         object_s += _best_of(
@@ -471,7 +465,7 @@ def bench_kernel(
             lambda: _object_slot(inputs, t, weights, model, object_alloc),
         )
         array_s += _best_of(
-            repeats, lambda: _array_slot(inputs, t, weights, array_alloc)
+            repeats, lambda: _array_slot(inputs, t, weights)
         )
         batch_nbytes = _slot_batch(inputs, t, weights).nbytes()
     if not identical:
@@ -491,7 +485,6 @@ def bench_kernel(
         "array_slots_per_s": num_slots / array_s,
         "speedup": object_s / array_s,
         "solutions_identical": True,
-        "array_fallbacks": int(array_alloc.fallbacks),
         "batch_nbytes": int(batch_nbytes),
         "predictor": _bench_predictor(rng, num_users, predictor_window, repeats),
         "coverage": _bench_coverage(rng, num_users, repeats),

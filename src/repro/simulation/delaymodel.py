@@ -18,7 +18,7 @@ the round-trip time; the mean RTT versus sending rate is convex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,9 +56,11 @@ class MM1DelayModel:
             return self.max_delay
         return min(rate_mbps / (bandwidth_mbps - rate_mbps), self.max_delay)
 
-    def delay_fn(self, bandwidth_mbps: float) -> Callable[[float], float]:
-        """Freeze the bandwidth: the per-user ``d_n`` of one slot."""
-        return lambda rate_mbps: self.delay(rate_mbps, bandwidth_mbps)
+    def delays(
+        self, rates_mbps: Sequence[float], bandwidth_mbps: float
+    ) -> Tuple[float, ...]:
+        """:meth:`delay` of each rate over one link: a user's per-level row."""
+        return tuple(self.delay(rate, bandwidth_mbps) for rate in rates_mbps)
 
 
 def sample_rtts(

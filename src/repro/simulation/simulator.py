@@ -23,18 +23,18 @@ inputs are allocator-independent: pose predictions and viewpoint
 cells are precomputed per episode with vectorized numpy (bit-identical
 to the sequential predictor — see
 :func:`repro.prediction.motion.batch_linear_predictions`), rate curves
-and M/M/1 delay closures are memoized, and every ``1_n(t)`` of an
-episode comes from one batched coverage call.  Because the random
-substrate depends only on ``(config.seed, episode)``, episodes are
-independent and :meth:`TraceSimulator.run` can fan them out over a
-process pool (``max_workers``) with results identical to the serial
-path and returned in episode order.
+are memoized, and every ``1_n(t)`` of an episode comes from one
+batched coverage call.  Because the random substrate depends only on
+``(config.seed, episode)``, episodes are independent and
+:meth:`TraceSimulator.run` can fan them out over a process pool
+(``max_workers``) with results identical to the serial path and
+returned in episode order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -69,8 +69,6 @@ from repro.units import (
 
 #: Episodes of precomputed schedules/predictions kept per simulator.
 _EPISODE_CACHE_LIMIT = 8
-#: Distinct bandwidth values whose delay closures are memoized.
-_DELAY_CACHE_LIMIT = 65536
 #: Distinct viewpoint cells whose rate curves are memoized.  The
 #: default 8 m world at 5 cm cells has 160 x 160 = 25 600 cells, so
 #: the bound never binds there — it exists to keep a custom huge world
@@ -170,8 +168,6 @@ class TraceSimulator:
         self._prediction_cache: Dict[Tuple[int, int, int], List[List[Pose]]] = {}
         # Rate curves depend only on (model seed, cell): share forever.
         self._curve_cache: Dict[int, Tuple[float, ...]] = {}
-        # One M/M/1 closure per distinct bandwidth value.
-        self._delay_fn_cache: Dict[float, Callable[[float], float]] = {}
 
     def _make_predictor(self):
         """Instantiate the configured motion predictor."""
@@ -251,17 +247,6 @@ class TraceSimulator:
             curve = self._curve_cache[cell] = self.rate_model.curve(cell).as_tuple()
         return curve
 
-    def _delay_fn(self, bandwidth_mbps: float) -> Callable[[float], float]:
-        """Per-bandwidth M/M/1 closure, memoized instead of rebuilt."""
-        fn = self._delay_fn_cache.get(bandwidth_mbps)
-        if fn is None:
-            if len(self._delay_fn_cache) >= _DELAY_CACHE_LIMIT:
-                self._delay_fn_cache.clear()
-            fn = self._delay_fn_cache[bandwidth_mbps] = self.delay_model.delay_fn(
-                bandwidth_mbps
-            )
-        return fn
-
     def run_episode(
         self,
         allocator: QualityAllocator,
@@ -332,14 +317,16 @@ class TraceSimulator:
                     est.estimate() if est.num_samples else float(caps[n])
                     for n, est in enumerate(estimators)
                 ]
-            sizes: List[Sequence[float]] = []
-            delay_fns = []
-            for n in range(cfg.num_users):
-                sizes.append(self._curve(int(predicted_cells[n][t])))
-                delay_fns.append(self._delay_fn(believed_caps[n]))
+            sizes = [
+                self._curve(int(predicted_cells[n][t])) for n in range(cfg.num_users)
+            ]
+            expected_delays = [
+                self.delay_model.delays(sizes[n], believed_caps[n])
+                for n in range(cfg.num_users)
+            ]
 
             problem = scheduler.build_slot_problem(
-                sizes, delay_fns, believed_caps, cfg.server_budget_mbps
+                sizes, expected_delays, believed_caps, cfg.server_budget_mbps
             )
             levels = scheduler.allocate(problem)
 

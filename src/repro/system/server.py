@@ -382,7 +382,7 @@ class EdgeServer:
                     delivered.clear()
         sizes: List[Sequence[float]] = []
         curves: List[QualityRateCurve] = []
-        delay_fns = []
+        delays: List[Tuple[float, ...]] = []
         caps = []
         raw_caps = []
 
@@ -409,8 +409,10 @@ class EdgeServer:
                 held = (cells[n], self.database.rate_model.curve(cells[n]))
                 self._seat_curves[n] = held
             curves.append(held[1])
-            sizes.append(held[1].as_tuple())
-            delay_fns.append(self._delay_predictors[n].predict)
+            row = held[1].as_tuple()
+            sizes.append(row)
+            predict = self._delay_predictors[n].predict
+            delays.append(tuple(predict(size) for size in row))
             if pose is None:
                 # An empty seat (no pose ever observed) must not draw
                 # budget away from live users: a zero capacity makes
@@ -424,7 +426,7 @@ class EdgeServer:
 
         problem = self.scheduler.build_slot_problem(
             sizes,
-            delay_fns,
+            delays,
             caps,
             self.server_budget_mbps,
             raw_caps_mbps=raw_caps,

@@ -21,7 +21,7 @@ def make_user(cap=60.0, qbar=2.0, delta=0.9, sizes=SIZES, bandwidth=None):
     model = MM1DelayModel()
     return UserSlotState(
         sizes=sizes,
-        delay_of_rate=model.delay_fn(bandwidth if bandwidth is not None else cap),
+        delays=model.delays(sizes, bandwidth if bandwidth is not None else cap),
         delta=delta,
         qbar=qbar,
         cap_mbps=cap,
@@ -46,21 +46,24 @@ class TestUserSlotState:
     def test_raw_cap_explicit(self):
         model = MM1DelayModel()
         user = UserSlotState(
-            sizes=SIZES, delay_of_rate=model.delay_fn(60.0), delta=0.9,
+            sizes=SIZES, delays=model.delays(SIZES, 60.0), delta=0.9,
             qbar=2.0, cap_mbps=50.0, raw_cap_mbps=58.0,
         )
         assert user.raw_cap_mbps == 58.0
 
     def test_validation(self):
-        model = MM1DelayModel()
+        delays = MM1DelayModel().delays(SIZES, 60.0)
         with pytest.raises(ConfigurationError):
-            UserSlotState(tuple(), model.delay_fn(60.0), 0.9, 2.0, 60.0)
+            UserSlotState(tuple(), tuple(), 0.9, 2.0, 60.0)
         with pytest.raises(ConfigurationError):
-            UserSlotState(SIZES, model.delay_fn(60.0), 1.5, 2.0, 60.0)
+            UserSlotState(SIZES, delays, 1.5, 2.0, 60.0)
         with pytest.raises(ConfigurationError):
-            UserSlotState(SIZES, model.delay_fn(60.0), 0.9, -1.0, 60.0)
+            UserSlotState(SIZES, delays, 0.9, -1.0, 60.0)
         with pytest.raises(ConfigurationError):
-            UserSlotState(SIZES, model.delay_fn(60.0), 0.9, 2.0, -1.0)
+            UserSlotState(SIZES, delays, 0.9, 2.0, -1.0)
+        # A delay row must cover every level.
+        with pytest.raises(ConfigurationError):
+            UserSlotState(SIZES, delays[:-1], 0.9, 2.0, 60.0)
 
 
 class TestSlotProblem:
@@ -79,7 +82,7 @@ class TestSlotProblem:
             expected = slot_objective(
                 level, problem.t, user.qbar, user.delta,
                 problem.weights.alpha, problem.weights.beta,
-                user.delay_of_rate(user.sizes[level - 1]),
+                MM1DelayModel().delay(user.sizes[level - 1], user.cap_mbps),
             )
             assert curve[level - 1] == pytest.approx(expected)
 

@@ -46,7 +46,7 @@ def slot_problems(draw, max_users=4):
         users.append(
             UserSlotState(
                 sizes=sizes,
-                delay_of_rate=_MODEL.delay_fn(bandwidth),
+                delays=_MODEL.delays(sizes, bandwidth),
                 delta=draw(st.floats(0.5, 1.0)),
                 qbar=draw(st.floats(0.0, float(num_levels))),
                 cap_mbps=cap,

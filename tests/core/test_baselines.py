@@ -26,7 +26,7 @@ class TestFirefly:
     def test_uses_raw_cap_not_discounted(self):
         model = MM1DelayModel()
         user = UserSlotState(
-            sizes=SIZES, delay_of_rate=model.delay_fn(60.0), delta=0.9,
+            sizes=SIZES, delays=model.delays(SIZES, 60.0), delta=0.9,
             qbar=2.0, cap_mbps=20.0, raw_cap_mbps=45.0,
         )
         problem = SlotProblem(5, (user,), 1000.0, QoEWeights(0.02, 0.5))
@@ -112,7 +112,7 @@ class TestPavq:
     def test_uses_raw_cap(self):
         model = MM1DelayModel()
         user = UserSlotState(
-            sizes=SIZES, delay_of_rate=model.delay_fn(60.0), delta=0.9,
+            sizes=SIZES, delays=model.delays(SIZES, 60.0), delta=0.9,
             qbar=2.0, cap_mbps=12.0, raw_cap_mbps=45.0,
         )
         problem = SlotProblem(5, (user,), 1000.0, QoEWeights(0.02, 0.5))
@@ -126,7 +126,7 @@ class TestPavq:
     def test_skip_when_nothing_fits(self):
         model = MM1DelayModel()
         user = UserSlotState(
-            sizes=SIZES, delay_of_rate=model.delay_fn(60.0), delta=0.9,
+            sizes=SIZES, delays=model.delays(SIZES, 60.0), delta=0.9,
             qbar=2.0, cap_mbps=5.0, raw_cap_mbps=5.0,
         )
         problem = SlotProblem(

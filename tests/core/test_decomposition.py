@@ -94,8 +94,8 @@ class TestSlotObjective:
 
     def test_curve_shape(self):
         curve = slot_objective_curve(
-            6, t=5, qbar_prev=2.0, delta=0.9, alpha=0.1, beta=0.5,
-            delay_of_level=lambda level: 0.1 * level,
+            t=5, qbar_prev=2.0, delta=0.9, alpha=0.1, beta=0.5,
+            delays=[0.1 * level for level in range(1, 7)],
         )
         assert len(curve) == 6
         assert curve[0] == pytest.approx(
@@ -106,8 +106,7 @@ class TestSlotObjective:
         """h_n is concave in q when the delay curve is convex."""
         delays = [0.1, 0.2, 0.4, 0.8, 1.6, 3.2]
         curve = slot_objective_curve(
-            6, t=8, qbar_prev=3.0, delta=0.9, alpha=0.5, beta=0.5,
-            delay_of_level=lambda level: delays[level - 1],
+            t=8, qbar_prev=3.0, delta=0.9, alpha=0.5, beta=0.5, delays=delays,
         )
         increments = [b - a for a, b in zip(curve, curve[1:])]
         assert all(b <= a + 1e-9 for a, b in zip(increments, increments[1:]))
@@ -120,4 +119,4 @@ class TestSlotObjective:
         with pytest.raises(ConfigurationError):
             slot_objective(1, 1, 0.0, 1.5, 0.1, 0.5, 0.0)
         with pytest.raises(ConfigurationError):
-            slot_objective_curve(0, 1, 0.0, 0.9, 0.1, 0.5, lambda level: 0.0)
+            slot_objective_curve(1, 0.0, 0.9, 0.1, 0.5, [])

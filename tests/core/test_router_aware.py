@@ -20,7 +20,7 @@ def make_problem(router_budgets, budget=1000.0, n=4):
     users = tuple(
         UserSlotState(
             sizes=SIZES,
-            delay_of_rate=model.delay_fn(100.0),
+            delays=model.delays(SIZES, 100.0),
             delta=0.95,
             qbar=2.0,
             cap_mbps=80.0,
@@ -40,7 +40,7 @@ def make_problem(router_budgets, budget=1000.0, n=4):
 class TestRouterAwareSlotProblem:
     def test_validation(self):
         model = MM1DelayModel()
-        user = UserSlotState(SIZES, model.delay_fn(100.0), 0.95, 2.0, 80.0)
+        user = UserSlotState(SIZES, model.delays(SIZES, 100.0), 0.95, 2.0, 80.0)
         with pytest.raises(ConfigurationError):
             SlotProblem(
                 1, (user,), 100.0, QoEWeights(0.02, 0.5), router_of=(0,)

@@ -24,7 +24,7 @@ def slot_inputs(scheduler, caps=(60.0, 60.0), budget=108.0):
     model = MM1DelayModel()
     return scheduler.build_slot_problem(
         sizes=[SIZES] * scheduler.num_users,
-        delay_fns=[model.delay_fn(c) for c in caps],
+        delays=[model.delays(SIZES, c) for c in caps],
         caps_mbps=list(caps),
         budget_mbps=budget,
     )
@@ -93,7 +93,7 @@ class TestScheduler:
         model = MM1DelayModel()
         problem = scheduler.build_slot_problem(
             [SIZES] * 2,
-            [model.delay_fn(60.0)] * 2,
+            [model.delays(SIZES, 60.0)] * 2,
             [50.0, 50.0],
             108.0,
             raw_caps_mbps=[58.0, 59.0],
@@ -113,15 +113,14 @@ class TestScheduler:
 
     def test_input_length_validation(self):
         scheduler = make_scheduler()
-        model = MM1DelayModel()
+        row = MM1DelayModel().delays(SIZES, 60.0)
         with pytest.raises(ConfigurationError):
-            scheduler.build_slot_problem([SIZES], [model.delay_fn(60.0)] * 2,
-                                         [60.0, 60.0], 100.0)
+            scheduler.build_slot_problem([SIZES], [row] * 2, [60.0, 60.0], 100.0)
         with pytest.raises(ConfigurationError):
             scheduler.record_outcomes([1], [1, 1], [0.0, 0.0])
         with pytest.raises(ConfigurationError):
             scheduler.build_slot_problem(
-                [SIZES] * 2, [model.delay_fn(60.0)] * 2, [60.0, 60.0], 100.0,
+                [SIZES] * 2, [row] * 2, [60.0, 60.0], 100.0,
                 raw_caps_mbps=[58.0],
             )
 

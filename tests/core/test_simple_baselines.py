@@ -56,8 +56,8 @@ class TestMaxMinFairAllocator:
 
         model = MM1DelayModel()
         users = (
-            UserSlotState(SIZES, model.delay_fn(80.0), 0.9, 2.0, 12.0),
-            UserSlotState(SIZES, model.delay_fn(80.0), 0.9, 2.0, 80.0),
+            UserSlotState(SIZES, model.delays(SIZES, 80.0), 0.9, 2.0, 12.0),
+            UserSlotState(SIZES, model.delays(SIZES, 80.0), 0.9, 2.0, 80.0),
         )
         problem = SlotProblem(3, users, 100.0, QoEWeights(0.02, 0.5))
         levels = MaxMinFairAllocator().allocate(problem)

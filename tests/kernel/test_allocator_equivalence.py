@@ -39,7 +39,7 @@ def _random_problem(rng, model):
         users.append(
             UserSlotState(
                 sizes=sizes,
-                delay_of_rate=model.delay_fn(cap),
+                delays=model.delays(sizes, cap),
                 delta=float(rng.uniform(0.0, 1.0)),
                 qbar=float(rng.uniform(0.0, num_levels)),
                 cap_mbps=cap,
@@ -91,14 +91,14 @@ def test_ragged_menu_falls_back_to_heap():
     users = (
         UserSlotState(
             sizes=(1.0, 2.0, 4.0),
-            delay_of_rate=model.delay_fn(50.0),
+            delays=model.delays((1.0, 2.0, 4.0), 50.0),
             delta=0.9,
             qbar=1.0,
             cap_mbps=50.0,
         ),
         UserSlotState(
             sizes=(1.0, 3.0),
-            delay_of_rate=model.delay_fn(50.0),
+            delays=model.delays((1.0, 3.0), 50.0),
             delta=0.8,
             qbar=0.5,
             cap_mbps=50.0,
@@ -117,15 +117,57 @@ def test_ragged_menu_falls_back_to_heap():
     assert array_alloc.fallbacks == 0
 
 
+@pytest.mark.parametrize("router_of", [(0, -1, 0), (0, 1, 2)])
+def test_router_index_outside_budgets_is_refused(router_of):
+    """Both problem forms refuse a router index with no budget.
+
+    A negative index would otherwise charge the seat to the last
+    router through numpy indexing on the array path.
+    """
+    model = MM1DelayModel()
+    sizes = (1.0, 2.0, 4.0)
+    users = tuple(
+        UserSlotState(sizes, model.delays(sizes, 50.0), 0.9, 1.0, 50.0)
+        for _ in router_of
+    )
+    with pytest.raises(ConfigurationError, match="router index"):
+        SlotProblem(
+            t=3, users=users, budget_mbps=12.0, weights=WEIGHTS,
+            router_of=router_of, router_budgets_mbps=(6.0, 6.0),
+        )
+    size_rows = np.array([sizes] * len(router_of))
+    with pytest.raises(ConfigurationError, match="router index"):
+        SlotBatch(
+            t=3,
+            sizes=size_rows,
+            delays=mm1_delay_matrix(size_rows, np.full(len(router_of), 50.0)),
+            delta=np.full(len(router_of), 0.9),
+            qbar=np.ones(len(router_of)),
+            caps_mbps=np.full(len(router_of), 50.0),
+            budget_mbps=12.0,
+            weights=WEIGHTS,
+            router_of=np.array(router_of, dtype=np.int64),
+            router_budgets_mbps=np.array([6.0, 6.0]),
+        )
+
+
 def test_scheduler_batch_path_matches_problem_path():
+    """Delay rows from ``mm1_delay_matrix`` plan like the model's rows.
+
+    The object scheduler reads :meth:`MM1DelayModel.delays` rows and
+    the heap solver; the array scheduler reads rows of the vectorized
+    delay matrix and :class:`ArrayAllocator`.  Levels, and the running
+    state they fold into, must agree slot after slot.
+    """
     rng = np.random.default_rng(SEED + 1)
     model = MM1DelayModel()
     num_users, num_levels, num_slots = 8, 5, 20
     object_sched = CollaborativeVrScheduler(
         num_users, DensityValueGreedyAllocator(), WEIGHTS, allow_skip=True
     )
+    array_alloc = ArrayAllocator()
     array_sched = CollaborativeVrScheduler(
-        num_users, ArrayAllocator(), WEIGHTS, allow_skip=True
+        num_users, array_alloc, WEIGHTS, allow_skip=True
     )
     for _ in range(num_slots):
         base = rng.uniform(0.5, 3.0, size=num_users)
@@ -137,21 +179,20 @@ def test_scheduler_batch_path_matches_problem_path():
 
         problem = object_sched.build_slot_problem(
             sizes=[tuple(row) for row in sizes],
-            delay_fns=[model.delay_fn(float(c)) for c in caps],
+            delays=[model.delays(row, float(c)) for row, c in zip(sizes, caps)],
             caps_mbps=list(caps),
             budget_mbps=budget,
         )
         want = object_sched.allocate(problem)
 
-        batch = array_sched.build_slot_batch(
+        array_problem = array_sched.build_slot_problem(
             sizes=sizes,
             delays=mm1_delay_matrix(sizes, caps),
             caps_mbps=caps,
             budget_mbps=budget,
         )
-        got = array_sched.allocator.allocate_batch(batch)
-        assert got is not None, "array kernel refused a scheduler batch"
-        assert [int(level) for level in got] == want
+        got = array_sched.allocate(array_problem)
+        assert got == want
 
         # Fold identical outcomes so the running qbar/delta state (and
         # therefore the next slot's gain matrices) stays in lockstep.
@@ -160,4 +201,5 @@ def test_scheduler_batch_path_matches_problem_path():
         object_sched.record_outcomes(want, list(indicators), list(delays))
         array_sched.record_outcomes(want, list(indicators), list(delays))
 
+    assert array_alloc.fallbacks == 0
     assert object_sched.total_qoe() == array_sched.total_qoe()

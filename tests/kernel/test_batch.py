@@ -102,7 +102,7 @@ class TestFromProblem:
         users = tuple(
             UserSlotState(
                 sizes=(1.0 + n, 2.0 + n, 4.0 + n),
-                delay_of_rate=model.delay_fn(20.0 + n),
+                delays=model.delays((1.0 + n, 2.0 + n, 4.0 + n), 20.0 + n),
                 delta=0.5 + 0.1 * n,
                 qbar=float(n),
                 cap_mbps=20.0 + n,
@@ -127,7 +127,7 @@ class TestFromProblem:
             assert batch.delta[n] == user.delta
             assert batch.qbar[n] == user.qbar
             for k, size in enumerate(user.sizes):
-                assert batch.delays[n, k] == user.delay_of_rate(size)
+                assert batch.delays[n, k] == model.delay(size, 20.0 + n)
         assert tuple(batch.router_of) == (0, 0, 1)
         assert tuple(batch.router_budgets_mbps) == (6.0, 6.0)
         assert batch.nbytes() > 0

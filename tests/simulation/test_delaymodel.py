@@ -37,10 +37,15 @@ class TestMM1DelayModel:
         assert (increments > 0).all()
         assert (np.diff(increments) > -1e-12).all()
 
-    def test_delay_fn_freezes_bandwidth(self):
-        model = MM1DelayModel()
-        fn = model.delay_fn(60.0)
-        assert fn(30.0) == model.delay(30.0, 60.0)
+    def test_delays_is_one_delay_per_rate(self):
+        model = MM1DelayModel(max_delay=50.0)
+        rates = (0.0, 20.0, 30.0, 60.0, 75.0)
+        row = model.delays(rates, 60.0)
+        assert row == tuple(model.delay(rate, 60.0) for rate in rates)
+        assert row == (0.0, 0.5, 1.0, 50.0, 50.0)
+        assert model.delays((), 60.0) == ()
+        with pytest.raises(ConfigurationError):
+            model.delays((10.0, -1.0), 60.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

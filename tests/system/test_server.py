@@ -13,8 +13,10 @@ from repro.content.tiles import GridWorld, TileGrid, VideoId
 from repro.core.allocation import DensityValueGreedyAllocator
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
+from repro.kernel.allocator import ArrayAllocator
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose
+from repro.system.experiment import SystemExperiment, setup1_config
 from repro.system.server import EdgeServer
 
 
@@ -236,6 +238,39 @@ class TestSeatRateCurves:
             complete(fresh, reference)
         assert 10 < moves < 80
         assert len(calls) == moves
+
+
+class TestSeatDelayRows:
+    """Every slot problem carries each seat's predicted delay per level."""
+
+    def test_rows_are_the_seat_predictor_at_its_sizes(self):
+        experiment = SystemExperiment(setup1_config(duration_slots=60, seed=0))
+        problems = []
+        build = experiment.edge_server
+
+        def edge_server(allocator, data_plane):
+            server = build(allocator, data_plane)
+            allocate = server.scheduler.allocate
+
+            def checked(problem):
+                # Checked before the slot's outcomes refit a predictor.
+                for n, user in enumerate(problem.users):
+                    predict = server._delay_predictors[n].predict
+                    assert user.delays == tuple(predict(s) for s in user.sizes)
+                problems.append(problem)
+                return allocate(problem)
+
+            server.scheduler.allocate = checked
+            return server
+
+        experiment.edge_server = edge_server
+        experiment.run_repeat(ArrayAllocator())
+        assert len(problems) == 59
+        # Past warm-up the fitted polynomial, not the fallback
+        # constant, prices the levels: rows vary across levels.
+        assert any(
+            len(set(user.delays)) > 1 for user in problems[-1].users
+        )
 
 
 class TestBatchedMotionState:

@@ -108,7 +108,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         model = MM1DelayModel()
         problem = self.scheduler.build_slot_problem(
             [self.SIZES] * self.NUM_USERS,
-            [model.delay_fn(60.0)] * self.NUM_USERS,
+            [model.delays(self.SIZES, 60.0)] * self.NUM_USERS,
             [60.0] * self.NUM_USERS,
             120.0,
         )
