@@ -7,18 +7,21 @@ throughput constraints.
 :class:`DensityValueGreedyAllocator` solves it with the paper's
 combined density/value greedy, guaranteed to reach at least half the
 per-slot optimum under the model's concavity/convexity assumptions
-(Theorem 1).
+(Theorem 1).  It and its two ablation halves pick one of two
+bit-identical solvers by seat count (:data:`SWEEP_MIN_USERS`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import ClassVar, List, Sequence, Tuple
 
 from repro.core.decomposition import skip_objective, slot_objective_curve
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
+from repro.kernel.batch import SlotBatch
+from repro.kernel.solver import solve_batch
 from repro.knapsack.greedy import combined_greedy, density_greedy, value_greedy
 from repro.knapsack.problem import ItemCurve, SeparableKnapsack
 
@@ -232,47 +235,69 @@ class QualityAllocator(abc.ABC):
         """Clear any cross-slot internal state (default: stateless)."""
 
 
+#: Seat count from which a slot is solved by the sorted sweep instead
+#: of the heap.  Both give the same levels; the sweep pays a fixed
+#: numpy cost per slot and the heap O(log N) per upgrade.  On setup-1
+#: slot problems from ``EdgeServer`` (2-vCPU Xeon) the heap was the
+#: cheaper up to 18 seats, the two were even at 20, and the sweep was
+#: the cheaper from 24 on (1.3-2x at 32 seats).
+SWEEP_MIN_USERS = 20
+
+_GREEDY = {
+    "combined": combined_greedy,
+    "density": density_greedy,
+    "value": value_greedy,
+}
+
+
+class _UpgradeGreedyAllocator(QualityAllocator):
+    """Algorithm 1's upgrade greedy in one attractiveness ``order``.
+
+    From :data:`SWEEP_MIN_USERS` seats on, the slot is solved as a
+    :class:`~repro.kernel.batch.SlotBatch` by
+    :func:`~repro.kernel.solver.solve_batch`; below that, on a ragged
+    level menu, or when the sweep refuses the slot, by the heap greedy
+    on :meth:`SlotProblem.to_knapsack`.  The two are bit-identical
+    (``tests/kernel``), so the seat count only picks the cost.
+    """
+
+    order: ClassVar[str] = "combined"
+
+    def allocate(self, problem: SlotProblem) -> List[int]:
+        if problem.num_users >= SWEEP_MIN_USERS:
+            try:
+                levels = solve_batch(SlotBatch.from_problem(problem), self.order)
+            except ConfigurationError:  # a ragged level menu has no (N, L) form
+                levels = None
+            if levels is not None:
+                return levels.tolist()
+        solution = _GREEDY[self.order](problem.to_knapsack())
+        return _options_to_levels(solution.options)
+
+
 @dataclass
-class DensityValueGreedyAllocator(QualityAllocator):
+class DensityValueGreedyAllocator(_UpgradeGreedyAllocator):
     """Algorithm 1: the better of density-greedy and value-greedy.
 
     Stateless across slots — all the coupling lives in the
     ``qbar``/``delta`` fields of the :class:`SlotProblem`, which the
     :class:`~repro.core.scheduler.CollaborativeVrScheduler` maintains.
-
-    ``strategy`` selects the greedy implementation: ``"heap"`` (the
-    O(log N)-per-upgrade fast path, default) or ``"reference"`` (the
-    direct Algorithm 1 loop kept as the oracle).  Both produce
-    bit-identical allocations.
     """
 
     name: str = field(default="density-value-greedy", init=False)
-    strategy: str = "heap"
-
-    def allocate(self, problem: SlotProblem) -> List[int]:
-        solution = combined_greedy(problem.to_knapsack(), strategy=self.strategy)
-        return _options_to_levels(solution.options)
 
 
 @dataclass
-class DensityGreedyAllocator(QualityAllocator):
+class DensityGreedyAllocator(_UpgradeGreedyAllocator):
     """Density-greedy half of Algorithm 1 (ablation)."""
 
     name: str = field(default="density-greedy", init=False)
-    strategy: str = "heap"
-
-    def allocate(self, problem: SlotProblem) -> List[int]:
-        solution = density_greedy(problem.to_knapsack(), strategy=self.strategy)
-        return _options_to_levels(solution.options)
+    order = "density"
 
 
 @dataclass
-class ValueGreedyAllocator(QualityAllocator):
+class ValueGreedyAllocator(_UpgradeGreedyAllocator):
     """Value-greedy half of Algorithm 1 (ablation)."""
 
     name: str = field(default="value-greedy", init=False)
-    strategy: str = "heap"
-
-    def allocate(self, problem: SlotProblem) -> List[int]:
-        solution = value_greedy(problem.to_knapsack(), strategy=self.strategy)
-        return _options_to_levels(solution.options)
+    order = "value"

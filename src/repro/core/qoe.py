@@ -13,6 +13,7 @@ users (eq. (1)).
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -79,8 +80,10 @@ class UserQoELedger:
             raise ConfigurationError(f"level must be non-negative, got {level}")
         if indicator not in (0, 1):
             raise ConfigurationError(f"indicator must be 0 or 1, got {indicator}")
-        if delay < 0:
-            raise ConfigurationError(f"delay must be non-negative, got {delay}")
+        if not 0 <= delay < math.inf:  # False for NaN
+            raise ConfigurationError(
+                f"delay must be finite and non-negative, got {delay}"
+            )
         if level == 0:
             indicator = 0
             if delay != 0:

@@ -16,6 +16,7 @@ so the algorithms are executed by identical code in both worlds.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.allocation import QualityAllocator, SlotProblem, UserSlotState
@@ -262,13 +263,24 @@ class CollaborativeVrScheduler:
         }
 
     def import_user(self, user: int, state: Mapping[str, object]) -> None:
-        """Reinstate one user's state from :meth:`export_user` output."""
+        """Reinstate one user's state from :meth:`export_user` output.
+
+        Every field is checked before any is restored, so a refused
+        blob leaves the user's state as it was.  The blob may come
+        from JSON, which admits NaN and Infinity: a mean or a delay
+        that is not a finite non-negative number is refused.
+        """
         if not 0 <= user < self.num_users:
             raise ConfigurationError(
                 f"user index must be in [0, {self.num_users}), got {user}"
             )
         qbar_count = _state_int(state, "qbar_count")
         qbar_mean = _state_float(state, "qbar_mean")
+        if qbar_count < 0 or not 0 <= qbar_mean < math.inf:
+            raise ConfigurationError(
+                "scheduler user state needs qbar_count >= 0 and a finite "
+                f"qbar_mean >= 0, got {qbar_count} and {qbar_mean!r}"
+            )
         trials = _state_int(state, "accuracy_trials")
         successes = _state_int(state, "accuracy_successes")
         ledger_rows = state.get("ledger")
@@ -281,9 +293,12 @@ class CollaborativeVrScheduler:
                     f"ledger rows must be (level, indicator, delay), got {row!r}"
                 )
             rows.append((int(row[0]), int(row[1]), float(row[2])))
-        self._qbar[user].restore_state(qbar_count, qbar_mean)
+        ledger = UserQoELedger()
+        ledger.restore_state(rows)  # record() checks every row
+        # The only restore that can still refuse its input goes first.
         self._accuracy[user].restore_state(trials, successes)
-        self.ledgers[user].restore_state(rows)
+        self._qbar[user].restore_state(qbar_count, qbar_mean)
+        self.ledgers[user] = ledger
 
     def reset(self) -> None:
         """Clear all per-episode state, including the allocator's."""

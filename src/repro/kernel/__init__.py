@@ -10,10 +10,10 @@ arrays instead of ``N`` per-user objects:
   :func:`~repro.kernel.solver.solve_batch` — Algorithm 1 as a sorted
   sweep over candidate upgrades, bit-identical to the object heap
   solver whenever its fast-path preconditions hold (and refusing —
-  returning ``None`` — when they do not, so callers fall back).
-- :class:`~repro.kernel.allocator.ArrayAllocator` — drop-in
-  :class:`~repro.core.allocation.QualityAllocator` backed by the
-  array solver with automatic object-solver fallback.
+  returning ``None`` — when they do not).  The allocators of
+  :mod:`repro.core.allocation` run it from
+  :data:`~repro.core.allocation.SWEEP_MIN_USERS` seats on and take
+  the heap greedy below that or when it refuses.
 - :class:`~repro.kernel.predict.BatchMotionPredictor` — all users'
   linear-regression motion fits in one sweep.
 
@@ -31,7 +31,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.kernel.allocator": ("ArrayAllocator",),
         "repro.kernel.batch": ("SlotBatch", "mm1_delay_matrix"),
         "repro.kernel.predict": ("BatchMotionPredictor",),
         "repro.kernel.solver": (
@@ -41,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "ArrayAllocator",
     "ArraySolution",
     "BatchMotionPredictor",
     "SlotBatch",

@@ -17,13 +17,15 @@ branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.allocation import SlotProblem
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.core.allocation import SlotProblem
 
 _EPS = 1e-9
 
@@ -133,9 +135,9 @@ class SlotBatch:
         """Flatten a :class:`SlotProblem` (rectangular level menus only).
 
         Raises :class:`~repro.errors.ConfigurationError` when users
-        disagree on the number of levels; the
-        :class:`~repro.kernel.allocator.ArrayAllocator` catches that
-        and falls back to the object solver.
+        disagree on the number of levels; the allocators of
+        :mod:`repro.core.allocation` catch that and solve the slot
+        with the heap greedy instead.
         """
         num_levels = problem.num_levels
         for user in problem.users:

@@ -37,8 +37,8 @@ same fleets under lockstep miss nothing.
 A note on the serve bench's ``mux`` row at 128 clients: on a one-core
 box the slot budget is lost in the planner, not on the wire.  The
 solve itself is small: in ``SystemExperiment`` setup 1 scaled to 128
-seats on a 2-vCPU Xeon box, the server's ``ArrayAllocator`` takes
-~0.5-0.7 ms of CPU per slot in ``allocate``.  The seats x levels
+seats on a 2-vCPU Xeon box, the allocator takes the sorted sweep and
+spends ~0.5-0.7 ms of CPU per slot in ``allocate``.  The seats x levels
 delay-predictor calls that price each level happen before it, in
 ``EdgeServer.plan_slot``.  Encode and send stay near 3 ms at p99.
 """
@@ -298,9 +298,12 @@ def _object_slot(
     t: int,
     weights: QoEWeights,
     model: MM1DelayModel,
-    allocator: DensityValueGreedyAllocator,
 ) -> List[int]:
-    """The per-user-object pipeline, end to end, for one slot."""
+    """The per-user-object pipeline, end to end, for one slot.
+
+    Solved by the heap greedy itself: the allocators would take the
+    sorted sweep at this fleet size, and this arm is its baseline.
+    """
     sizes = inputs["sizes"]
     caps = inputs["caps"]
     users = tuple(
@@ -316,7 +319,8 @@ def _object_slot(
     problem = SlotProblem(
         t=t, users=users, budget_mbps=float(inputs["budget"]), weights=weights
     )
-    return allocator.allocate(problem)
+    solution = combined_greedy(problem.to_knapsack(), strategy="heap")
+    return [k + 1 for k in solution.options]
 
 
 def _slot_batch(
@@ -431,7 +435,7 @@ def bench_kernel(
 
     The object arm builds per-user :class:`UserSlotState` dataclasses
     with their M/M/1 delay rows, a :class:`SlotProblem`, and solves it
-    with the heap-based :class:`DensityValueGreedyAllocator`; the array
+    with the heap greedy (:func:`combined_greedy`); the array
     arm builds a :class:`SlotBatch` (delay matrix included) and solves
     it with :func:`solve_batch`.  ``num_slots``
     distinct seeded populations are each timed ``repeats`` times per
@@ -445,7 +449,6 @@ def bench_kernel(
     rng = np.random.default_rng(seed)
     weights = QoEWeights.simulation_defaults()
     model = MM1DelayModel()
-    object_alloc = DensityValueGreedyAllocator()
 
     object_s = 0.0
     array_s = 0.0
@@ -456,13 +459,13 @@ def bench_kernel(
         for t in range(num_slots)
     ]
     for t, inputs in slots:
-        want = _object_slot(inputs, t, weights, model, object_alloc)
+        want = _object_slot(inputs, t, weights, model)
         got = _array_slot(inputs, t, weights)
         if list(got) != list(want):
             identical = False
         object_s += _best_of(
             repeats,
-            lambda: _object_slot(inputs, t, weights, model, object_alloc),
+            lambda: _object_slot(inputs, t, weights, model),
         )
         array_s += _best_of(
             repeats, lambda: _array_slot(inputs, t, weights)

@@ -17,10 +17,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-from repro.core.allocation import QualityAllocator
+from repro.core.allocation import DensityValueGreedyAllocator
 from repro.errors import TransportError
 from repro.faults.injection import FaultInjector
-from repro.kernel.allocator import ArrayAllocator
 from repro.obs.buildinfo import config_fingerprint, register_build_info
 from repro.obs.config import Obs
 from repro.obs.flight import TRIGGER_ADMISSION_REJECT
@@ -81,20 +80,12 @@ class VrServeServer:
         result = await server.run()
     """
 
-    def __init__(
-        self,
-        config: ServeConfig,
-        allocator: Optional[QualityAllocator] = None,
-    ) -> None:
+    def __init__(self, config: ServeConfig) -> None:
         self.config = config
         cfg = config.experiment
         self.experiment = SystemExperiment(cfg)
-        # The array kernel makes the heap solver's allocations,
-        # vectorized, and falls back to it whenever its sorted sweep
-        # refuses a slot.
-        self.allocator: QualityAllocator = (
-            allocator if allocator is not None else ArrayAllocator()
-        )
+        # The planner run_repeat uses, so a lockstep serve equals it.
+        self.allocator = DensityValueGreedyAllocator()
         self.data_plane = DataPlane(cfg)
         self.edge = self.experiment.edge_server(self.allocator, self.data_plane)
         self.registry = SessionRegistry(config.max_users)

@@ -326,6 +326,8 @@ class EdgeServer:
         misses = _seat_int(state, "cache_misses")
 
         self.reset_user(user)
+        # First, as it refuses a bad blob before restoring anything.
+        self.scheduler.import_user(user, sched_state)
         for vector in pose_window:
             self.observe_pose(user, Pose.from_vector(vector))
         self._delay_predictors[user].restore_state(
@@ -340,7 +342,6 @@ class EdgeServer:
             self._tile_caches[user].move_to(center)
         self._tile_caches[user].hits = hits
         self._tile_caches[user].misses = misses
-        self.scheduler.import_user(user, sched_state)
 
     # ------------------------------------------------------------------
     # Planning

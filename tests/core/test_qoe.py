@@ -58,6 +58,13 @@ class TestUserQoELedger:
         with pytest.raises(ConfigurationError):
             ledger.record(level=0, indicator=0, delay=0.5)
 
+    @pytest.mark.parametrize("delay", [-0.1, float("nan"), float("inf")])
+    def test_delay_must_be_finite_and_non_negative(self, delay):
+        ledger = UserQoELedger()
+        with pytest.raises(ConfigurationError):
+            ledger.record(level=3, indicator=1, delay=delay)
+        assert ledger.horizon == 0
+
     def test_variance_matches_numpy(self):
         ledger = UserQoELedger()
         rng = np.random.default_rng(0)

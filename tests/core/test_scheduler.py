@@ -135,3 +135,23 @@ class TestScheduler:
     def test_rejects_zero_users(self):
         with pytest.raises(ConfigurationError):
             make_scheduler(num_users=0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"qbar_mean": float("nan")},
+            {"qbar_mean": -5.0},
+            {"accuracy_successes": 99},
+            {"ledger": [[4, 1, 0.5], [3, 1, float("inf")]]},
+        ],
+    )
+    def test_refused_import_restores_nothing(self, change):
+        source = make_scheduler()
+        source.record_outcomes([4, 2], [1, 0], [0.5, 0.3])
+        state = {**source.export_user(0), **change}
+        target = make_scheduler()
+        target.record_outcomes([3, 3], [0, 1], [0.2, 0.1])
+        before = target.export_user(0)
+        with pytest.raises(ConfigurationError):
+            target.import_user(0, state)
+        assert target.export_user(0) == before

@@ -2,21 +2,31 @@
 
 The same 200-round seeded sweep as ``tests/knapsack/test_differential``
 plus the constraint variants (caps, groups, skip), comparing
-:func:`repro.kernel.solver.solve_arrays` against the heap strategy.
-Identity here means ``==`` on options, value, and weight — floats
-included, no tolerance.
+:func:`repro.kernel.solver.solve_arrays` against the heap strategy in
+every attractiveness order: ``density`` against
+:func:`~repro.knapsack.greedy.density_greedy`, ``value`` against
+:func:`~repro.knapsack.greedy.value_greedy` (the ablation allocators
+reach these single-order sweeps) and ``combined`` against
+:func:`~repro.knapsack.greedy.combined_greedy`.  Identity here means
+``==`` on options, value, and weight — floats included, no tolerance.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, InfeasibleAllocationError
-from repro.kernel.solver import solve_arrays
-from repro.knapsack import combined_greedy
+from repro.kernel.solver import ORDERS, solve_arrays
+from repro.knapsack import combined_greedy, density_greedy, value_greedy
 from repro.knapsack.random_instances import random_instance
 
 NUM_ROUNDS = 200
 SEED = 20220806
+
+HEAP_SOLVERS = {
+    "density": density_greedy,
+    "value": value_greedy,
+    "combined": combined_greedy,
+}
 
 
 def _arrays_of(problem):
@@ -41,8 +51,8 @@ def _arrays_of(problem):
     return values, weights, caps, skip, group_of, group_budgets
 
 
-def _solve_both(problem):
-    heap = combined_greedy(problem, strategy="heap")
+def _solve_both(problem, order):
+    heap = HEAP_SOLVERS[order](problem, strategy="heap")
     values, weights, caps, skip, group_of, group_budgets = _arrays_of(problem)
     array = solve_arrays(
         values,
@@ -53,16 +63,20 @@ def _solve_both(problem):
         skip_values=skip,
         group_of=group_of,
         group_budgets=group_budgets,
+        order=order,
     )
     return heap, array
 
 
 def _assert_identical(problem, round_index):
-    heap, array = _solve_both(problem)
-    assert array is not None, f"round {round_index}: fast path refused"
-    assert array.options == heap.options, f"round {round_index}"
-    assert array.value == heap.value, f"round {round_index}"
-    assert array.weight == heap.weight, f"round {round_index}"
+    """The sweep equals the heap on ``problem`` in every order."""
+    for order in ORDERS:
+        where = f"round {round_index}, order {order}"
+        heap, array = _solve_both(problem, order)
+        assert array is not None, f"{where}: fast path refused"
+        assert array.options == heap.options, where
+        assert array.value == heap.value, where
+        assert array.weight == heap.weight, where
 
 
 class TestSolverDifferential:

@@ -2,7 +2,8 @@
 
 A full house of fleet clients plays every seat of a lockstep server,
 and :meth:`~repro.system.experiment.SystemExperiment.run_repeat` runs
-the same configuration with the heap allocator.  The two share the
+the same configuration.  The two share the planner
+(:class:`~repro.core.allocation.DensityValueGreedyAllocator`), the
 data plane, the edge-server build and the phone step, so every
 per-user figure must agree exactly.
 """

@@ -13,7 +13,6 @@ from repro.content.tiles import GridWorld, TileGrid, VideoId
 from repro.core.allocation import DensityValueGreedyAllocator
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
-from repro.kernel.allocator import ArrayAllocator
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose
 from repro.system.experiment import SystemExperiment, setup1_config
@@ -264,7 +263,7 @@ class TestSeatDelayRows:
             return server
 
         experiment.edge_server = edge_server
-        experiment.run_repeat(ArrayAllocator())
+        experiment.run_repeat(DensityValueGreedyAllocator())
         assert len(problems) == 59
         # Past warm-up the fitted polynomial, not the fallback
         # constant, prices the levels: rows vary across levels.
@@ -346,6 +345,7 @@ class TestImportSeatRejectsNonFinite:
         assert plan.users[0].level > 0
         assert plan.users[1].predicted_pose is None
         assert target.export_seat(1)["pose_window"] == []
+        assert target.export_seat(1)["scheduler"]["ledger"] == []
 
     @pytest.mark.parametrize("axis", [0, 3], ids=["x", "yaw"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -360,3 +360,17 @@ class TestImportSeatRejectsNonFinite:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_cap_rejected(self, value):
         self._assert_rejected(self._state(cap_estimate_mbps=value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -5.0])
+    def test_bad_qbar_mean_rejected(self, value):
+        state = self._state()
+        state["scheduler"]["qbar_mean"] = value
+        self._assert_rejected(json.loads(json.dumps(state)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_ledger_delay_rejected(self, value):
+        state = self._state()
+        # A delivered row: a skipped one already refuses any delay.
+        row = next(r for r in state["scheduler"]["ledger"] if r[0] > 0)
+        row[2] = value
+        self._assert_rejected(json.loads(json.dumps(state)))
