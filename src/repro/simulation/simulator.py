@@ -401,9 +401,8 @@ class TraceSimulator:
         episodes = range(first_episode, first_episode + num_episodes)
         decision = workers.parallel_decision(num_episodes, max_workers)
         if decision.use_parallel:
-            assert max_workers is not None
             episode_results = workers.run_episodes(
-                self.config, allocator, episodes, max_workers
+                self.config, allocator, episodes, decision.workers
             )
             if episode_results is not None:
                 for episode_result in episode_results:

@@ -38,6 +38,8 @@ class ParallelDecision:
 
     use_parallel: bool
     reason: str
+    #: Pool size: no more than the episodes or the box's cores.
+    workers: int = 1
 
 
 def parallel_decision(
@@ -48,7 +50,8 @@ def parallel_decision(
     Serial when the caller asked for it (``None``/0/1 workers), when
     there is only one episode to replay, or when the box has a single
     CPU core (worker processes would just time-slice the same core
-    while paying pickling and startup on top).
+    while paying pickling and startup on top).  A parallel pool never
+    has more workers than episodes or cores, for the same reason.
     """
     if max_workers is None or max_workers <= 1:
         return ParallelDecision(False, "serial replay requested (max_workers <= 1)")
@@ -61,9 +64,11 @@ def parallel_decision(
             f"{cores} CPU core: worker processes cannot overlap and "
             "would only add startup and pickling cost",
         )
-    workers = min(max_workers, num_episodes)
+    workers = min(max_workers, num_episodes, cores)
     return ParallelDecision(
-        True, f"{workers} workers over {num_episodes} episodes on {cores} cores"
+        True,
+        f"{workers} workers over {num_episodes} episodes on {cores} cores",
+        workers,
     )
 
 

@@ -6,6 +6,14 @@ FoV plus margin, runs the pluggable quality allocator against
 *estimated* constraints (EMA throughput, polynomial-regression
 delay), and transmits only the tiles the user does not already hold
 (the repetitive-tile dedup of Section V, mirrored from client ACKs).
+
+Per-seat state that the slot sweeps read lives in arrays: every
+seat's pose window in one
+:class:`~repro.kernel.predict.BatchMotionPredictor`, and every seat's
+(rate, delay) window in one
+:class:`~repro.prediction.delay.BatchDelayPredictor`, which prices the
+whole slot menu — each seat's delay at each level's rate — in one
+Horner sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from repro.core.qoe import QoEWeights
 from repro.core.scheduler import CollaborativeVrScheduler
 from repro.errors import ConfigurationError
 from repro.kernel.predict import BatchMotionPredictor
-from repro.prediction.delay import PolynomialDelayPredictor
+from repro.prediction.delay import BatchDelayPredictor
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose, is_finite_vector
 from repro.units import SLOT_DURATION_S
@@ -31,9 +39,21 @@ from repro.units import SLOT_DURATION_S
 _EPS = 1e-9
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_non_negative(value: object) -> bool:
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and 0 <= value <= sys.float_info.max  # False for NaN
+    )
+
+
 def _seat_int(state: Mapping[str, object], key: str) -> int:
     value = state.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigurationError(
             f"seat state {key!r} must be an int, got {value!r}"
         )
@@ -171,7 +191,8 @@ class EdgeServer:
         self._cap_estimates = [float(initial_cap_mbps)] * num_users
         self._ema_alpha = ema_alpha
         self._safety = safety_factor
-        self._delay_predictors = [PolynomialDelayPredictor() for _ in range(num_users)]
+        # Every seat's (rate, delay) window, priced in one sweep per slot.
+        self._delay_model = BatchDelayPredictor(num_users)
         self._delivered: List[Set[int]] = [set() for _ in range(num_users)]
         self.content_refresh_slots = content_refresh_slots
         if (router_of is None) != (router_budgets_mbps is None):
@@ -240,7 +261,7 @@ class EdgeServer:
             )
         self._motion.reset_user(user)
         self._last_poses[user] = None
-        self._delay_predictors[user].reset()
+        self._delay_model.reset_user(user)
         self._delivered[user].clear()
         self._cap_estimates[user] = self._initial_cap_mbps
         self._tile_caches[user] = ServerTileCache(
@@ -269,9 +290,7 @@ class EdgeServer:
         cache = self._tile_caches[user]
         return {
             "pose_window": self._motion.export_user(user),
-            "delay_samples": [
-                list(s) for s in self._delay_predictors[user].export_state()
-            ],
+            "delay_samples": self._delay_model.export_user(user),
             "cap_estimate_mbps": float(self._cap_estimates[user]),
             "delivered_ids": sorted(self._delivered[user]),
             "cache_center_cell": cache.center_cell,
@@ -303,20 +322,33 @@ class EdgeServer:
         if not isinstance(sched_state, Mapping):
             raise ConfigurationError("seat state 'scheduler' must be an object")
         # The blob is JSON, which admits NaN and Infinity: a non-finite
-        # pose or a negative/non-finite cap would poison every later
-        # plan_slot on this shard, so refuse it here.
+        # pose, delay sample or cap would poison every later plan_slot
+        # on this shard, and a malformed entry would fail half-way
+        # through the restore, so refuse them here.
         for vector in pose_window:
             if not is_finite_vector(vector):
                 raise ConfigurationError(
                     "seat state 'pose_window' entries must be six finite "
                     f"numbers, got {vector!r}"
                 )
+        for sample in delay_samples:
+            if not (
+                isinstance(sample, (list, tuple))
+                and len(sample) == 2
+                and all(_is_finite_non_negative(v) for v in sample)
+            ):
+                raise ConfigurationError(
+                    "seat state 'delay_samples' entries must be two finite "
+                    f"numbers >= 0, got {sample!r}"
+                )
+        for video_id in delivered_ids:
+            if not _is_int(video_id):
+                raise ConfigurationError(
+                    "seat state 'delivered_ids' entries must be ints, "
+                    f"got {video_id!r}"
+                )
         cap = state.get("cap_estimate_mbps")
-        if (
-            isinstance(cap, bool)
-            or not isinstance(cap, (int, float))
-            or not 0 <= cap <= sys.float_info.max  # False for NaN
-        ):
+        if not _is_finite_non_negative(cap):
             raise ConfigurationError(
                 "seat state 'cap_estimate_mbps' must be a finite number "
                 f">= 0, got {cap!r}"
@@ -330,11 +362,9 @@ class EdgeServer:
         self.scheduler.import_user(user, sched_state)
         for vector in pose_window:
             self.observe_pose(user, Pose.from_vector(vector))
-        self._delay_predictors[user].restore_state(
-            [(float(s[0]), float(s[1])) for s in delay_samples]
-        )
+        self._delay_model.restore_user(user, delay_samples)
         self._cap_estimates[user] = float(cap)
-        self._delivered[user] = {int(i) for i in delivered_ids}
+        self._delivered[user] = set(delivered_ids)
         if center >= 0:
             # move_to re-derives the resident window from the centre;
             # the hit counters are restored separately because move_to
@@ -383,7 +413,6 @@ class EdgeServer:
                     delivered.clear()
         sizes: List[Sequence[float]] = []
         curves: List[QualityRateCurve] = []
-        delays: List[Tuple[float, ...]] = []
         caps = []
         raw_caps = []
 
@@ -412,8 +441,6 @@ class EdgeServer:
             curves.append(held[1])
             row = held[1].as_tuple()
             sizes.append(row)
-            predict = self._delay_predictors[n].predict
-            delays.append(tuple(predict(size) for size in row))
             if pose is None:
                 # An empty seat (no pose ever observed) must not draw
                 # budget away from live users: a zero capacity makes
@@ -427,7 +454,7 @@ class EdgeServer:
 
         problem = self.scheduler.build_slot_problem(
             sizes,
-            delays,
+            self._delay_model.delays(sizes).tolist(),
             caps,
             self.server_budget_mbps,
             raw_caps_mbps=raw_caps,
@@ -506,6 +533,7 @@ class EdgeServer:
         evicted; ``achieved_mbps[n]`` the rate the link actually
         sustained while the flow was transmitting.
         """
+        sampled: List[int] = []
         for n, user_plan in enumerate(plan.users):
             self._delivered[n].update(delivered_ids[n])
             self._delivered[n].difference_update(released_ids[n])
@@ -526,9 +554,11 @@ class EdgeServer:
                     self.max_cap_mbps,
                 )
             if user_plan.level > 0 and demand > _EPS:
-                self._delay_predictors[n].observe(
-                    user_plan.nominal_rate_mbps, float(delays_slots[n])
-                )
-
+                sampled.append(n)
+        self._delay_model.observe(
+            sampled,
+            [plan.users[n].nominal_rate_mbps for n in sampled],
+            [float(delays_slots[n]) for n in sampled],
+        )
         self.scheduler.record_outcomes(plan.levels, indicators, delays_slots)
         self._slot += 1

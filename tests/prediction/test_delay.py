@@ -109,11 +109,19 @@ class TestPolynomialDelayPredictor:
             base = rng.choice([0.0, -0.0, 1e-7, 4e-7, 1.0000004, 1.0, 5e8, 3.5])
             rates = np.abs(base + rng.integers(0, 3, size=12) * 1e-7)
             predictor = PolynomialDelayPredictor(degree=3, min_samples=4)
-            for rate in rates:
-                predictor.observe(float(rate), float(rng.uniform(0.1, 2.0)))
+            delays = rng.uniform(0.1, 2.0, size=rates.size)
+            for rate, delay in zip(rates, delays):
+                predictor.observe(float(rate), float(delay))
             predictor.predict(1.0)
             distinct = len(np.unique(np.round(rates, 6)))
-            assert len(predictor._coeffs) - 1 == min(3, distinct - 1)
+            degree = min(3, distinct - 1)
+            # The fitted row, padded with leading zeros to degree 3.
+            want = np.zeros(4)
+            if degree == 0:
+                want[-1] = delays.mean()
+            else:
+                want[3 - degree:] = np.polyfit(rates, delays, degree)
+            assert predictor._seat._coeffs[0].tolist() == want.tolist()
 
 
 def _polyval_reference(predictor, rate):

@@ -188,6 +188,30 @@ class TestRejection:
         replacement = park_session(target, client="retry")
         assert replacement.seat == 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delay_samples", [[1.0]]),
+            ("delay_samples", ["ab"]),
+            ("delay_samples", [None]),
+            ("delay_samples", [[1.0, "x"]]),
+            ("delivered_ids", [True]),
+        ],
+        ids=["one-number", "string", "none", "string-delay", "bool-id"],
+    )
+    def test_malformed_seat_state_leaves_target_seat_free(self, field, value):
+        target = make_server()
+        blob = self.make_blob()
+        blob["seat"][field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            install_seat(target, blob)
+        assert target.registry.occupancy() == 0
+        assert target.metrics.migrations_in == 0
+        assert target.edge.export_seat(0)["delay_samples"] == []
+        assert target.edge.export_seat(0)["delivered_ids"] == []
+        replacement = park_session(target, client="retry")
+        assert replacement.seat == 0
+
     def test_bad_telemetry_rolls_back_admission(self):
         target = make_server()
         blob = self.make_blob()

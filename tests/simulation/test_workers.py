@@ -37,6 +37,35 @@ class TestParallelDecision:
         decision = parallel_decision(2, 16)
         assert decision.use_parallel
         assert decision.reason.startswith("2 workers")
+        assert decision.workers == 2
+
+    def test_workers_capped_by_cores(self, monkeypatch):
+        # Four workers on two cores only time-slice them: the pool
+        # gets one worker per core.
+        monkeypatch.setattr(workers.os, "cpu_count", lambda: 2)
+        decision = parallel_decision(4, 4)
+        assert decision == ParallelDecision(
+            True, "2 workers over 4 episodes on 2 cores", 2
+        )
+
+    def test_run_sizes_the_pool_from_the_decision(self, monkeypatch):
+        from repro.core.allocation import DensityValueGreedyAllocator
+        from repro.simulation.simulator import SimulationConfig, TraceSimulator
+
+        monkeypatch.setattr(workers.os, "cpu_count", lambda: 2)
+        sizes = []
+
+        def run_episodes(config, allocator, episodes, max_workers):
+            sizes.append(max_workers)
+            return None  # the pool is unusable: replay serially
+
+        monkeypatch.setattr(workers, "run_episodes", run_episodes)
+        simulator = TraceSimulator(SimulationConfig(num_users=2, duration_slots=5))
+        results = simulator.run(
+            DensityValueGreedyAllocator(), num_episodes=4, max_workers=4
+        )
+        assert sizes == [2]
+        assert len(results.episodes) == 4
 
 
 class TestChunks:

@@ -17,6 +17,7 @@ from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose
 from repro.system.experiment import SystemExperiment, setup1_config
 from repro.system.server import EdgeServer
+from tests.prediction._reference_delay import ReferencePolynomialDelayPredictor
 
 
 def make_server(num_users=2, refresh=1, **kwargs):
@@ -249,12 +250,25 @@ class TestSeatDelayRows:
 
         def edge_server(allocator, data_plane):
             server = build(allocator, data_plane)
+            # The scalar oracle, fed every sample the server observes.
+            oracles = [
+                ReferencePolynomialDelayPredictor()
+                for _ in range(server.num_users)
+            ]
+            observe = server._delay_model.observe
+
+            def mirrored(users, rates, delays):
+                observe(users, rates, delays)
+                for n, rate, delay in zip(users, rates, delays):
+                    oracles[n].observe(rate, delay)
+
+            server._delay_model.observe = mirrored
             allocate = server.scheduler.allocate
 
             def checked(problem):
                 # Checked before the slot's outcomes refit a predictor.
                 for n, user in enumerate(problem.users):
-                    predict = server._delay_predictors[n].predict
+                    predict = oracles[n].predict
                     assert user.delays == tuple(predict(s) for s in user.sizes)
                 problems.append(problem)
                 return allocate(problem)
@@ -345,6 +359,7 @@ class TestImportSeatRejectsNonFinite:
         assert plan.users[0].level > 0
         assert plan.users[1].predicted_pose is None
         assert target.export_seat(1)["pose_window"] == []
+        assert target.export_seat(1)["delay_samples"] == []
         assert target.export_seat(1)["scheduler"]["ledger"] == []
 
     @pytest.mark.parametrize("axis", [0, 3], ids=["x", "yaw"])
@@ -366,6 +381,33 @@ class TestImportSeatRejectsNonFinite:
         state = self._state()
         state["scheduler"]["qbar_mean"] = value
         self._assert_rejected(json.loads(json.dumps(state)))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[[1.0]], ["ab"], [None], [[1.0, "x"]]],
+        ids=["one-number", "string", "none", "string-delay"],
+    )
+    def test_malformed_delay_samples_rejected(self, samples):
+        # These used to raise IndexError, ValueError or TypeError
+        # half-way through the restore, which install_seat does not
+        # roll back.
+        self._assert_rejected(self._state(delay_samples=samples))
+
+    @pytest.mark.parametrize(
+        "sample",
+        [[1.0, math.nan], [math.inf, 0.1], [-1.0, 0.1], [1.0, 0.1, 0.2], [True, 0.1]],
+        ids=["nan-delay", "inf-rate", "negative-rate", "three-numbers", "bool"],
+    )
+    def test_bad_delay_sample_rejected(self, sample):
+        state = self._state()
+        state["delay_samples"].append(sample)
+        self._assert_rejected(json.loads(json.dumps(state)))
+
+    @pytest.mark.parametrize(
+        "ids", [[True], ["7"], [1.5], [None]], ids=["bool", "string", "float", "none"]
+    )
+    def test_non_int_delivered_ids_rejected(self, ids):
+        self._assert_rejected(self._state(delivered_ids=ids))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_ledger_delay_rejected(self, value):
