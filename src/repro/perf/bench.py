@@ -217,6 +217,8 @@ def bench_simulator(
     records ``parallel_fallback: true`` with the reason instead of a
     meaningless sub-1.0 speedup; the ``max_workers`` arm is still
     replayed (it takes the serial path internally) and must match.
+    ``workers`` records the pool size the run used, which the core
+    count may hold below ``max_workers``.
     """
     config = SimulationConfig(
         num_users=num_users, duration_slots=num_slots, seed=seed
@@ -260,6 +262,7 @@ def bench_simulator(
         "num_slots": int(num_slots),
         "num_episodes": int(num_episodes),
         "max_workers": int(max_workers),
+        "workers": decision.workers,
         "cold_slots_per_s": num_slots / cold_s,
         "warm_slots_per_s": num_slots / warm_s,
         "serial_s": serial_s,
@@ -770,7 +773,7 @@ def _simulator_table(run: Mapping[str, Any]) -> Table:
         ["cold slots/s", run["cold_slots_per_s"]],
         ["warm slots/s", run["warm_slots_per_s"]],
         ["serial (s)", run["serial_s"]],
-        [f"parallel x{run['max_workers']} (s)", _dash(run["parallel_s"])],
+        [f"parallel x{run['workers']} (s)", _dash(run["parallel_s"])],
         ["parallel speedup", _dash(run["parallel_speedup"])],
     ]
     if run["parallel_fallback"]:

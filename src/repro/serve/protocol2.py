@@ -96,12 +96,14 @@ TYPE_REPORT_BATCH = 11
 #: enforced by construction rather than by a mid-slot exception.
 BATCH_SOFT_BYTES = MAX_FRAME_BYTES // 2
 
-#: Decoded/sent pose memory per channel, in report slots.  Both rings
-#: evict their oldest slot past this size, in step, so the base a
-#: sender picks (the newest slot its peer acked) is still in the
-#: decoder's ring; a delta against an evicted base decodes as corrupt.
-#: The ack loop keeps that base within one in-flight plan, so 256 slots
-#: is head-room, not a working set.
+#: Hard cap on the decoded/sent pose memory per channel, in report
+#: slots.  The working set is smaller: the sender drops poses older
+#: than the newest slot its peer acked, and the decoder drops poses
+#: older than each delta report's base (that ack only moves forward),
+#: so an acked delta stream holds about two poses per side.  The cap
+#: binds only a peer that never acks or never sends a delta; both
+#: rings then evict their oldest slot, in step, and a delta against
+#: an evicted base decodes as corrupt.
 _POSE_MEMORY_SLOTS = 256
 
 _F64 = struct.Struct("!d")
@@ -775,6 +777,8 @@ class BinaryChannelCodec:
         achieved_mbps = cursor.f64()
         degraded = cursor.bool_()
         ack_plus1 = cursor.varint()
+        # The unit must be whole before it changes codec state.
+        cursor.expect_done()
         if ack_plus1 > 0:
             acked = ack_plus1 - 1
             previous = self._peer_ack.get(channel, -1)
@@ -801,6 +805,7 @@ class BinaryChannelCodec:
     def _decode_report(self, channel: int, cursor: _Cursor) -> SlotReport:
         slot = cursor.zigzag()
         delta = cursor.bool_()
+        base_slot = -1
         if delta:
             base_slot = cursor.varint() - 1
             base = self._decoded_poses.get(channel, {}).get(base_slot)
@@ -823,7 +828,15 @@ class BinaryChannelCodec:
         indicator = cursor.zigzag()
         delay_slots = cursor.f64()
         viewed_quality = cursor.f64()
+        # A quarantined report is never recorded, so never acked and
+        # never a base: the unit must be whole before it changes state.
+        cursor.expect_done()
         decoded = self._decoded_poses.setdefault(channel, {})
+        if delta:
+            # The peer's base is its newest ack, which only moves
+            # forward: no older pose can be a base again.
+            for old in [s for s in decoded if s < base_slot]:
+                del decoded[old]
         decoded[slot] = packed
         if len(decoded) > _POSE_MEMORY_SLOTS:
             del decoded[min(decoded)]

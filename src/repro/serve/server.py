@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.allocation import DensityValueGreedyAllocator
 from repro.errors import TransportError
@@ -23,7 +23,6 @@ from repro.faults.injection import FaultInjector
 from repro.obs.buildinfo import config_fingerprint, register_build_info
 from repro.obs.config import Obs
 from repro.obs.flight import TRIGGER_ADMISSION_REJECT
-from repro.obs.http import ObsHttpServer
 from repro.obs.slo import SloEngine
 from repro.prediction.pose import Pose
 from repro.serve.admission import (
@@ -50,6 +49,9 @@ from repro.serve.protocol2 import (
 from repro.serve.sessions import Session, SessionRegistry
 from repro.serve.slotloop import SlotLoop
 from repro.system.experiment import DataPlane, SystemExperiment
+
+if TYPE_CHECKING:
+    from repro.obs.http import ObsHttpServer
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,8 @@ class VrServeServer:
         self._ready_event = asyncio.Event()
         self._http: Optional[ObsHttpServer] = None
         if config.obs.http_port is not None:
+            from repro.obs.http import ObsHttpServer
+
             self._http = ObsHttpServer(
                 self.obs.registry,
                 health_fn=self.health,

@@ -41,7 +41,6 @@ from repro.simulation.metrics import (
     summarize_ledger,
 )
 from repro.system.client import Client, DecoderPool, play_frame
-from repro.system.events import EventScheduler
 from repro.system.netem import (
     FadingProcess,
     InterferenceField,
@@ -51,7 +50,6 @@ from repro.system.netem import (
 from repro.system.server import EdgeServer
 from repro.system.telemetry import SlotUserRecord, Telemetry
 from repro.system.transport import RtpChannel, TransmissionResult
-from repro.traces.motion import MotionConfig, MotionTraceGenerator
 from repro.units import (
     SETUP1_SERVER_MBPS,
     SETUP2_SERVER_MBPS,
@@ -275,7 +273,6 @@ class SystemExperiment:
             margin_deg=config.margin_deg,
             cell_tolerance=config.cell_tolerance,
         )
-        self.motion = MotionTraceGenerator(self.world, MotionConfig(), config.slot_s)
 
     def edge_server(
         self, allocator: QualityAllocator, data_plane: DataPlane
@@ -341,6 +338,11 @@ class SystemExperiment:
         defers just the pose upload.  ``None`` (the default) leaves
         the run bit-identical to a build without the fault layer.
         """
+        # The walker and the event engine are the harness's own: a
+        # serving process builds this class but never loads them.
+        from repro.system.events import EventScheduler
+        from repro.traces.motion import MotionConfig, MotionTraceGenerator
+
         cfg = self.config
         # Pre-index the schedule by slot so the hot loop pays one dict
         # lookup per slot, not a scan of the event list.
@@ -376,8 +378,9 @@ class SystemExperiment:
                 "Experiment repeats started",
             ).inc()
 
+        motion = MotionTraceGenerator(self.world, MotionConfig(), cfg.slot_s)
         poses = [
-            self.motion.generate(
+            motion.generate(
                 cfg.duration_slots, np.random.default_rng((cfg.seed, repeat, u, 17))
             )
             for u in range(cfg.num_users)

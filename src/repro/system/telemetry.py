@@ -16,7 +16,6 @@ onto the process's ``/metrics`` page without changing what is stored.
 
 from __future__ import annotations
 
-import csv
 import json
 import pathlib
 from array import array
@@ -289,6 +288,8 @@ class Telemetry:
 
     def save_csv(self, path: PathLike) -> None:
         """Write all records as CSV with a header row."""
+        import csv
+
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(FIELDS)

@@ -3,8 +3,11 @@
 Package ``__init__`` files resolve their exports on first access, so
 ``import repro.serve.server`` loads the serving stack and nothing from
 the simulator, the sweeps, the offline solvers, the client fleet, the
-shard cluster or the bench harness.  Each check runs in a fresh
-interpreter, because this test process has imported all of them.
+shard cluster or the bench harness.  Building a server loads none of
+them either, nor the offline harness's motion walker and event
+engine, the metrics HTTP endpoint (unless a port is set) or ``csv``.
+Each check runs in a fresh interpreter, because this test process has
+imported all of them.
 """
 
 import json
@@ -30,8 +33,12 @@ NOT_SERVING = (
     "repro.analysis.report",
     "repro.shard",
     "repro.perf",
+    "repro.traces.motion",
+    "repro.system.events",
+    "repro.obs.http",
     "multiprocessing",
     "numpy.ma",
+    "csv",
 )
 
 #: Every package, as a dotted name.
@@ -73,6 +80,18 @@ def test_serve_server_import_loads_no_offline_code():
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     assert "repro.serve.server" in modules
+    assert _loaded(modules, NOT_SERVING) == []
+
+
+def test_building_a_server_loads_no_offline_code():
+    modules = _run(
+        "import json, sys\n"
+        "from repro.serve.config import serve_setup1\n"
+        "from repro.serve.server import VrServeServer\n"
+        "VrServeServer(serve_setup1(max_users=8))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert "repro.system.experiment" in modules
     assert _loaded(modules, NOT_SERVING) == []
 
 
