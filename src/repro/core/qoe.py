@@ -6,17 +6,16 @@ For user ``n`` over a horizon ``T``::
 
 i.e. total successfully-viewed quality, minus the weighted total
 delivery delay, minus ``beta * T`` times the variance of the viewed
-quality.  :class:`UserQoELedger` accumulates one user's realized
-history and evaluates every component; :func:`system_qoe` sums over
+quality.  :class:`UserQoELedger` keeps one user's running sums and
+evaluates every component from them; :func:`system_qoe` sums over
 users (eq. (1)).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Union
 
 from repro.errors import ConfigurationError
 
@@ -51,27 +50,29 @@ class QoEWeights:
 
 
 class UserQoELedger:
-    """Realized per-slot history of one user and its QoE components.
+    """Running QoE accumulators of one user.
 
     Record each slot with :meth:`record`; query components at any
-    horizon.  The ledger stores the *viewed* quality
-    ``q_n(t) * 1_n(t)`` per slot plus the delivery delay, which is all
-    the QoE definition needs.  The three series are packed arrays of
-    machine doubles and 64-bit ints, since a seat appends to them every
-    slot for the whole session.
+    horizon.  The QoE definition needs only running sums of the
+    *viewed* quality ``q_n(t) * 1_n(t)``, of its square and of the
+    delivery delay, plus the horizon and the sum of allocated levels,
+    so the ledger keeps those five numbers and no per-slot history:
+    its size is the same after one slot and after a whole session.
     """
 
+    __slots__ = (
+        "_horizon", "_sum_levels", "_sum_viewed", "_sum_viewed_sq", "_sum_delay",
+    )
+
     def __init__(self) -> None:
-        self._viewed = array("d")
-        self._levels = array("q")
-        self._delays = array("d")
-        # Running sums keep mean/variance O(1) per query.
+        self._horizon = 0
+        self._sum_levels = 0
         self._sum_viewed = 0.0
         self._sum_viewed_sq = 0.0
         self._sum_delay = 0.0
 
     def record(self, level: int, indicator: int, delay: float) -> None:
-        """Append one slot: allocated level, coverage 1_n(t), delay.
+        """Fold one slot: allocated level, coverage 1_n(t), delay.
 
         ``level`` 0 means the slot was skipped (nothing delivered);
         the indicator is then forced to 0 and the delay must be 0.
@@ -89,9 +90,8 @@ class UserQoELedger:
             if delay != 0:
                 raise ConfigurationError("a skipped slot cannot incur delivery delay")
         viewed = float(level * indicator)
-        self._viewed.append(viewed)
-        self._levels.append(level)
-        self._delays.append(delay)
+        self._horizon += 1
+        self._sum_levels += level
         self._sum_viewed += viewed
         self._sum_viewed_sq += viewed * viewed
         self._sum_delay += delay
@@ -99,36 +99,23 @@ class UserQoELedger:
     @property
     def horizon(self) -> int:
         """Number of recorded slots ``T``."""
-        return len(self._viewed)
-
-    @property
-    def viewed_qualities(self) -> Sequence[float]:
-        """The per-slot ``q_n(t) * 1_n(t)`` series."""
-        return tuple(self._viewed)
-
-    @property
-    def allocated_levels(self) -> Sequence[int]:
-        return tuple(self._levels)
-
-    @property
-    def delays(self) -> Sequence[float]:
-        return tuple(self._delays)
+        return self._horizon
 
     def mean_viewed_quality(self) -> float:
         """``q_bar_n(T)``: mean successfully-viewed quality (0 if empty)."""
-        return self._sum_viewed / self.horizon if self.horizon else 0.0
+        return self._sum_viewed / self._horizon if self._horizon else 0.0
 
     def mean_allocated_level(self) -> float:
         """Mean of the allocated (not necessarily viewed) levels."""
-        return sum(self._levels) / self.horizon if self.horizon else 0.0
+        return self._sum_levels / self._horizon if self._horizon else 0.0
 
     def mean_delay(self) -> float:
         """Average delivery delay per slot."""
-        return self._sum_delay / self.horizon if self.horizon else 0.0
+        return self._sum_delay / self._horizon if self._horizon else 0.0
 
     def quality_variance(self) -> float:
         """``sigma_n^2(T)``: population variance of viewed quality."""
-        t = self.horizon
+        t = self._horizon
         if t == 0:
             return 0.0
         mean = self._sum_viewed / t
@@ -136,7 +123,7 @@ class UserQoELedger:
 
     def qoe(self, weights: QoEWeights) -> float:
         """``QoE_n(T)`` per the Section II definition (realized)."""
-        t = self.horizon
+        t = self._horizon
         if t == 0:
             return 0.0
         return (
@@ -147,40 +134,72 @@ class UserQoELedger:
 
     def qoe_per_slot(self, weights: QoEWeights) -> float:
         """``QoE_n(T) / T`` — the per-slot average used in the figures."""
-        t = self.horizon
+        t = self._horizon
         return self.qoe(weights) / t if t else 0.0
 
     def reset(self) -> None:
         self.__init__()
 
-    def export_state(self) -> Tuple[Tuple[int, int, float], ...]:
-        """The per-slot history as ``(level, indicator, delay)`` rows.
+    def export_state(self) -> Dict[str, Union[int, float]]:
+        """The five accumulators as a JSON-friendly dict."""
+        return {
+            "horizon": self._horizon,
+            "sum_levels": self._sum_levels,
+            "sum_viewed": self._sum_viewed,
+            "sum_viewed_sq": self._sum_viewed_sq,
+            "sum_delay": self._sum_delay,
+        }
 
-        The indicator is recovered from the stored viewed quality
-        (``viewed = level * indicator``, so it is 1 exactly when the
-        slot's viewed quality is positive) — together the rows are a
-        lossless transcript of every :meth:`record` call.
+    def restore_state(self, state: Mapping[str, object]) -> None:
+        """Reinstate the accumulators from :meth:`export_state` output.
+
+        The sums are copied, not recomputed, so mean, variance and QoE
+        match the original ledger bit-for-bit.  Every field is checked
+        before any is set, so a refused state leaves the ledger as it
+        was.  The state may come from JSON, which admits NaN and
+        Infinity.
         """
-        return tuple(
-            (level, 1 if viewed > 0 else 0, delay)
-            for level, viewed, delay in zip(
-                self._levels, self._viewed, self._delays
+        horizon = _count(state, "horizon")
+        sum_levels = _count(state, "sum_levels")
+        sum_viewed = _sum(state, "sum_viewed")
+        sum_viewed_sq = _sum(state, "sum_viewed_sq")
+        sum_delay = _sum(state, "sum_delay")
+        if horizon == 0 and (sum_levels or sum_viewed or sum_viewed_sq or sum_delay):
+            raise ConfigurationError(
+                "an empty ledger state (horizon 0) must have zero sums"
             )
+        if sum_viewed > sum_levels:
+            raise ConfigurationError(
+                f"ledger state sum_viewed {sum_viewed!r} exceeds "
+                f"sum_levels {sum_levels}"
+            )
+        self._horizon = horizon
+        self._sum_levels = sum_levels
+        self._sum_viewed = sum_viewed
+        self._sum_viewed_sq = sum_viewed_sq
+        self._sum_delay = sum_delay
+
+
+def _count(state: Mapping[str, object], key: str) -> int:
+    value = state.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigurationError(
+            f"ledger state {key!r} must be an int >= 0, got {value!r}"
         )
+    return value
 
-    def restore_state(
-        self, rows: Sequence[Tuple[int, int, float]]
-    ) -> None:
-        """Rebuild the ledger from :meth:`export_state` output.
 
-        Replays the rows through :meth:`record`, so the running sums
-        — hence mean, variance, and QoE at any horizon — match the
-        original ledger bit-for-bit (the migration handoff's variance
-        accumulators survive the transfer).
-        """
-        self.reset()
-        for level, indicator, delay in rows:
-            self.record(int(level), int(indicator), float(delay))
+def _sum(state: Mapping[str, object], key: str) -> float:
+    value = state.get(key)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 <= value < math.inf  # False for NaN
+    ):
+        raise ConfigurationError(
+            f"ledger state {key!r} must be a finite number >= 0, got {value!r}"
+        )
+    return float(value)
 
 
 def system_qoe(ledgers: Sequence[UserQoELedger], weights: QoEWeights) -> float:

@@ -244,9 +244,10 @@ class CollaborativeVrScheduler:
         """One user's running statistics as a JSON-friendly dict.
 
         Captures the viewed-quality mean, the accuracy posterior, and
-        the full QoE ledger transcript — the cross-slot state a
+        the QoE ledger's five accumulators — the cross-slot state a
         session-migration handoff must carry so the target shard's
-        scheduler continues exactly where the source left off.
+        scheduler continues exactly where the source left off.  Its
+        size does not grow with the session's length.
         """
         if not 0 <= user < self.num_users:
             raise ConfigurationError(
@@ -259,7 +260,7 @@ class CollaborativeVrScheduler:
             "qbar_mean": qbar_mean,
             "accuracy_trials": trials,
             "accuracy_successes": successes,
-            "ledger": [list(row) for row in self.ledgers[user].export_state()],
+            "ledger": self.ledgers[user].export_state(),
         }
 
     def import_user(self, user: int, state: Mapping[str, object]) -> None:
@@ -267,8 +268,13 @@ class CollaborativeVrScheduler:
 
         Every field is checked before any is restored, so a refused
         blob leaves the user's state as it was.  The blob may come
-        from JSON, which admits NaN and Infinity: a mean or a delay
-        that is not a finite non-negative number is refused.
+        from JSON, which admits NaN and Infinity: a mean, a sum or a
+        delay that is not a finite non-negative number is refused.
+
+        ``"ledger"`` is the accumulator object :meth:`export_user`
+        writes, or — from an older build — the per-slot
+        ``(level, indicator, delay)`` transcript, which is folded
+        through :meth:`~repro.core.qoe.UserQoELedger.record`.
         """
         if not 0 <= user < self.num_users:
             raise ConfigurationError(
@@ -283,18 +289,21 @@ class CollaborativeVrScheduler:
             )
         trials = _state_int(state, "accuracy_trials")
         successes = _state_int(state, "accuracy_successes")
-        ledger_rows = state.get("ledger")
-        if not isinstance(ledger_rows, (list, tuple)):
-            raise ConfigurationError("scheduler user state 'ledger' must be a list")
-        rows: List[Tuple[int, int, float]] = []
-        for row in ledger_rows:
-            if not isinstance(row, (list, tuple)) or len(row) != 3:
-                raise ConfigurationError(
-                    f"ledger rows must be (level, indicator, delay), got {row!r}"
-                )
-            rows.append((int(row[0]), int(row[1]), float(row[2])))
+        ledger_state = state.get("ledger")
         ledger = UserQoELedger()
-        ledger.restore_state(rows)  # record() checks every row
+        if isinstance(ledger_state, Mapping):
+            ledger.restore_state(ledger_state)
+        elif isinstance(ledger_state, (list, tuple)):
+            for row in ledger_state:
+                if not isinstance(row, (list, tuple)) or len(row) != 3:
+                    raise ConfigurationError(
+                        f"ledger rows must be (level, indicator, delay), got {row!r}"
+                    )
+                ledger.record(int(row[0]), int(row[1]), float(row[2]))
+        else:
+            raise ConfigurationError(
+                "scheduler user state 'ledger' must be an object or a list"
+            )
         # The only restore that can still refuse its input goes first.
         self._accuracy[user].restore_state(trials, successes)
         self._qbar[user].restore_state(qbar_count, qbar_mean)

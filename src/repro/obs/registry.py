@@ -154,8 +154,10 @@ class BucketHistogram:
         self._max = 0.0
 
     def observe(self, value: float) -> None:
-        if value < 0:
-            raise ObservabilityError(f"observations must be >= 0, got {value}")
+        if not 0 <= value < math.inf:  # False for NaN
+            raise ObservabilityError(
+                f"observations must be finite and >= 0, got {value}"
+            )
         # Prometheus buckets are ``le`` (inclusive upper bounds).
         self._counts[bisect.bisect_left(self._bounds, value)] += 1
         self._count += 1

@@ -18,7 +18,9 @@ endpoint exposes are the same instruments, not parallel bookkeeping.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Mapping, Optional
+import math
+from array import array
+from typing import Dict, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import (
@@ -40,8 +42,9 @@ class LatencyHistogram:
     quantiles — which replaced an unbounded store-every-sample,
     sort-on-query recorder.  Short benchmark runs that need
     nearest-rank quantiles can opt back into sample retention with
-    ``exact=True``; the bucket vector is still fed either way so the
-    exposition page stays complete.
+    ``exact=True`` (packed doubles, 8 bytes per sample); the bucket
+    vector is still fed either way so the exposition page stays
+    complete.
     """
 
     def __init__(
@@ -55,8 +58,8 @@ class LatencyHistogram:
             else BucketHistogram(DEFAULT_LATENCY_BUCKETS_S)
         )
         self._exact = exact
-        self._samples: List[float] = []
-        self._sorted: List[float] = []
+        self._samples = array("d")
+        self._sorted = array("d")
         self._dirty = False
 
     @property
@@ -67,17 +70,19 @@ class LatencyHistogram:
         return self._buckets.count
 
     def record(self, seconds: float) -> None:
-        """Add one latency sample (negative values are invalid)."""
-        if seconds < 0:
-            raise ConfigurationError(f"latency must be >= 0, got {seconds}")
+        """Add one latency sample (finite and >= 0)."""
+        if not 0 <= seconds < math.inf:  # False for NaN
+            raise ConfigurationError(
+                f"latency must be finite and >= 0, got {seconds}"
+            )
         self._buckets.observe(seconds)
         if self._exact:
             self._samples.append(seconds)
             self._dirty = True
 
-    def _ordered(self) -> List[float]:
+    def _ordered(self) -> "array[float]":
         if self._dirty:
-            self._sorted = sorted(self._samples)
+            self._sorted = array("d", sorted(self._samples))
             self._dirty = False
         return self._sorted
 

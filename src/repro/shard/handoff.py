@@ -28,12 +28,15 @@ from repro.system.telemetry import SlotUserRecord
 #: Schema tag of the handoff blob.
 HANDOFF_SCHEMA_KIND = "repro.shard.handoff"
 #: Version written by this build.  v2 added ``trace_id`` (the stable
-#: per-session trace identity stitched across shards).
-HANDOFF_SCHEMA_VERSION = 2
+#: per-session trace identity stitched across shards); v3 carries the
+#: scheduler's QoE ledger as its five running accumulators instead of
+#: the per-slot transcript, so that part of the blob has a fixed size.
+HANDOFF_SCHEMA_VERSION = 3
 
 #: Versions this build can install.  v1 blobs (no ``trace_id``) are
-#: accepted with an empty trace identity.
-HANDOFF_SUPPORTED_VERSIONS = (1, 2)
+#: accepted with an empty trace identity; v1 and v2 ledger transcripts
+#: are folded row by row into the accumulators.
+HANDOFF_SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: Session wire counters carried across a migration, in blob order.
 COUNTER_FIELDS = (

@@ -50,6 +50,11 @@ FIELDS = (
 _DISPLAYED = 1
 _COVERED = 2
 
+#: Bounds of :class:`Telemetry`'s int columns (``"i"`` and ``"B"``).
+_INT32_MIN = -(2**31)
+_INT32_MAX = 2**31 - 1
+_LEVEL_MAX = 255
+
 
 @dataclass(frozen=True)
 class SlotUserRecord:
@@ -121,17 +126,20 @@ class Telemetry:
     """Append-only per-slot record store with summary helpers.
 
     A served run adds one record per seat per slot, so the store keeps
-    columns, not record objects: ``slot``, ``user`` and ``level`` in
-    ``array("q")``, the four floats in ``array("d")`` and the two flags
-    as bits of one ``array("B")`` — 57 bytes per record.  Queries build
+    columns, not record objects: ``slot`` and ``user`` in ``array("i")``,
+    ``level`` and the two flags (as bits) in ``array("B")`` and the four
+    floats in ``array("d")`` — 42 bytes per record.  Queries build
     :class:`SlotUserRecord` rows on demand; numeric fields read back as
-    ``int`` and ``float``, the types every producer writes.
+    ``int`` and ``float``, the types every producer writes.  A record
+    whose ``slot`` or ``user`` does not fit a signed 32-bit int, or
+    whose ``level`` is outside 0..255, is refused before any column
+    grows, so the columns always stay the same length.
     """
 
     def __init__(self) -> None:
-        self._slot = array("q")
-        self._user = array("q")
-        self._level = array("q")
+        self._slot = array("i")
+        self._user = array("i")
+        self._level = array("B")
         self._demand = array("d")
         self._achieved = array("d")
         self._believed = array("d")
@@ -180,6 +188,12 @@ class Telemetry:
         return tuple(self._row(i) for i in range(len(self)))
 
     def add(self, record: SlotUserRecord) -> None:
+        if not (
+            _INT32_MIN <= record.slot <= _INT32_MAX
+            and _INT32_MIN <= record.user <= _INT32_MAX
+            and 0 <= record.level <= _LEVEL_MAX
+        ):
+            _refuse_out_of_range(record)
         self._slot.append(record.slot)
         self._user.append(record.user)
         self._level.append(record.level)
@@ -354,6 +368,20 @@ class Telemetry:
     def clear(self) -> None:
         for column in self._columns():
             del column[:]
+
+
+def _refuse_out_of_range(record: SlotUserRecord) -> None:
+    for field, low, high in (
+        ("slot", _INT32_MIN, _INT32_MAX),
+        ("user", _INT32_MIN, _INT32_MAX),
+        ("level", 0, _LEVEL_MAX),
+    ):
+        value = getattr(record, field)
+        if not low <= value <= high:
+            raise ObservabilityError(
+                f"telemetry field {field!r} must be in [{low}, {high}], "
+                f"got {value!r}"
+            )
 
 
 def _parse_json_line(line: str, number: int) -> Dict[str, object]:

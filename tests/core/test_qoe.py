@@ -1,5 +1,8 @@
 """Tests for the QoE definition of Section II."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -51,7 +54,9 @@ class TestUserQoELedger:
     def test_skip_forces_zero_indicator(self):
         ledger = UserQoELedger()
         ledger.record(level=0, indicator=1, delay=0.0)
-        assert ledger.viewed_qualities == (0.0,)
+        assert ledger.horizon == 1
+        assert ledger.mean_viewed_quality() == 0.0
+        assert ledger.export_state()["sum_viewed"] == 0.0
 
     def test_skip_with_delay_rejected(self):
         ledger = UserQoELedger()
@@ -114,49 +119,156 @@ class TestUserQoELedger:
         assert ledger.horizon == 0
 
 
-class _ListLedger(UserQoELedger):
-    """The ledger with plain-list columns, as it was before packing."""
+class _ListLedger:
+    """The ledger as it was before running accumulators: per-slot lists.
+
+    Every query is computed the way the list-backed ledger computed
+    it (running float sums in record order, the level mean from the
+    stored levels), so the accumulator ledger must equal it exactly.
+    """
 
     def __init__(self):
-        super().__init__()
-        self._viewed, self._levels, self._delays = [], [], []
+        self.viewed, self.levels = [], []
+        self.sum_viewed = self.sum_viewed_sq = self.sum_delay = 0.0
+
+    def record(self, level, indicator, delay):
+        viewed = float(level * (indicator if level > 0 else 0))
+        self.viewed.append(viewed)
+        self.levels.append(level)
+        self.sum_viewed += viewed
+        self.sum_viewed_sq += viewed * viewed
+        self.sum_delay += delay
+
+    def queries(self, weights):
+        t = len(self.viewed)
+        if t == 0:
+            return (0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        mean = self.sum_viewed / t
+        variance = max(self.sum_viewed_sq / t - mean * mean, 0.0)
+        qoe = (
+            self.sum_viewed
+            - weights.alpha * self.sum_delay
+            - weights.beta * t * variance
+        )
+        return (
+            t,
+            mean,
+            sum(self.levels) / t,
+            self.sum_delay / t,
+            variance,
+            qoe,
+            qoe / t,
+        )
+
+
+def _queries(ledger, weights):
+    return (
+        ledger.horizon,
+        ledger.mean_viewed_quality(),
+        ledger.mean_allocated_level(),
+        ledger.mean_delay(),
+        ledger.quality_variance(),
+        ledger.qoe(weights),
+        ledger.qoe_per_slot(weights),
+    )
+
+
+def _feed(seed, count=500):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        level = int(rng.integers(0, 7))
+        indicator = int(rng.integers(0, 2))
+        delay = float(rng.uniform(0, 3)) if level > 0 else 0.0
+        yield level, indicator, delay
 
 
 class TestPackedLedger:
-    def _feed(self, ledger, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(500):
-            level = int(rng.integers(0, 7))
-            indicator = int(rng.integers(0, 2))
-            delay = float(rng.uniform(0, 3)) if level > 0 else 0.0
-            ledger.record(level, indicator, delay)
-        return ledger
+    """The accumulator ledger against the list-backed one it replaced."""
+
+    WEIGHTS = QoEWeights(0.1, 0.5)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_list_backed_ledger(self, seed):
-        weights = QoEWeights(0.1, 0.5)
-        packed = self._feed(UserQoELedger(), seed)
-        listed = self._feed(_ListLedger(), seed)
-        assert packed.export_state() == listed.export_state()
-        assert packed.qoe(weights) == listed.qoe(weights)
-        assert packed.mean_allocated_level() == listed.mean_allocated_level()
-        assert packed.viewed_qualities == listed.viewed_qualities
-        assert packed.allocated_levels == listed.allocated_levels
-        assert packed.delays == listed.delays
+        # Every query, compared with ``==`` after every record.
+        ledger, listed = UserQoELedger(), _ListLedger()
+        assert _queries(ledger, self.WEIGHTS) == listed.queries(self.WEIGHTS)
+        for level, indicator, delay in _feed(seed):
+            ledger.record(level, indicator, delay)
+            listed.record(level, indicator, delay)
+            assert _queries(ledger, self.WEIGHTS) == listed.queries(self.WEIGHTS)
+        assert ledger.export_state() == {
+            "horizon": 500,
+            "sum_levels": sum(listed.levels),
+            "sum_viewed": listed.sum_viewed,
+            "sum_viewed_sq": listed.sum_viewed_sq,
+            "sum_delay": listed.sum_delay,
+        }
 
     @pytest.mark.parametrize("seed", range(3))
     def test_restore_round_trip(self, seed):
-        weights = QoEWeights(0.1, 0.5)
-        listed = self._feed(_ListLedger(), seed)
+        source, listed = UserQoELedger(), _ListLedger()
+        for row in _feed(seed):
+            source.record(*row)
+            listed.record(*row)
         restored = UserQoELedger()
-        restored.restore_state(self._feed(UserQoELedger(), seed).export_state())
-        assert restored.export_state() == listed.export_state()
-        assert restored.qoe(weights) == listed.qoe(weights)
-        assert restored.quality_variance() == listed.quality_variance()
-        assert all(
-            type(level) is int and type(ind) is int and type(delay) is float
-            for level, ind, delay in restored.export_state()
-        )
+        restored.record(3, 1, 0.5)  # overwritten, not added to
+        restored.restore_state(json.loads(json.dumps(source.export_state())))
+        assert restored.export_state() == source.export_state()
+        assert _queries(restored, self.WEIGHTS) == listed.queries(self.WEIGHTS)
+        state = restored.export_state()
+        assert type(state["horizon"]) is int and type(state["sum_levels"]) is int
+        # The restored ledger keeps accumulating like the original.
+        source.record(5, 1, 0.25)
+        restored.record(5, 1, 0.25)
+        assert _queries(restored, self.WEIGHTS) == _queries(source, self.WEIGHTS)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"horizon": None},
+            {"sum_delay": None},
+            {"horizon": True},
+            {"sum_viewed": False},
+            {"horizon": 3.0},
+            {"sum_levels": "12"},
+            {"horizon": -1},
+            {"sum_levels": -4},
+            {"sum_viewed": math.nan},
+            {"sum_viewed_sq": math.inf},
+            {"sum_delay": -0.5},
+            {"horizon": 0},
+            {"sum_viewed": 13.0},
+        ],
+        ids=[
+            "missing-horizon", "missing-sum-delay", "bool-horizon",
+            "bool-sum", "float-horizon", "string-levels", "negative-horizon",
+            "negative-levels", "nan-sum", "inf-sum", "negative-sum",
+            "empty-with-sums", "viewed-above-levels",
+        ],
+    )
+    def test_malformed_state_refused_and_ledger_kept(self, change):
+        ledger = UserQoELedger()
+        for row in ((4, 1, 0.5), (3, 0, 0.25), (5, 1, 1.0)):
+            ledger.record(*row)
+        state = ledger.export_state()
+        assert state["sum_levels"] == 12
+        for key, value in change.items():
+            if value is None:
+                del state[key]
+            else:
+                state[key] = value
+        target = UserQoELedger()
+        target.record(2, 1, 0.125)
+        before = target.export_state()
+        with pytest.raises(ConfigurationError):
+            target.restore_state(state)
+        assert target.export_state() == before
+
+    def test_empty_state_restores_an_empty_ledger(self):
+        ledger = UserQoELedger()
+        ledger.record(4, 1, 0.5)
+        ledger.restore_state(UserQoELedger().export_state())
+        assert _queries(ledger, self.WEIGHTS) == (0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestSystemQoE:

@@ -143,6 +143,13 @@ class TestScheduler:
             {"qbar_mean": -5.0},
             {"accuracy_successes": 99},
             {"ledger": [[4, 1, 0.5], [3, 1, float("inf")]]},
+            {"ledger": {"horizon": 1, "sum_levels": 4, "sum_viewed": 4.0,
+                        "sum_viewed_sq": 16.0, "sum_delay": float("inf")}},
+            {"ledger": {"horizon": 1, "sum_levels": 4, "sum_viewed": 5.0,
+                        "sum_viewed_sq": 25.0, "sum_delay": 0.5}},
+            {"ledger": {"horizon": 1, "sum_levels": 4, "sum_viewed": 4.0,
+                        "sum_viewed_sq": 16.0}},
+            {"ledger": "4,1,0.5"},
         ],
     )
     def test_refused_import_restores_nothing(self, change):
@@ -155,3 +162,35 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             target.import_user(0, state)
         assert target.export_user(0) == before
+
+
+class TestLedgerHandoffForms:
+    ROWS = [(4, 1, 0.5), (3, 0, 0.25), (0, 0, 0.0), (5, 1, 1.125), (2, 1, 0.0)]
+
+    def _source(self):
+        source = make_scheduler()
+        for level, indicator, delay in self.ROWS:
+            source.record_outcomes([level, 1], [indicator, 1], [delay, 0.1])
+        return source
+
+    def test_export_carries_the_five_accumulators(self):
+        ledger = self._source().export_user(0)["ledger"]
+        assert ledger == {
+            "horizon": 5,
+            "sum_levels": 14,
+            "sum_viewed": 11.0,
+            "sum_viewed_sq": 45.0,
+            "sum_delay": 0.5 + 0.25 + 1.125,
+        }
+
+    def test_transcript_and_accumulators_import_to_the_same_ledger(self):
+        weights = QoEWeights(0.02, 0.5)
+        state = self._source().export_user(0)
+        transcript = {**state, "ledger": [list(row) for row in self.ROWS]}
+        from_accumulators, from_transcript = make_scheduler(), make_scheduler()
+        from_accumulators.import_user(0, state)
+        from_transcript.import_user(0, transcript)
+        a, b = from_accumulators.ledgers[0], from_transcript.ledgers[0]
+        assert a.export_state() == b.export_state() == state["ledger"]
+        assert a.qoe(weights) == b.qoe(weights)
+        assert from_transcript.export_user(0) == state

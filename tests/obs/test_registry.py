@@ -118,6 +118,17 @@ class TestBucketHistogram:
         with pytest.raises(ObservabilityError):
             hist.observe(-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_rejected(self, value):
+        # A NaN used to pass the ``< 0`` check and made sum and mean()
+        # NaN for the rest of the process.
+        hist = BucketHistogram((1.0,))
+        hist.observe(0.5)
+        with pytest.raises(ObservabilityError):
+            hist.observe(value)
+        assert (hist.count, hist.sum, hist.mean(), hist.max()) == (1, 0.5, 0.5, 0.5)
+        assert hist.cumulative_counts() == [1, 1]
+
 
 class TestFamilies:
     def test_registration_is_idempotent(self):

@@ -1,5 +1,7 @@
 """Tests for serving metrics: histograms, deadlines, realized QoE."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -40,7 +42,7 @@ class TestLatencyHistogram:
             hist.record((i % 50) / 10_000.0)
         # Default mode never retains samples — memory is the fixed
         # bucket vector (the fix for the unbounded recorder).
-        assert hist._samples == []
+        assert len(hist._samples) == 0
         assert len(hist) == 10_000
         assert hist.mean() == pytest.approx(
             sum((i % 50) / 10_000.0 for i in range(10_000)) / 10_000
@@ -83,6 +85,18 @@ class TestLatencyHistogram:
             hist.record(-0.001)
         with pytest.raises(ConfigurationError):
             hist.quantile(1.5)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_latency_rejected(self, exact, value):
+        hist = LatencyHistogram(exact=exact)
+        hist.record(0.002)
+        with pytest.raises(ConfigurationError):
+            hist.record(value)
+        assert len(hist) == 1
+        assert len(hist._samples) == (1 if exact else 0)
+        assert hist.mean() == pytest.approx(0.002)
+        assert hist.quantile(0.99) == pytest.approx(0.002)
 
 
 class TestServingMetrics:

@@ -257,3 +257,111 @@ class TestTraceIdentity:
         landed = install_seat(target, blob)
         assert landed.client == "mover"
         assert landed.trace_id == ""
+
+
+def _record_slots(server, seat, count):
+    """Fold ``count`` slots into every seat's scheduler state.
+
+    Returns the target seat's ``(level, indicator, delay)`` rows, the
+    transcript an older build would have shipped.
+    """
+    scheduler = server.edge.scheduler
+    rows = []
+    for t in range(count):
+        levels = [1 + (t + n) % 5 for n in range(scheduler.num_users)]
+        indicators = [int((t + n) % 7 != 0) for n in range(scheduler.num_users)]
+        delays = [0.125 * ((t * 3 + n) % 9) for n in range(scheduler.num_users)]
+        scheduler.record_outcomes(levels, indicators, delays)
+        rows.append([levels[seat], indicators[seat], delays[seat]])
+    return rows
+
+
+def _number_free(value):
+    """The JSON shape of a document with every number written as 0."""
+    if isinstance(value, dict):
+        return {key: _number_free(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_number_free(item) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return 0
+    return value
+
+
+class TestLedgerAccumulators:
+    """v3 carries the QoE ledger as five running accumulators."""
+
+    def test_scheduler_part_does_not_grow_with_the_session(self):
+        import json
+
+        source = make_server()
+        sizes = []
+        for count in (10, 490):
+            _record_slots(source, 0, count)
+            state = source.edge.export_seat(0)["scheduler"]
+            sizes.append(len(json.dumps(_number_free(state))))
+        assert source.edge.scheduler.ledgers[0].horizon == 500
+        # Only digit widths may differ between 10 and 500 slots: the
+        # v2 transcript grew by one row per slot.
+        assert sizes[0] == sizes[1]
+        assert len(json.dumps(source.edge.export_seat(0)["scheduler"])) < 300
+
+    def test_v2_transcript_and_v3_blob_install_to_the_same_ledger(self):
+        import json
+
+        weights = serve_setup1(max_users=2).experiment.weights
+        source = make_server()
+        session = park_session(source)
+        rows = _record_slots(source, session.seat, 40)
+        v3 = json.loads(json.dumps(capture_seat(source, session, 0)))
+        assert v3["version"] == 3
+        v2 = json.loads(json.dumps(v3))
+        v2["version"] = 2
+        v2["seat"]["scheduler"]["ledger"] = rows
+
+        ledgers = []
+        for blob in (v3, v2):
+            target = make_server()
+            landed = install_seat(target, blob)
+            ledgers.append(target.edge.scheduler.ledgers[landed.seat])
+        source_ledger = source.edge.scheduler.ledgers[session.seat]
+        for ledger in ledgers:
+            assert ledger.horizon == source_ledger.horizon == 40
+            assert ledger.qoe(weights) == source_ledger.qoe(weights)
+            assert ledger.quality_variance() == source_ledger.quality_variance()
+            assert (
+                ledger.mean_allocated_level()
+                == source_ledger.mean_allocated_level()
+            )
+            assert ledger.export_state() == source_ledger.export_state()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", None),
+            ("sum_levels", True),
+            ("horizon", -3),
+            ("sum_delay", float("nan")),
+            ("sum_viewed_sq", float("inf")),
+            ("sum_viewed", 1e9),
+        ],
+        ids=["missing", "bool", "negative", "nan", "inf", "viewed-above-levels"],
+    )
+    def test_malformed_accumulators_leave_target_seat_free(self, field, value):
+        import json
+
+        source = make_server()
+        session = park_session(source)
+        _record_slots(source, session.seat, 12)
+        blob = capture_seat(source, session, 0)
+        ledger = blob["seat"]["scheduler"]["ledger"]
+        if value is None:
+            del ledger[field]
+        else:
+            ledger[field] = value
+        target = make_server()
+        with pytest.raises(ConfigurationError, match=field):
+            install_seat(target, json.loads(json.dumps(blob)))
+        assert target.registry.occupancy() == 0
+        assert target.metrics.migrations_in == 0
+        assert target.edge.scheduler.ledgers[0].horizon == 0
+        assert park_session(target, client="retry").seat == 0

@@ -360,7 +360,13 @@ class TestImportSeatRejectsNonFinite:
         assert plan.users[1].predicted_pose is None
         assert target.export_seat(1)["pose_window"] == []
         assert target.export_seat(1)["delay_samples"] == []
-        assert target.export_seat(1)["scheduler"]["ledger"] == []
+        assert target.export_seat(1)["scheduler"]["ledger"] == {
+            "horizon": 0,
+            "sum_levels": 0,
+            "sum_viewed": 0.0,
+            "sum_viewed_sq": 0.0,
+            "sum_delay": 0.0,
+        }
 
     @pytest.mark.parametrize("axis", [0, 3], ids=["x", "yaw"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -412,7 +418,13 @@ class TestImportSeatRejectsNonFinite:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_ledger_delay_rejected(self, value):
         state = self._state()
-        # A delivered row: a skipped one already refuses any delay.
-        row = next(r for r in state["scheduler"]["ledger"] if r[0] > 0)
-        row[2] = value
+        assert state["scheduler"]["ledger"]["sum_delay"] > 0
+        state["scheduler"]["ledger"]["sum_delay"] = value
+        self._assert_rejected(json.loads(json.dumps(state)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_transcript_delay_rejected(self, value):
+        # An older build's blob carries the per-slot transcript.
+        state = self._state()
+        state["scheduler"]["ledger"] = [[3, 1, 0.5], [4, 1, value]]
         self._assert_rejected(json.loads(json.dumps(state)))

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -193,6 +194,72 @@ class TestJsonlExport:
         path.write_text("")
         with pytest.raises(ObservabilityError):
             Telemetry.load_jsonl(path)
+
+
+class _Kept(Telemetry):
+    """Keeps every instance, so a refused load can be inspected."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        _Kept.made.append(self)
+
+
+class TestOutOfRangeRefused:
+    """The int columns are ``"i"``, ``"i"`` and ``"B"``.
+
+    A value that overflows one used to raise ``OverflowError`` after
+    the earlier columns had grown, misaligning every later query.
+    """
+
+    BAD = [
+        ("slot", 2**31), ("slot", -(2**31) - 1), ("user", 2**31),
+        ("user", -(2**31) - 1), ("level", 256), ("level", -1),
+    ]
+
+    @staticmethod
+    def _lengths(telemetry):
+        return {len(column) for column in telemetry._columns()}
+
+    def test_column_edges_are_accepted(self):
+        telemetry = Telemetry()
+        telemetry.add(record(slot=2**31 - 1, user=-(2**31), level=255))
+        telemetry.add(record(slot=-(2**31), user=2**31 - 1, level=0))
+        assert [(r.slot, r.user, r.level) for r in telemetry.records] == [
+            (2**31 - 1, -(2**31), 255), (-(2**31), 2**31 - 1, 0),
+        ]
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_add_refuses_before_any_column_grows(self, field, value):
+        from repro.errors import ObservabilityError
+
+        telemetry = Telemetry()
+        telemetry.add(record(slot=1, user=2))
+        with pytest.raises(ObservabilityError, match=field):
+            telemetry.add(record(**{field: value}))
+        assert self._lengths(telemetry) == {1}
+        telemetry.add(record(slot=3, user=4))
+        assert [(r.slot, r.user) for r in telemetry.records] == [(1, 2), (3, 4)]
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_load_jsonl_refuses_before_any_column_grows(
+        self, tmp_path, field, value
+    ):
+        from repro.errors import ObservabilityError
+
+        telemetry = Telemetry()
+        telemetry.add(record(slot=1))
+        telemetry.add(record(slot=2))
+        path = tmp_path / "wide.jsonl"
+        telemetry.save_jsonl(path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record(**{field: value}).as_dict()) + "\n")
+        _Kept.made.clear()
+        with pytest.raises(ObservabilityError, match=field):
+            _Kept.load_jsonl(path)
+        (loaded,) = _Kept.made
+        assert self._lengths(loaded) == {2}
 
 
 class TestRegistryMirror:

@@ -80,6 +80,7 @@ class SchedulerMachine(RuleBasedStateMachine):
             allow_skip=True,
         )
         self.viewed = [[] for _ in range(self.NUM_USERS)]
+        self.delays = [[] for _ in range(self.NUM_USERS)]
         self.rng = np.random.default_rng(0)
 
     @rule(
@@ -99,6 +100,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.scheduler.record_outcomes(levels, indicators, delays)
         for n in range(self.NUM_USERS):
             self.viewed[n].append(levels[n] * indicators[n])
+            self.delays[n].append(delays[n])
 
     @rule()
     def allocate_a_slot(self):
@@ -141,10 +143,9 @@ class SchedulerMachine(RuleBasedStateMachine):
             if not self.viewed[n]:
                 continue
             series = np.array(self.viewed[n], dtype=float)
-            delays = self.scheduler.ledgers[n].delays
             expected = (
                 series.sum()
-                - weights.alpha * sum(delays)
+                - weights.alpha * sum(self.delays[n])
                 - weights.beta * len(series) * series.var()
             )
             assert abs(self.scheduler.ledgers[n].qoe(weights) - expected) < 1e-7
