@@ -110,7 +110,7 @@ def sequential_policy_qoe(horizon):
             qbar=qbar,
             cap_mbps=bandwidth,
         )
-        problem = SlotProblem(t, (user,), bandwidth, WEIGHTS)
+        problem = SlotProblem.from_users(t, (user,), bandwidth, WEIGHTS)
         level = allocator.allocate(problem)[0]
         ledger.record(level, 1, _delay(level, t))
         qbar = ledger.mean_viewed_quality()

@@ -41,6 +41,8 @@ class HysteresisGreedyAllocator(QualityAllocator):
 
     def allocate(self, problem: SlotProblem) -> List[int]:
         target = self._inner.allocate(problem)
+        sizes = problem.sizes.tolist()
+        caps = problem.caps_mbps.tolist()
         levels: List[int] = []
         for n, wanted in enumerate(target):
             previous = self._last.get(n, wanted)
@@ -51,9 +53,7 @@ class HysteresisGreedyAllocator(QualityAllocator):
             # Clamping only ever *lowers* demand relative to the inner
             # solution or moves along the feasible ladder, but verify
             # the per-user cap in case the cap itself dropped.
-            while wanted > 1 and problem.users[n].sizes[wanted - 1] > (
-                problem.users[n].cap_mbps
-            ):
+            while wanted > 1 and sizes[n][wanted - 1] > caps[n]:
                 wanted -= 1
             levels.append(wanted)
             self._last[n] = wanted

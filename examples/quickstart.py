@@ -42,7 +42,7 @@ def main() -> None:
         )
         for n in range(num_users)
     )
-    problem = SlotProblem(
+    problem = SlotProblem.from_users(
         t=10,
         users=users,
         budget_mbps=36.0 * num_users,

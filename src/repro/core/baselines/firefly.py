@@ -63,16 +63,18 @@ class FireflyAllocator(QualityAllocator):
 
         # Everyone is entitled to the minimum level first — Firefly
         # always serves every connected user a frame.
+        sizes = problem.sizes.tolist()
+        raw_caps = problem.raw_caps_mbps.tolist()
         remaining = problem.budget_mbps
-        for n, user in enumerate(problem.users):
-            if user.sizes[0] <= min(user.raw_cap_mbps, remaining) + _EPS:
+        for n, row in enumerate(sizes):
+            if row[0] <= min(raw_caps[n], remaining) + _EPS:
                 levels[n] = 1
-                remaining -= user.sizes[0]
+                remaining -= row[0]
             elif problem.allow_skip:
                 levels[n] = 0
             else:
                 raise InfeasibleAllocationError(
-                    f"user {n}: minimum level ({user.sizes[0]:.3f} Mbps) does not "
+                    f"user {n}: minimum level ({row[0]:.3f} Mbps) does not "
                     f"fit the remaining budget {remaining:.3f} Mbps and skipping "
                     "is disabled"
                 )
@@ -82,16 +84,16 @@ class FireflyAllocator(QualityAllocator):
         for n in list(self._lru):
             if levels[n] == 0:
                 continue
-            user = problem.users[n]
-            base = user.sizes[0]
+            row = sizes[n]
+            base = row[0]
             level = 1
-            for candidate in range(len(user.sizes), 1, -1):
-                size = user.sizes[candidate - 1]
-                if size <= user.raw_cap_mbps + _EPS and size - base <= remaining + _EPS:
+            for candidate in range(len(row), 1, -1):
+                size = row[candidate - 1]
+                if size <= raw_caps[n] + _EPS and size - base <= remaining + _EPS:
                     level = candidate
                     break
             if level > 1:
-                remaining -= user.sizes[level - 1] - base
+                remaining -= row[level - 1] - base
                 levels[n] = level
                 # Served above minimum: becomes most-recently-used.
                 self._lru.move_to_end(n)

@@ -65,7 +65,7 @@ class PavqAllocator(QualityAllocator):
 
     def _utility_curve(self, problem: SlotProblem, n: int) -> Tuple[float, ...]:
         """PAVQ's per-level utility: quality - delay - variability."""
-        user = problem.users[n]
+        delays = problem.delays[n].tolist()
         t = self._t + 1
         ratio = (t - 1) / t
         mean = self._mean(n)
@@ -73,9 +73,9 @@ class PavqAllocator(QualityAllocator):
         beta = problem.weights.beta
         return tuple(
             level
-            - alpha * user.delays[level - 1]
+            - alpha * delays[level - 1]
             - beta * ratio * (level - mean) ** 2
-            for level in range(1, len(user.sizes) + 1)
+            for level in range(1, len(delays) + 1)
         )
 
     def _skip_utility(self, n: int, beta: float) -> float:
@@ -88,18 +88,21 @@ class PavqAllocator(QualityAllocator):
         ]
         beta = problem.weights.beta
 
+        sizes = problem.sizes.tolist()
+        raw_caps = problem.raw_caps_mbps.tolist()
+
         # Step 1: unconstrained-by-server ideal level per user.
         levels: List[int] = []
-        for n, user in enumerate(problem.users):
+        for n, row in enumerate(sizes):
             feasible = [
                 level
-                for level in range(1, len(user.sizes) + 1)
-                if user.sizes[level - 1] <= user.raw_cap_mbps + _EPS
+                for level in range(1, len(row) + 1)
+                if row[level - 1] <= raw_caps[n] + _EPS
             ]
             if not feasible:
                 if not problem.allow_skip:
                     raise InfeasibleAllocationError(
-                        f"user {n}: no level fits cap {user.raw_cap_mbps:.3f} Mbps"
+                        f"user {n}: no level fits cap {raw_caps[n]:.3f} Mbps"
                     )
                 levels.append(0)
                 continue
@@ -118,13 +121,13 @@ class PavqAllocator(QualityAllocator):
                     continue
                 if level == 1 and not problem.allow_skip:
                     continue
-                rate_now = problem.users[n].sizes[level - 1]
+                rate_now = sizes[n][level - 1]
                 if level == 1:
                     value_next = self._skip_utility(n, beta)
                     rate_next = 0.0
                 else:
                     value_next = curves[n][level - 2]
-                    rate_next = problem.users[n].sizes[level - 2]
+                    rate_next = sizes[n][level - 2]
                 loss = curves[n][level - 1] - value_next
                 freed = rate_now - rate_next
                 density = loss / freed

@@ -59,10 +59,8 @@ class MaxMinFairAllocator(QualityAllocator):
                     "is disabled"
                 )
             # Degrade to skips, preferring to keep the cheapest users.
-            order = sorted(
-                range(problem.num_users),
-                key=lambda n: problem.users[n].sizes[0],
-            )
+            base = problem.sizes[:, 0].tolist()
+            order = sorted(range(problem.num_users), key=lambda n: base[n])
             levels = [0] * problem.num_users
             for n in order:
                 levels[n] = 1

@@ -16,13 +16,13 @@ Theorem 1 guarantee relative to the modified objective) still applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
 from repro.core.allocation import QualityAllocator, SlotProblem
 from repro.errors import ConfigurationError
 from repro.knapsack.greedy import combined_greedy
-from repro.knapsack.problem import ItemCurve, SeparableKnapsack
+from repro.knapsack.problem import ItemCurve
 
 
 def delivery_success_probability(
@@ -62,44 +62,37 @@ class LossAwareAllocator(QualityAllocator):
     name: str = field(default="loss-aware-greedy", init=False)
 
     def _curve(self, problem: SlotProblem, n: int) -> Tuple[float, ...]:
-        user = problem.users[n]
+        sizes = problem.sizes[n].tolist()
+        delays = problem.delays[n].tolist()
+        delta = float(problem.delta[n])
+        qbar = float(problem.qbar[n])
+        cap = float(problem.caps_mbps[n])
         t = problem.t
         ratio = (t - 1) / t
         alpha = problem.weights.alpha
         beta = problem.weights.beta
         values = []
-        for level in range(1, len(user.sizes) + 1):
-            rate = user.sizes[level - 1]
-            success = user.delta * delivery_success_probability(
-                rate, user.cap_mbps, self.knee, self.steepness
+        for level in range(1, len(sizes) + 1):
+            rate = sizes[level - 1]
+            success = delta * delivery_success_probability(
+                rate, cap, self.knee, self.steepness
             )
-            expected_delay = user.delays[level - 1]
+            expected_delay = delays[level - 1]
             variance_penalty = beta * ratio * (
-                success * (level - user.qbar) ** 2
-                + (1.0 - success) * user.qbar ** 2
+                success * (level - qbar) ** 2
+                + (1.0 - success) * qbar ** 2
             )
             values.append(success * level - alpha * expected_delay - variance_penalty)
         return tuple(values)
 
     def allocate(self, problem: SlotProblem) -> List[int]:
+        sizes = problem.sizes.tolist()
+        caps = problem.caps_mbps.tolist()
         items = [
-            ItemCurve.from_sequences(
-                self._curve(problem, n),
-                problem.users[n].sizes,
-                cap=problem.users[n].cap_mbps,
-            )
+            ItemCurve.from_sequences(self._curve(problem, n), sizes[n], cap=caps[n])
             for n in range(problem.num_users)
         ]
-        skip_values = tuple(
-            problem.skip_value(n) for n in range(problem.num_users)
-        )
-        knapsack = SeparableKnapsack(
-            items,
-            problem.budget_mbps,
-            allow_skip=problem.allow_skip,
-            skip_values=skip_values if problem.allow_skip else tuple(),
-            group_of=problem.router_of,
-            group_budgets=problem.router_budgets_mbps,
-        )
+        # The slot's own knapsack, with the loss-aware item curves.
+        knapsack = replace(problem.to_knapsack(), items=items)
         solution = combined_greedy(knapsack)
         return [k + 1 if k >= 0 else 0 for k in solution.options]

@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.allocation import QualityAllocator, SlotProblem, UserSlotState
+import numpy as np
+
+from repro.core.allocation import QualityAllocator, SlotProblem
 from repro.core.qoe import QoEWeights, UserQoELedger, system_qoe
 from repro.errors import ConfigurationError
 from repro.obs.registry import Counter, MetricsRegistry
@@ -148,7 +150,8 @@ class CollaborativeVrScheduler:
         """Assemble the next slot's problem from raw per-user inputs.
 
         ``delays[n][k]`` is user ``n``'s expected delay of sending
-        ``sizes[n][k]``.
+        ``sizes[n][k]``; every user has the same number of levels.
+        Each input is copied, so the problem owns its arrays.
         """
         if not (len(sizes) == len(delays) == len(caps_mbps) == self.num_users):
             raise ConfigurationError(
@@ -156,28 +159,38 @@ class CollaborativeVrScheduler:
             )
         if raw_caps_mbps is not None and len(raw_caps_mbps) != self.num_users:
             raise ConfigurationError("raw caps must have one entry per user")
-        users = tuple(
-            UserSlotState(
-                sizes=tuple(float(s) for s in sizes[n]),
-                delays=tuple(delays[n]),
-                delta=self.delta(n),
-                qbar=self.qbar(n),
-                cap_mbps=float(caps_mbps[n]),
-                raw_cap_mbps=(
-                    float(raw_caps_mbps[n]) if raw_caps_mbps is not None else None
-                ),
-            )
-            for n in range(self.num_users)
-        )
+        try:
+            size_rows = np.array(sizes, dtype=float)
+            delay_rows = np.array(delays, dtype=float)
+        except ValueError as exc:  # ragged rows have no (N, L) form
+            raise ConfigurationError(
+                f"sizes and delays must be (N, L) rows: {exc}"
+            ) from exc
+        caps = np.array(caps_mbps, dtype=float)
         return SlotProblem(
             t=self.current_slot,
-            users=users,
+            sizes=size_rows,
+            delays=delay_rows,
+            delta=np.array(
+                [self.delta(n) for n in range(self.num_users)], dtype=float
+            ),
+            qbar=np.array([mean.mean for mean in self._qbar], dtype=float),
+            caps_mbps=caps,
+            raw_caps_mbps=(
+                np.array(raw_caps_mbps, dtype=float)
+                if raw_caps_mbps is not None
+                else caps
+            ),
             budget_mbps=float(budget_mbps),
             weights=self.weights,
             allow_skip=self.allow_skip,
-            router_of=tuple(router_of) if router_of is not None else None,
+            router_of=(
+                np.array(router_of, dtype=np.int64)
+                if router_of is not None
+                else None
+            ),
             router_budgets_mbps=(
-                tuple(float(b) for b in router_budgets_mbps)
+                np.array(router_budgets_mbps, dtype=float)
                 if router_budgets_mbps is not None
                 else None
             ),

@@ -1,11 +1,13 @@
 """Array-native slot kernel: vectorized predict → allocate → encode.
 
 One slot of the collaborative-VR pipeline, expressed as flat numpy
-arrays instead of ``N`` per-user objects:
+arrays instead of ``N`` per-user objects.  The slot problem itself,
+:class:`~repro.core.allocation.SlotProblem`, is already the ``(N, L)``
+carrier of a slot's sizes, delays and statistics, with a vectorized
+eq. (9) gain matrix; this package holds what runs over it:
 
-- :class:`~repro.kernel.batch.SlotBatch` — the ``(N, L)`` view of a
-  slot's sizes/delays/statistics, with a vectorized eq. (9) gain
-  matrix and :func:`~repro.kernel.batch.mm1_delay_matrix`.
+- :func:`~repro.kernel.batch.mm1_delay_matrix` — every user's M/M/1
+  delay at every level in one sweep.
 - :func:`~repro.kernel.solver.solve_arrays` /
   :func:`~repro.kernel.solver.solve_batch` — Algorithm 1 as a sorted
   sweep over candidate upgrades, bit-identical to the object heap
@@ -31,7 +33,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.kernel.batch": ("SlotBatch", "mm1_delay_matrix"),
+        "repro.kernel.batch": ("mm1_delay_matrix",),
         "repro.kernel.predict": ("BatchMotionPredictor",),
         "repro.kernel.solver": (
             "ArraySolution", "solve_arrays", "solve_batch",
@@ -42,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(
 __all__ = [
     "ArraySolution",
     "BatchMotionPredictor",
-    "SlotBatch",
     "mm1_delay_matrix",
     "solve_arrays",
     "solve_batch",

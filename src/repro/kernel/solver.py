@@ -41,12 +41,14 @@ solver in ``tests/kernel/``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, InfeasibleAllocationError
-from repro.kernel.batch import SlotBatch
+
+if TYPE_CHECKING:
+    from repro.core.allocation import SlotProblem
 
 _EPS = 1e-9
 
@@ -351,21 +353,23 @@ def solve_arrays(
     return density_run if density_run.value >= value_run.value else value_run
 
 
-def solve_batch(batch: SlotBatch, order: str = "combined") -> Optional[np.ndarray]:
-    """Allocate quality levels for a :class:`SlotBatch`.
+def solve_batch(
+    problem: "SlotProblem", order: str = "combined"
+) -> Optional[np.ndarray]:
+    """Allocate quality levels for a :class:`~repro.core.allocation.SlotProblem`.
 
     Returns the per-user level vector (0 = skip) or ``None`` when the
-    fast path refuses and the object solver must be used instead.
+    fast path refuses and the heap solver must be used instead.
     """
     solution = solve_arrays(
-        batch.gain_matrix(),
-        batch.sizes,
-        batch.budget_mbps,
-        caps=batch.caps_mbps,
-        allow_skip=batch.allow_skip,
-        skip_values=batch.skip_values() if batch.allow_skip else None,
-        group_of=batch.router_of,
-        group_budgets=batch.router_budgets_mbps,
+        problem.gain_matrix(),
+        problem.sizes,
+        problem.budget_mbps,
+        caps=problem.caps_mbps,
+        allow_skip=problem.allow_skip,
+        skip_values=problem.skip_values() if problem.allow_skip else None,
+        group_of=problem.router_of,
+        group_budgets=problem.router_budgets_mbps,
         order=order,
     )
     if solution is None:

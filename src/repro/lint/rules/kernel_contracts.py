@@ -24,9 +24,9 @@ invariant for ``repro/kernel/``:
   kernel code is flagged so the reshape happens at the boundary, not
   mid-pipeline;
 * **field contracts** (``dtype_contracts`` option): a mapping of
-  SlotBatch-adjacent keyword names to required dtype spellings,
+  SlotProblem-adjacent keyword names to required dtype spellings,
   checked at call sites — e.g. ``{"demand": "float64"}`` fails a
-  ``SlotBatch(demand=np.zeros(n, dtype=np.float32))`` call.
+  ``SlotProblem(demand=np.zeros(n, dtype=np.float32))`` call.
 
 The rule is syntactic: it sees dtype *spellings*, not resolved types,
 so an alias like ``DT = np.float32; np.zeros(n, dtype=DT)`` escapes
@@ -226,7 +226,7 @@ class KernelContractsRule(Rule):
                 f".{func.attr}() reorders the (users, fields) axis "
                 "layout the kernel contract fixes",
             )
-        # Field contracts at SlotBatch-adjacent call sites.
+        # Field contracts at SlotProblem-adjacent call sites.
         if contract_map:
             yield from self._check_field_contracts(
                 module, node, contract_map

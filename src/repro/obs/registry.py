@@ -80,9 +80,9 @@ class Counter:
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
+        if not 0 <= amount < math.inf:  # False for NaN
             raise ObservabilityError(
-                f"counter increments must be >= 0, got {amount}"
+                f"counter increments must be finite and >= 0, got {amount}"
             )
         self._value += amount
 

@@ -68,18 +68,15 @@ import numpy as np
 
 from repro.content.projection import FieldOfView
 from repro.content.tiles import GridWorld, TileGrid
-from repro.core.allocation import (
-    DensityValueGreedyAllocator,
-    SlotProblem,
-    UserSlotState,
-)
+from repro.core.allocation import DensityValueGreedyAllocator, SlotProblem
+from repro.core.decomposition import slot_objective_curve
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
-from repro.kernel.batch import SlotBatch, mm1_delay_matrix
+from repro.kernel.batch import mm1_delay_matrix
 from repro.kernel.predict import BatchMotionPredictor
 from repro.kernel.solver import solve_arrays, solve_batch
 from repro.knapsack.greedy import combined_greedy
-from repro.knapsack.problem import SeparableKnapsack
+from repro.knapsack.problem import ItemCurve, SeparableKnapsack
 from repro.knapsack.random_instances import random_instance
 from repro.obs.config import DEFAULT_SAMPLE_EVERY, ObsConfig
 from repro.prediction.fov import CoverageEvaluator
@@ -302,42 +299,45 @@ def _object_slot(
     weights: QoEWeights,
     model: MM1DelayModel,
 ) -> List[int]:
-    """The per-user-object pipeline, end to end, for one slot.
+    """The per-user scalar pipeline, end to end, for one slot.
 
-    Solved by the heap greedy itself: the allocators would take the
+    Each user's M/M/1 delay row and eq. (9) curve are evaluated one
+    level at a time into its own :class:`ItemCurve`, and the knapsack
+    is solved by the heap greedy itself: the allocators would take the
     sorted sweep at this fleet size, and this arm is its baseline.
     """
     sizes = inputs["sizes"]
     caps = inputs["caps"]
-    users = tuple(
-        UserSlotState(
-            sizes=tuple(sizes[n]),
-            delays=model.delays(sizes[n], float(caps[n])),
-            delta=float(inputs["delta"][n]),
-            qbar=float(inputs["qbar"][n]),
-            cap_mbps=float(caps[n]),
+    items = []
+    for n in range(sizes.shape[0]):
+        row = tuple(sizes[n])
+        values = slot_objective_curve(
+            t,
+            float(inputs["qbar"][n]),
+            float(inputs["delta"][n]),
+            weights.alpha,
+            weights.beta,
+            model.delays(row, float(caps[n])),
         )
-        for n in range(sizes.shape[0])
-    )
-    problem = SlotProblem(
-        t=t, users=users, budget_mbps=float(inputs["budget"]), weights=weights
-    )
-    solution = combined_greedy(problem.to_knapsack(), strategy="heap")
+        items.append(ItemCurve.from_sequences(values, row, cap=float(caps[n])))
+    knapsack = SeparableKnapsack(items, float(inputs["budget"]))
+    solution = combined_greedy(knapsack, strategy="heap")
     return [k + 1 for k in solution.options]
 
 
-def _slot_batch(
+def _slot_problem(
     inputs: Dict[str, np.ndarray], t: int, weights: QoEWeights
-) -> SlotBatch:
-    """The slot as a :class:`SlotBatch` (delay matrix built here)."""
+) -> SlotProblem:
+    """The slot as a :class:`SlotProblem` (delay matrix built here)."""
     sizes = inputs["sizes"]
-    return SlotBatch(
+    return SlotProblem(
         t=t,
         sizes=sizes,
         delays=mm1_delay_matrix(sizes, inputs["caps"]),
         delta=inputs["delta"],
         qbar=inputs["qbar"],
         caps_mbps=inputs["caps"],
+        raw_caps_mbps=inputs["caps"],
         budget_mbps=float(inputs["budget"]),
         weights=weights,
     )
@@ -347,7 +347,7 @@ def _array_slot(
     inputs: Dict[str, np.ndarray], t: int, weights: QoEWeights
 ) -> np.ndarray:
     """The array-kernel pipeline (matrix construction included)."""
-    levels = solve_batch(_slot_batch(inputs, t, weights))
+    levels = solve_batch(_slot_problem(inputs, t, weights))
     if levels is None:
         raise ConfigurationError("array kernel refused a benchmark slot")
     return levels
@@ -436,11 +436,11 @@ def bench_kernel(
 ) -> Dict:
     """Object vs array pipeline over seeded slots; JSON-ready dict.
 
-    The object arm builds per-user :class:`UserSlotState` dataclasses
-    with their M/M/1 delay rows, a :class:`SlotProblem`, and solves it
-    with the heap greedy (:func:`combined_greedy`); the array
-    arm builds a :class:`SlotBatch` (delay matrix included) and solves
-    it with :func:`solve_batch`.  ``num_slots``
+    The object arm evaluates each user's M/M/1 delay row and eq. (9)
+    curve one level at a time into its own :class:`ItemCurve`, and
+    solves the knapsack with the heap greedy (:func:`combined_greedy`);
+    the array arm builds a :class:`SlotProblem` (delay matrix included)
+    and solves it with :func:`solve_batch`.  ``num_slots``
     distinct seeded populations are each timed ``repeats`` times per
     arm (best-of); levels must agree on every slot or the benchmark
     raises instead of reporting a speedup for a wrong answer.
@@ -473,7 +473,7 @@ def bench_kernel(
         array_s += _best_of(
             repeats, lambda: _array_slot(inputs, t, weights)
         )
-        batch_nbytes = _slot_batch(inputs, t, weights).nbytes()
+        batch_nbytes = _slot_problem(inputs, t, weights).nbytes()
     if not identical:
         raise ConfigurationError(
             "array kernel diverged from the object pipeline"

@@ -454,7 +454,7 @@ class EdgeServer:
 
         problem = self.scheduler.build_slot_problem(
             sizes,
-            self._delay_model.delays(sizes).tolist(),
+            self._delay_model.delays(sizes),
             caps,
             self.server_budget_mbps,
             raw_caps_mbps=raw_caps,

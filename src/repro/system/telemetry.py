@@ -133,7 +133,9 @@ class Telemetry:
     ``int`` and ``float``, the types every producer writes.  A record
     whose ``slot`` or ``user`` does not fit a signed 32-bit int, or
     whose ``level`` is outside 0..255, is refused before any column
-    grows, so the columns always stay the same length.
+    grows; one with a field of the wrong type (a float ``user``, a
+    string delay) is refused with the columns rolled back.  Either way
+    the columns always stay the same length.
     """
 
     def __init__(self) -> None:
@@ -194,17 +196,28 @@ class Telemetry:
             and 0 <= record.level <= _LEVEL_MAX
         ):
             _refuse_out_of_range(record)
-        self._slot.append(record.slot)
-        self._user.append(record.user)
-        self._level.append(record.level)
-        self._demand.append(record.demand_mbps)
-        self._achieved.append(record.achieved_mbps)
-        self._believed.append(record.believed_cap_mbps)
-        self._flags.append(
-            (_DISPLAYED if record.displayed else 0)
-            | (_COVERED if record.covered else 0)
-        )
-        self._delay.append(record.delay_slots)
+        try:
+            self._slot.append(record.slot)
+            self._user.append(record.user)
+            self._level.append(record.level)
+            self._demand.append(record.demand_mbps)
+            self._achieved.append(record.achieved_mbps)
+            self._believed.append(record.believed_cap_mbps)
+            self._flags.append(
+                (_DISPLAYED if record.displayed else 0)
+                | (_COVERED if record.covered else 0)
+            )
+            self._delay.append(record.delay_slots)
+        except (TypeError, OverflowError) as exc:
+            # A field of the wrong type fails mid-record: drop what was
+            # appended so every column keeps the same length.  ``_delay``
+            # grows last, so it still has the length before this record.
+            size = len(self._delay)
+            for column in self._columns():
+                del column[size:]
+            raise ObservabilityError(
+                f"telemetry record has a field of the wrong type: {exc}"
+            ) from exc
         if self._counter is not None:
             self._counter.inc()
 

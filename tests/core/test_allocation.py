@@ -29,7 +29,7 @@ def make_user(cap=60.0, qbar=2.0, delta=0.9, sizes=SIZES, bandwidth=None):
 
 
 def make_problem(num_users=3, budget=108.0, t=5, allow_skip=False, **user_kw):
-    return SlotProblem(
+    return SlotProblem.from_users(
         t=t,
         users=tuple(make_user(**user_kw) for _ in range(num_users)),
         budget_mbps=budget,
@@ -76,13 +76,14 @@ class TestSlotProblem:
         from repro.core.decomposition import slot_objective
 
         problem = make_problem(num_users=1)
-        user = problem.users[0]
         curve = problem.objective_curve(0)
         for level in range(1, 7):
             expected = slot_objective(
-                level, problem.t, user.qbar, user.delta,
+                level, problem.t, problem.qbar[0], problem.delta[0],
                 problem.weights.alpha, problem.weights.beta,
-                MM1DelayModel().delay(user.sizes[level - 1], user.cap_mbps),
+                MM1DelayModel().delay(
+                    problem.sizes[0, level - 1], problem.caps_mbps[0]
+                ),
             )
             assert curve[level - 1] == pytest.approx(expected)
 
@@ -127,7 +128,7 @@ class TestSlotProblem:
         with pytest.raises(ConfigurationError):
             make_problem(t=0)
         with pytest.raises(ConfigurationError):
-            SlotProblem(1, tuple(), 10.0, QoEWeights(0.1, 0.5))
+            SlotProblem.from_users(1, tuple(), 10.0, QoEWeights(0.1, 0.5))
         with pytest.raises(ConfigurationError):
             make_problem(budget=-1.0)
         problem = make_problem(num_users=2)
@@ -190,7 +191,7 @@ class TestAllocators:
         assert level_high > level_low
 
     def test_skip_chosen_when_cap_below_base(self):
-        problem = SlotProblem(
+        problem = SlotProblem.from_users(
             t=5,
             users=(make_user(cap=5.0),),
             budget_mbps=100.0,

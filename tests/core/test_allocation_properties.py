@@ -56,7 +56,7 @@ def slot_problems(draw, max_users=4):
     total_top = sizes[-1] * num_users
     budget = total_base + draw(st.floats(0.0, 1.0)) * (total_top - total_base)
     t = draw(st.integers(1, 50))
-    return SlotProblem(
+    return SlotProblem.from_users(
         t=t,
         users=tuple(users),
         budget_mbps=budget,

@@ -29,7 +29,7 @@ class TestFirefly:
             sizes=SIZES, delays=model.delays(SIZES, 60.0), delta=0.9,
             qbar=2.0, cap_mbps=20.0, raw_cap_mbps=45.0,
         )
-        problem = SlotProblem(5, (user,), 1000.0, QoEWeights(0.02, 0.5))
+        problem = SlotProblem.from_users(5, (user,), 1000.0, QoEWeights(0.02, 0.5))
         assert FireflyAllocator().allocate(problem) == [4]
 
     def test_lru_rotation_under_scarcity(self):
@@ -115,7 +115,7 @@ class TestPavq:
             sizes=SIZES, delays=model.delays(SIZES, 60.0), delta=0.9,
             qbar=2.0, cap_mbps=12.0, raw_cap_mbps=45.0,
         )
-        problem = SlotProblem(5, (user,), 1000.0, QoEWeights(0.02, 0.5))
+        problem = SlotProblem.from_users(5, (user,), 1000.0, QoEWeights(0.02, 0.5))
         assert PavqAllocator().allocate(problem)[0] >= 1
 
     def test_infeasible_raises_without_skip(self):
@@ -129,7 +129,7 @@ class TestPavq:
             sizes=SIZES, delays=model.delays(SIZES, 60.0), delta=0.9,
             qbar=2.0, cap_mbps=5.0, raw_cap_mbps=5.0,
         )
-        problem = SlotProblem(
+        problem = SlotProblem.from_users(
             5, (user,), 100.0, QoEWeights(0.02, 0.5), allow_skip=True
         )
         assert PavqAllocator().allocate(problem) == [0]

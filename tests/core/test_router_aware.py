@@ -27,7 +27,7 @@ def make_problem(router_budgets, budget=1000.0, n=4):
         )
         for _ in range(n)
     )
-    return SlotProblem(
+    return SlotProblem.from_users(
         t=5,
         users=users,
         budget_mbps=budget,
@@ -42,11 +42,11 @@ class TestRouterAwareSlotProblem:
         model = MM1DelayModel()
         user = UserSlotState(SIZES, model.delays(SIZES, 100.0), 0.95, 2.0, 80.0)
         with pytest.raises(ConfigurationError):
-            SlotProblem(
+            SlotProblem.from_users(
                 1, (user,), 100.0, QoEWeights(0.02, 0.5), router_of=(0,)
             )
         with pytest.raises(ConfigurationError):
-            SlotProblem(
+            SlotProblem.from_users(
                 1, (user,), 100.0, QoEWeights(0.02, 0.5),
                 router_of=(0, 0), router_budgets_mbps=(50.0,),
             )

@@ -85,8 +85,8 @@ class TestScheduler:
         scheduler.record_outcomes([4, 2], [1, 1], [0.5, 0.3])
         problem = slot_inputs(scheduler)
         assert problem.t == 2
-        assert problem.users[0].qbar == 4.0
-        assert problem.users[0].cap_mbps == 60.0
+        assert problem.qbar[0] == 4.0
+        assert problem.caps_mbps[0] == 60.0
 
     def test_build_slot_problem_raw_caps(self):
         scheduler = make_scheduler()
@@ -98,8 +98,8 @@ class TestScheduler:
             108.0,
             raw_caps_mbps=[58.0, 59.0],
         )
-        assert problem.users[0].raw_cap_mbps == 58.0
-        assert problem.users[1].cap_mbps == 50.0
+        assert problem.raw_caps_mbps[0] == 58.0
+        assert problem.caps_mbps[1] == 50.0
 
     def test_allocate_and_record_cycle(self):
         scheduler = make_scheduler()

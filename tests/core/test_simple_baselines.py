@@ -59,7 +59,7 @@ class TestMaxMinFairAllocator:
             UserSlotState(SIZES, model.delays(SIZES, 80.0), 0.9, 2.0, 12.0),
             UserSlotState(SIZES, model.delays(SIZES, 80.0), 0.9, 2.0, 80.0),
         )
-        problem = SlotProblem(3, users, 100.0, QoEWeights(0.02, 0.5))
+        problem = SlotProblem.from_users(3, users, 100.0, QoEWeights(0.02, 0.5))
         levels = MaxMinFairAllocator().allocate(problem)
         assert levels[0] == 1  # capped at 12 Mbps -> only level 1 fits
         assert levels[1] > 1

@@ -26,7 +26,7 @@ from repro.core.allocation import (
 from repro.core.qoe import QoEWeights
 from repro.core.scheduler import CollaborativeVrScheduler
 from repro.errors import ConfigurationError
-from repro.kernel import SlotBatch, mm1_delay_matrix, solve_batch
+from repro.kernel import mm1_delay_matrix, solve_batch
 from repro.knapsack.greedy import combined_greedy, density_greedy, value_greedy
 from repro.simulation.delaymodel import MM1DelayModel
 
@@ -85,7 +85,7 @@ def _random_problem(rng, model, num_users):
         router_budgets = tuple(
             float(budget * rng.uniform(0.4, 1.0)) for _ in range(num_routers)
         )
-    return SlotProblem(
+    return SlotProblem.from_users(
         t=t,
         users=tuple(users),
         budget_mbps=budget,
@@ -124,7 +124,7 @@ def test_allocators_identical_over_random_slots():
         got = allocator.allocate(problem)
         assert got == want, f"round {round_index}: {got} != {want}"
         # The sweep applies to every realistic slot, not only in theory.
-        assert solve_batch(SlotBatch.from_problem(problem)) is not None
+        assert solve_batch(problem) is not None
         sweeps += num_users >= SWEEP_MIN_USERS
     assert sweeps > NUM_ROUNDS // 4
 
@@ -167,7 +167,12 @@ def test_seat_count_picks_the_path(monkeypatch, num_users, sweeps):
     assert calls == ["combined"] * sweeps
 
 
-def test_ragged_menu_falls_back_to_heap():
+def test_ragged_menu_is_refused():
+    """A slot problem is ``(N, L)``: users that disagree on L are refused.
+
+    No rate model produces such a menu; refusing it at construction
+    leaves the allocators one rectangular form to solve.
+    """
     model = MM1DelayModel()
     users = []
     for n in range(SWEEP_MIN_USERS):
@@ -181,13 +186,20 @@ def test_ragged_menu_falls_back_to_heap():
                 cap_mbps=50.0,
             )
         )
-    problem = SlotProblem(
-        t=3, users=tuple(users), budget_mbps=2.5 * len(users), weights=WEIGHTS
+    with pytest.raises(ConfigurationError, match="same number of levels"):
+        SlotProblem.from_users(
+            t=3, users=tuple(users), budget_mbps=2.5 * len(users), weights=WEIGHTS
+        )
+    scheduler = CollaborativeVrScheduler(
+        len(users), DensityValueGreedyAllocator(), WEIGHTS
     )
-    with pytest.raises(ConfigurationError):
-        SlotBatch.from_problem(problem)
-    got = DensityValueGreedyAllocator().allocate(problem)
-    assert got == _reference_levels(problem)
+    with pytest.raises(ConfigurationError, match=r"\(N, L\) rows"):
+        scheduler.build_slot_problem(
+            [user.sizes for user in users],
+            [user.delays for user in users],
+            [user.cap_mbps for user in users],
+            2.5 * len(users),
+        )
 
 
 def test_refused_slot_falls_back_to_heap():
@@ -204,10 +216,10 @@ def test_refused_slot_falls_back_to_heap():
         )
         for n in range(SWEEP_MIN_USERS)
     )
-    problem = SlotProblem(
+    problem = SlotProblem.from_users(
         t=1, users=users, budget_mbps=2.0 * len(users), weights=WEIGHTS
     )
-    assert solve_batch(SlotBatch.from_problem(problem)) is None
+    assert solve_batch(problem) is None
     for allocator_cls, solver in ALLOCATORS:
         got = allocator_cls().allocate(problem)
         assert got == _reference_levels(problem, solver), allocator_cls
@@ -215,7 +227,7 @@ def test_refused_slot_falls_back_to_heap():
 
 @pytest.mark.parametrize("router_of", [(0, -1, 0), (0, 1, 2)])
 def test_router_index_outside_budgets_is_refused(router_of):
-    """Both problem forms refuse a router index with no budget.
+    """Both constructors refuse a router index with no budget.
 
     A negative index would otherwise charge the seat to the last
     router through numpy indexing on the array path.
@@ -227,19 +239,20 @@ def test_router_index_outside_budgets_is_refused(router_of):
         for _ in router_of
     )
     with pytest.raises(ConfigurationError, match="router index"):
-        SlotProblem(
+        SlotProblem.from_users(
             t=3, users=users, budget_mbps=12.0, weights=WEIGHTS,
             router_of=router_of, router_budgets_mbps=(6.0, 6.0),
         )
     size_rows = np.array([sizes] * len(router_of))
     with pytest.raises(ConfigurationError, match="router index"):
-        SlotBatch(
+        SlotProblem(
             t=3,
             sizes=size_rows,
             delays=mm1_delay_matrix(size_rows, np.full(len(router_of), 50.0)),
             delta=np.full(len(router_of), 0.9),
             qbar=np.ones(len(router_of)),
             caps_mbps=np.full(len(router_of), 50.0),
+            raw_caps_mbps=np.full(len(router_of), 50.0),
             budget_mbps=12.0,
             weights=WEIGHTS,
             router_of=np.array(router_of, dtype=np.int64),
@@ -290,7 +303,7 @@ def test_scheduler_batch_path_matches_problem_path():
         )
         got = array_sched.allocate(array_problem)
         assert got == want
-        assert solve_batch(SlotBatch.from_problem(array_problem)) is not None
+        assert solve_batch(array_problem) is not None
 
         # Fold identical outcomes so the running qbar/delta state (and
         # therefore the next slot's gain matrices) stays in lockstep.

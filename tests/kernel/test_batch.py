@@ -1,10 +1,12 @@
-"""SlotBatch construction, validation, and bit-identity of its math.
+"""The array slot problem: construction, validation, bit-identity of its math.
 
 ``gain_matrix`` must equal :func:`repro.core.decomposition.slot_objective`
 entry by entry with ``==`` (no tolerance), and ``mm1_delay_matrix``
 must match :meth:`repro.simulation.delaymodel.MM1DelayModel.delay`
 across every branch: healthy link, saturated link, dead link.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from repro.core.allocation import SlotProblem, UserSlotState
 from repro.core.decomposition import skip_objective, slot_objective
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
-from repro.kernel import SlotBatch, mm1_delay_matrix
+from repro.kernel import mm1_delay_matrix
 from repro.simulation.delaymodel import MM1DelayModel
 
 WEIGHTS = QoEWeights(alpha=0.02, beta=0.5)
@@ -23,13 +25,14 @@ def _random_batch(rng, num_users=16, num_levels=5, t=7):
     base = rng.uniform(0.5, 3.0, size=num_users)
     sizes = base[:, None] * 1.5 ** np.arange(num_levels)[None, :]
     caps = rng.uniform(5.0, 100.0, size=num_users)
-    return SlotBatch(
+    return SlotProblem(
         t=t,
         sizes=sizes,
         delays=mm1_delay_matrix(sizes, caps),
         delta=rng.uniform(0.0, 1.0, size=num_users),
         qbar=rng.uniform(0.0, num_levels, size=num_users),
         caps_mbps=caps,
+        raw_caps_mbps=caps,
         budget_mbps=float(sizes.sum()),
         weights=WEIGHTS,
     )
@@ -96,7 +99,7 @@ class TestGainMatrix:
             )
 
 
-class TestFromProblem:
+class TestFromUsers:
     def test_round_trips_a_slot_problem(self):
         model = MM1DelayModel()
         users = tuple(
@@ -109,7 +112,7 @@ class TestFromProblem:
             )
             for n in range(3)
         )
-        problem = SlotProblem(
+        batch = SlotProblem.from_users(
             t=5,
             users=users,
             budget_mbps=9.0,
@@ -118,7 +121,6 @@ class TestFromProblem:
             router_of=(0, 0, 1),
             router_budgets_mbps=(6.0, 6.0),
         )
-        batch = SlotBatch.from_problem(problem)
         assert batch.t == 5
         assert batch.num_users == 3 and batch.num_levels == 3
         assert batch.allow_skip
@@ -126,6 +128,8 @@ class TestFromProblem:
             assert tuple(batch.sizes[n]) == user.sizes
             assert batch.delta[n] == user.delta
             assert batch.qbar[n] == user.qbar
+            assert batch.caps_mbps[n] == user.cap_mbps
+            assert batch.raw_caps_mbps[n] == user.raw_cap_mbps
             for k, size in enumerate(user.sizes):
                 assert batch.delays[n, k] == model.delay(size, 20.0 + n)
         assert tuple(batch.router_of) == (0, 0, 1)
@@ -142,6 +146,7 @@ class TestValidation:
             delta=np.array([0.5]),
             qbar=np.array([0.0]),
             caps_mbps=np.array([10.0]),
+            raw_caps_mbps=np.array([10.0]),
             budget_mbps=5.0,
             weights=WEIGHTS,
         )
@@ -149,7 +154,7 @@ class TestValidation:
         return kwargs
 
     def test_valid_batch_accepted(self):
-        SlotBatch(**self._kwargs())
+        SlotProblem(**self._kwargs())
 
     @pytest.mark.parametrize(
         "overrides",
@@ -165,8 +170,49 @@ class TestValidation:
             {"sizes": np.array([[2.0, 1.0]]), "delays": np.zeros((1, 2))},
             {"router_of": np.array([0])},
             {"router_of": np.array([0, 1]), "router_budgets_mbps": np.array([1.0, 1.0])},
+            {"raw_caps_mbps": np.zeros(2)},
+            {"qbar": np.array([-0.5])},
+            {"caps_mbps": np.array([-1.0])},
+            {"raw_caps_mbps": np.array([-1.0])},
+            {"sizes": np.zeros((0, 2)), "delays": np.zeros((0, 2))},
+            {"sizes": np.zeros((1, 0)), "delays": np.zeros((1, 0))},
         ],
     )
     def test_bad_batch_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
-            SlotBatch(**self._kwargs(**overrides))
+            SlotProblem(**self._kwargs(**overrides))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sizes", (1.0, math.nan)),
+            ("sizes", (1.0, math.inf)),
+            ("delays", (math.nan, 0.1)),
+            ("delays", (0.0, math.inf)),
+            ("qbar", math.nan),
+            ("qbar", math.inf),
+            ("cap_mbps", math.nan),
+            ("cap_mbps", math.inf),
+            ("raw_cap_mbps", math.nan),
+            ("raw_cap_mbps", math.inf),
+            ("budget_mbps", math.nan),
+            ("budget_mbps", math.inf),
+        ],
+    )
+    def test_non_finite_input_refused(self, field, value):
+        """A NaN cap would silently lift constraint (6) in every allocator.
+
+        ``size > nan + eps`` is False, so Algorithm 1 once granted two
+        seats with NaN caps level 2 under a 10 Mbps budget.  Every
+        entry the planner reads must be a finite number.
+        """
+        user = dict(sizes=(1.0, 6.0), delays=(0.0, 0.1), delta=0.9, qbar=0.5,
+                    cap_mbps=8.0)
+        budget = 10.0
+        if field == "budget_mbps":
+            budget = value
+        else:
+            user[field] = value
+        users = (UserSlotState(**user), UserSlotState(**user))
+        with pytest.raises(ConfigurationError):
+            SlotProblem.from_users(3, users, budget, WEIGHTS)

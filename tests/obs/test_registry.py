@@ -27,6 +27,17 @@ class TestCounter:
         with pytest.raises(ObservabilityError):
             counter.inc(-1.0)
 
+    @pytest.mark.parametrize("amount", [math.nan, math.inf])
+    def test_non_finite_increment_rejected(self, amount):
+        # A NaN used to pass the ``< 0`` check and made the counter NaN
+        # for the rest of the process.
+        counter = MetricsRegistry().counter("c_total", "help")
+        counter.inc(2.0)
+        with pytest.raises(ObservabilityError):
+            counter.inc(amount)
+        counter.inc()
+        assert counter.value == 3.0
+
     def test_count_is_the_integer_view(self):
         counter = MetricsRegistry().counter("c_total", "help")
         for _ in range(5):

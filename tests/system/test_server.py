@@ -267,9 +267,11 @@ class TestSeatDelayRows:
 
             def checked(problem):
                 # Checked before the slot's outcomes refit a predictor.
-                for n, user in enumerate(problem.users):
+                for n in range(problem.num_users):
                     predict = oracles[n].predict
-                    assert user.delays == tuple(predict(s) for s in user.sizes)
+                    assert problem.delays[n].tolist() == [
+                        predict(s) for s in problem.sizes[n].tolist()
+                    ]
                 problems.append(problem)
                 return allocate(problem)
 
@@ -282,7 +284,7 @@ class TestSeatDelayRows:
         # Past warm-up the fitted polynomial, not the fallback
         # constant, prices the levels: rows vary across levels.
         assert any(
-            len(set(user.delays)) > 1 for user in problems[-1].users
+            len(set(row)) > 1 for row in problems[-1].delays.tolist()
         )
 
 

@@ -242,6 +242,29 @@ class TestOutOfRangeRefused:
         telemetry.add(record(slot=3, user=4))
         assert [(r.slot, r.user) for r in telemetry.records] == [(1, 2), (3, 4)]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("slot", 1.5), ("user", 2.5), ("level", 3.0), ("demand", "fast"),
+         ("believed", None), ("delay", "late")],
+    )
+    def test_wrong_type_rolls_every_column_back(self, field, value):
+        # A float user used to append ``slot``, then raise TypeError on
+        # the ``user`` column, leaving the columns at [1, 0, 0, ...].
+        from repro.errors import ObservabilityError
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        telemetry = Telemetry()
+        telemetry.attach_registry(registry)
+        telemetry.add(record(slot=1, user=2))
+        with pytest.raises(ObservabilityError, match="wrong type"):
+            telemetry.add(record(**{field: value}))
+        assert self._lengths(telemetry) == {1}
+        telemetry.add(record(slot=3, user=4))
+        assert [(r.slot, r.user) for r in telemetry.records] == [(1, 2), (3, 4)]
+        counter = registry.counter("repro_telemetry_records_total", "")
+        assert counter.count == 2
+
     @pytest.mark.parametrize("field, value", BAD)
     def test_load_jsonl_refuses_before_any_column_grows(
         self, tmp_path, field, value
