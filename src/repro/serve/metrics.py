@@ -4,10 +4,9 @@ The slot loop must finish fold + allocate + encode + send inside
 one ``SLOT_DURATION_S`` period or the frame misses its display slot
 (Section III ties QoE directly to that deadline).  The serving layer
 therefore times every stage of every slot, tracks the slot-deadline
-hit rate as its headline number, and folds each user's realized
-outcomes into the same :class:`~repro.system.telemetry.Telemetry`
-record stream the in-process experiment produces — one schema for
-both worlds.
+hit rate as its headline number, and folds each seat's viewed
+quality into a running sum and count (lockstep runs also keep
+:class:`~repro.system.telemetry.Telemetry` records).
 
 Every counter and histogram here lives in a
 :class:`~repro.obs.registry.MetricsRegistry`, so the numbers the
@@ -20,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import (
@@ -135,9 +134,9 @@ class ServingMetrics:
     ``slot_s`` is the deadline each slot's pipeline is measured
     against.  The embedded :class:`Telemetry` receives one
     :class:`~repro.system.telemetry.SlotUserRecord` per (slot, seat)
-    from the slot loop — the same schema
+    from a lockstep slot loop only — the same schema
     :meth:`~repro.system.experiment.SystemExperiment.run_repeat`
-    emits, so existing analysis tooling applies unchanged.
+    emits.
 
     All figures live in ``registry`` (a fresh one when not supplied):
     reads go through properties, writes through ``record_*`` methods,
@@ -245,6 +244,9 @@ class ServingMetrics:
         )
         self.telemetry = Telemetry()
         self.telemetry.attach_registry(self.registry)
+        # Integer levels: the sums are exact in any order.
+        self._quality_sums: Dict[int, int] = {}
+        self._quality_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -263,6 +265,23 @@ class ServingMetrics:
         self._slots.inc()
         if seconds < self.slot_s:
             self._deadline_hits.inc()
+
+    def record_viewed_quality(
+        self, seat: int, total: int, count: int = 1
+    ) -> None:
+        """Add ``count`` seat-slot viewed qualities summing to ``total``."""
+        if count:
+            self._quality_sums[seat] = self._quality_sums.get(seat, 0) + total
+            self._quality_counts[seat] = (
+                self._quality_counts.get(seat, 0) + count
+            )
+
+    def take_viewed_quality(self, seat: int) -> Tuple[int, int]:
+        """Remove and return one seat's ``(sum, count)`` (migration)."""
+        return (
+            self._quality_sums.pop(seat, 0),
+            self._quality_counts.pop(seat, 0),
+        )
 
     def record_reject(self, code: str) -> None:
         self._rejects.counter_child(code=code).inc()
@@ -415,11 +434,14 @@ class ServingMetrics:
         return self.deadline_hits / self.slots if self.slots else 0.0
 
     def per_user_quality(self) -> Dict[int, float]:
-        """Mean viewed quality per seat from the telemetry stream.
+        """Mean viewed quality per seat, in seat order.
 
-        See :meth:`~repro.system.telemetry.Telemetry.viewed_quality_by_user`.
+        Equals :meth:`~repro.system.telemetry.Telemetry.viewed_quality_by_user`.
         """
-        return self.telemetry.viewed_quality_by_user()
+        return {
+            seat: self._quality_sums[seat] / count
+            for seat, count in sorted(self._quality_counts.items())
+        }
 
     def summary(self) -> Dict[str, object]:
         """One JSON-serialisable dict with every headline figure."""

@@ -180,20 +180,25 @@ class SlotLoop:
                 delivered_ids.append([])
                 released_ids.append([])
                 poses.append(None)
-            self.metrics.telemetry.add(
-                SlotUserRecord(
-                    slot=slot,
-                    user=seat,
-                    level=plan.users[seat].level,
-                    demand_mbps=plan.users[seat].demand_mbps,
-                    achieved_mbps=achieved[seat],
-                    believed_cap_mbps=self.server.estimated_cap(seat),
-                    # The report carries only the indicator (displayed
-                    # and covered), so it fills both fields.
-                    displayed=bool(indicators[-1]),
-                    covered=bool(indicators[-1]),
-                    delay_slots=delays_slots[-1],
+            level = plan.users[seat].level
+            if self.config.lockstep:
+                self.metrics.telemetry.add(
+                    SlotUserRecord(
+                        slot=slot,
+                        user=seat,
+                        level=level,
+                        demand_mbps=plan.users[seat].demand_mbps,
+                        achieved_mbps=achieved[seat],
+                        believed_cap_mbps=self.server.estimated_cap(seat),
+                        # The report carries only the indicator
+                        # (displayed and covered), so it fills both.
+                        displayed=bool(indicators[-1]),
+                        covered=bool(indicators[-1]),
+                        delay_slots=delays_slots[-1],
+                    )
                 )
+            self.metrics.record_viewed_quality(
+                seat, level if indicators[-1] else 0
             )
         # Pose uploads land after every seat's ACKs, as in the
         # experiment's in-memory uplink.

@@ -5,9 +5,10 @@ state: the source shard's coordinator hook captures the seat into a
 *handoff blob* — a JSON-friendly, versioned document holding the
 session identity, its resume token, the wire counters, the full
 per-seat planning state (:meth:`repro.system.server.EdgeServer.
-export_seat`), and the seat's telemetry records — and the target
-shard installs it onto a parked seat that the client then claims
-through the ordinary resume path.
+export_seat`), the seat's viewed-quality sum and count, and its
+telemetry records when the source keeps them (lockstep serving only)
+— and the target shard installs it onto a parked seat that the
+client then claims through the ordinary resume path.
 
 Capture and install use only public serve APIs, so the blob is also
 the compatibility contract between shard releases: ``version`` gates
@@ -18,25 +19,30 @@ has its own slot timeline); only the seat index is rewritten.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from dataclasses import replace
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.serve.server import VrServeServer
 from repro.serve.sessions import Session
-from repro.system.telemetry import SlotUserRecord
+from repro.system.telemetry import LEVEL_MAX, SlotUserRecord
 
 #: Schema tag of the handoff blob.
 HANDOFF_SCHEMA_KIND = "repro.shard.handoff"
 #: Version written by this build.  v2 added ``trace_id`` (the stable
 #: per-session trace identity stitched across shards); v3 carries the
 #: scheduler's QoE ledger as its five running accumulators instead of
-#: the per-slot transcript, so that part of the blob has a fixed size.
-HANDOFF_SCHEMA_VERSION = 3
+#: the per-slot transcript, so that part of the blob has a fixed size;
+#: v4 adds ``viewed_quality``, the seat's viewed-quality ``sum`` and
+#: record ``count``, because a paced source keeps no records to derive
+#: them from.
+HANDOFF_SCHEMA_VERSION = 4
 
 #: Versions this build can install.  v1 blobs (no ``trace_id``) are
 #: accepted with an empty trace identity; v1 and v2 ledger transcripts
-#: are folded row by row into the accumulators.
-HANDOFF_SUPPORTED_VERSIONS = (1, 2, 3)
+#: are folded row by row into the accumulators; v1-v3 blobs derive the
+#: viewed-quality sum and count from their records.
+HANDOFF_SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 #: Session wire counters carried across a migration, in blob order.
 COUNTER_FIELDS = (
@@ -76,17 +82,37 @@ def _blob_float(blob: Mapping[str, Any], key: str) -> float:
     return float(value)
 
 
+def _blob_viewed_quality(blob: Mapping[str, Any]) -> Tuple[int, int]:
+    """A v4 blob's ``(sum, count)``: ints, count >= 0, 0 <= sum <= 255 count."""
+    quality = blob.get("viewed_quality")
+    if not isinstance(quality, Mapping):
+        raise ConfigurationError(
+            "handoff field 'viewed_quality' must be an object"
+        )
+    total = _blob_int(quality, "sum")
+    count = _blob_int(quality, "count")
+    if count < 0 or not 0 <= total <= LEVEL_MAX * count:
+        raise ConfigurationError(
+            f"handoff field 'viewed_quality' must hold 0 <= sum <= "
+            f"{LEVEL_MAX} * count, got sum={total!r}, count={count!r}"
+        )
+    return total, count
+
+
 def capture_seat(
     server: VrServeServer, session: Session, source_shard: int
 ) -> Dict[str, Any]:
     """Snapshot one session into a handoff blob.
 
-    Destructive only for telemetry: the seat's records move into the
-    blob (they belong to the session, not the shard).  Everything
-    else is a read, so a capture that is later abandoned leaves the
-    source seat intact.
+    Destructive only for the seat's realized quality: its viewed-quality
+    sum and count are zeroed on the source and its telemetry records
+    (kept by a lockstep source only) move into the blob — they belong
+    to the session, not the shard.  Everything else is a read, so a
+    capture that is later abandoned leaves the source seat's planning
+    state intact.
     """
     seat = session.seat
+    quality_sum, quality_count = server.metrics.take_viewed_quality(seat)
     return {
         "kind": HANDOFF_SCHEMA_KIND,
         "version": HANDOFF_SCHEMA_VERSION,
@@ -102,6 +128,7 @@ def capture_seat(
             field: getattr(session, field) for field in COUNTER_FIELDS
         },
         "seat": server.edge.export_seat(seat),
+        "viewed_quality": {"sum": quality_sum, "count": quality_count},
         "telemetry": [
             record.as_dict()
             for record in server.metrics.telemetry.extract_user(seat)
@@ -117,8 +144,13 @@ def install_seat(server: VrServeServer, blob: Mapping[str, Any]) -> Session:
     through the ordinary resume path and is excluded from the report
     barrier until its first plan frame arrives, so a migration can
     never be charged a missed report.  Raises
-    :class:`~repro.errors.ConfigurationError` on a schema mismatch or
-    a full shard, before any state is touched.
+    :class:`~repro.errors.ConfigurationError` on a schema mismatch, a
+    record that :class:`~repro.system.telemetry.Telemetry` cannot hold,
+    malformed v4 ``viewed_quality`` or a full shard, before any state
+    is touched; a malformed ``seat`` state is refused with the
+    provisional admission rolled back.  The seat's viewed-quality sum
+    and count are added to the target seat's, and its records (if the
+    blob carries any) are ingested under the new seat index.
     """
     if blob.get("kind") != HANDOFF_SCHEMA_KIND:
         raise ConfigurationError(
@@ -152,6 +184,15 @@ def install_seat(server: VrServeServer, blob: Mapping[str, Any]) -> Session:
     counter_values = {
         field: _blob_int(counters, field) for field in COUNTER_FIELDS
     }
+    try:
+        records = [SlotUserRecord.from_dict(raw) for raw in telemetry]
+    except ObservabilityError as exc:
+        raise ConfigurationError(f"handoff field 'telemetry': {exc}") from exc
+    if version == 4:
+        quality_sum, quality_count = _blob_viewed_quality(blob)
+    else:
+        quality_sum = sum(r.level for r in records if r.displayed)
+        quality_count = len(records)
 
     slot = server.slot_loop.slots_run
     session = server.registry.install_detached(
@@ -164,13 +205,7 @@ def install_seat(server: VrServeServer, blob: Mapping[str, Any]) -> Session:
     )
     try:
         server.edge.import_seat(session.seat, seat_state)
-        records: List[SlotUserRecord] = []
-        for raw in telemetry:
-            record = SlotUserRecord.from_dict(raw)
-            payload = record.as_dict()
-            payload["user"] = session.seat
-            records.append(SlotUserRecord.from_dict(payload))
-    except (ConfigurationError, ObservabilityError):
+    except ConfigurationError:
         # Undo the provisional admission so a malformed blob cannot
         # strand a half-installed parked seat on the target.
         server.registry.release(session.seat)
@@ -178,6 +213,11 @@ def install_seat(server: VrServeServer, blob: Mapping[str, Any]) -> Session:
         raise
     for field, value in counter_values.items():
         setattr(session, field, value)
-    server.metrics.telemetry.ingest(records)
+    server.metrics.telemetry.ingest(
+        [replace(record, user=session.seat) for record in records]
+    )
+    server.metrics.record_viewed_quality(
+        session.seat, quality_sum, quality_count
+    )
     server.metrics.record_migration_in()
     return session

@@ -53,7 +53,7 @@ _COVERED = 2
 #: Bounds of :class:`Telemetry`'s int columns (``"i"`` and ``"B"``).
 _INT32_MIN = -(2**31)
 _INT32_MAX = 2**31 - 1
-_LEVEL_MAX = 255
+LEVEL_MAX = 255
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,7 @@ class SlotUserRecord:
 
     @classmethod
     def from_dict(cls, raw: object) -> "SlotUserRecord":
+        """Parse one record; refuses values :class:`Telemetry` cannot hold."""
         if not isinstance(raw, dict):
             raise ObservabilityError(
                 f"telemetry record must be an object, got {type(raw).__name__}"
@@ -105,7 +106,7 @@ class SlotUserRecord:
                 f"telemetry record missing fields {missing}"
             )
         try:
-            return cls(
+            record = cls(
                 slot=int(raw["slot"]),
                 user=int(raw["user"]),
                 level=int(raw["level"]),
@@ -116,26 +117,28 @@ class SlotUserRecord:
                 covered=bool(raw["covered"]),
                 delay_slots=float(raw["delay_slots"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ObservabilityError(
                 f"telemetry record has non-numeric fields: {exc}"
             ) from exc
+        _refuse_out_of_range(record)
+        return record
 
 
 class Telemetry:
     """Append-only per-slot record store with summary helpers.
 
-    A served run adds one record per seat per slot, so the store keeps
-    columns, not record objects: ``slot`` and ``user`` in ``array("i")``,
-    ``level`` and the two flags (as bits) in ``array("B")`` and the four
-    floats in ``array("d")`` — 42 bytes per record.  Queries build
-    :class:`SlotUserRecord` rows on demand; numeric fields read back as
-    ``int`` and ``float``, the types every producer writes.  A record
-    whose ``slot`` or ``user`` does not fit a signed 32-bit int, or
-    whose ``level`` is outside 0..255, is refused before any column
-    grows; one with a field of the wrong type (a float ``user``, a
-    string delay) is refused with the columns rolled back.  Either way
-    the columns always stay the same length.
+    A lockstep served run adds one record per seat per slot, so the
+    store keeps columns, not record objects: ``slot`` and ``user`` in
+    ``array("i")``, ``level`` and the two flags (as bits) in
+    ``array("B")`` and the four floats in ``array("d")`` — 42 bytes
+    per record.  Queries build :class:`SlotUserRecord` rows on demand;
+    numeric fields read back as ``int`` and ``float``, the types every
+    producer writes.  A record whose ``slot`` or ``user`` does not fit
+    a signed 32-bit int, or whose ``level`` is outside 0..255, is
+    refused before any column grows; one with a field of the wrong type
+    (a float ``user``, a string delay) is refused with the columns
+    rolled back.  Either way the columns always stay the same length.
     """
 
     def __init__(self) -> None:
@@ -193,7 +196,7 @@ class Telemetry:
         if not (
             _INT32_MIN <= record.slot <= _INT32_MAX
             and _INT32_MIN <= record.user <= _INT32_MAX
-            and 0 <= record.level <= _LEVEL_MAX
+            and 0 <= record.level <= LEVEL_MAX
         ):
             _refuse_out_of_range(record)
         try:
@@ -387,7 +390,7 @@ def _refuse_out_of_range(record: SlotUserRecord) -> None:
     for field, low, high in (
         ("slot", _INT32_MIN, _INT32_MAX),
         ("user", _INT32_MIN, _INT32_MAX),
-        ("level", 0, _LEVEL_MAX),
+        ("level", 0, LEVEL_MAX),
     ):
         value = getattr(record, field)
         if not low <= value <= high:

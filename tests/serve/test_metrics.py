@@ -6,15 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.serve.metrics import STAGES, LatencyHistogram, ServingMetrics
-from repro.system.telemetry import SlotUserRecord
-
-
-def record(slot, user, level, displayed):
-    return SlotUserRecord(
-        slot=slot, user=user, level=level, demand_mbps=0.0,
-        achieved_mbps=0.0, believed_cap_mbps=0.0, displayed=displayed,
-        covered=displayed, delay_slots=0.0,
-    )
 
 
 class TestLatencyHistogram:
@@ -130,9 +121,10 @@ class TestServingMetrics:
 
     def test_per_user_quality_follows_viewed_convention(self):
         metrics = ServingMetrics(slot_s=0.010)
-        metrics.telemetry.add(record(0, 0, 4, displayed=True))
-        metrics.telemetry.add(record(1, 0, 2, displayed=False))
-        metrics.telemetry.add(record(0, 1, 3, displayed=True))
+        # Viewed quality: the level when displayed, 0 otherwise.
+        metrics.record_viewed_quality(0, 4)
+        metrics.record_viewed_quality(0, 0)
+        metrics.record_viewed_quality(1, 3)
         quality = metrics.per_user_quality()
         assert quality == {0: pytest.approx(2.0), 1: pytest.approx(3.0)}
 
@@ -141,7 +133,7 @@ class TestServingMetrics:
         metrics.record_stage("allocate", 0.002)
         metrics.record_slot(0.006)
         metrics.record_reject("capacity")
-        metrics.telemetry.add(record(0, 0, 4, displayed=True))
+        metrics.record_viewed_quality(0, 4)
         summary = metrics.summary()
         assert summary["slots"] == 1
         assert summary["deadline_hit_rate"] == 1.0

@@ -221,6 +221,35 @@ class TestRejection:
         assert target.registry.occupancy() == 0
         assert target.metrics.migrations_in == 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("level", 300), ("level", -1), ("slot", 2**31),
+         ("user", -(2**31) - 1), ("slot", float("inf"))],
+        ids=["level-300", "level-negative", "slot-int32", "user-int32",
+             "slot-inf"],
+    )
+    def test_record_outside_the_columns_leaves_target_seat_free(
+        self, field, value
+    ):
+        import json
+
+        source = make_server()
+        session = park_session(source)
+        seed_records(source, session.seat)
+        blob = capture_seat(source, session, source_shard=0)
+        blob["telemetry"][-1][field] = value
+        blob = json.loads(json.dumps(blob))
+        target = make_server()
+        with pytest.raises(ConfigurationError, match="telemetry"):
+            install_seat(target, blob)
+        # Refused before any state changed: no parked session, no
+        # records ingested, no seat state imported.
+        assert target.registry.occupancy() == 0
+        assert target.metrics.migrations_in == 0
+        assert len(target.metrics.telemetry) == 0
+        assert target.metrics.per_user_quality() == {}
+        assert park_session(target, client="retry").seat == 0
+
     def test_full_shard_rejected_before_state_touched(self):
         target = make_server(max_users=1)
         park_session(target, client="resident", token="tok-" + "c" * 12)
@@ -312,14 +341,17 @@ class TestLedgerAccumulators:
         source = make_server()
         session = park_session(source)
         rows = _record_slots(source, session.seat, 40)
-        v3 = json.loads(json.dumps(capture_seat(source, session, 0)))
-        assert v3["version"] == 3
+        v4 = json.loads(json.dumps(capture_seat(source, session, 0)))
+        assert v4["version"] == 4
+        v3 = json.loads(json.dumps(v4))
+        v3["version"] = 3
+        del v3["viewed_quality"]
         v2 = json.loads(json.dumps(v3))
         v2["version"] = 2
         v2["seat"]["scheduler"]["ledger"] = rows
 
         ledgers = []
-        for blob in (v3, v2):
+        for blob in (v4, v3, v2):
             target = make_server()
             landed = install_seat(target, blob)
             ledgers.append(target.edge.scheduler.ledgers[landed.seat])
