@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Set, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from repro.content.projection import FieldOfView, wrap_angle_deg
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,11 @@ _STAMP = 12
 class FaultInjector:
     """Hands out each scheduled fault exactly once.
 
-    A ``None`` schedule builds a permanently-quiet injector, so the
-    hot paths can hold one unconditionally and stay branch-cheap.
+    A ``None`` schedule builds a permanently-quiet injector (the load
+    generator holds one unconditionally).  The server builds an
+    injector only when its config has a fault schedule; without one,
+    ``VrServeServer.injector`` is ``None`` and a serving process loads
+    nothing from :mod:`repro.faults`.
     """
 
     def __init__(

@@ -31,13 +31,15 @@ __getattr__, __dir__ = lazy_exports(
             "COORDINATOR_SHARD", "MERGE_CONFLICTS_METRIC", "SHARD_LABEL",
             "merge_conflicts", "merge_registries",
         ),
-        "repro.obs.config": ("DEFAULT_SAMPLE_EVERY", "Obs", "ObsConfig"),
+        "repro.obs.config": (
+            "DEFAULT_SAMPLE_EVERY", "NullFlightRecorder", "NullTracer", "Obs",
+            "ObsConfig", "TRIGGER_ADMISSION_REJECT", "TRIGGER_DEADLINE_MISS",
+            "TRIGGER_MIGRATION_STALL", "TRIGGER_SHARD_KILL",
+            "TRIGGER_SHARD_RESPAWN", "TRIGGER_SLO_BREACH", "TRIGGER_WRITE_DROP",
+            "TRIGGERS",
+        ),
         "repro.obs.flight": (
             "AnyFlightRecorder", "FlightDump", "FlightRecorder",
-            "NullFlightRecorder", "TRIGGER_ADMISSION_REJECT",
-            "TRIGGER_DEADLINE_MISS", "TRIGGER_MIGRATION_STALL",
-            "TRIGGER_SHARD_KILL", "TRIGGER_SHARD_RESPAWN",
-            "TRIGGER_SLO_BREACH", "TRIGGER_WRITE_DROP", "TRIGGERS",
         ),
         "repro.obs.http": ("ObsHttpServer", "PROMETHEUS_CONTENT_TYPE"),
         "repro.obs.promtext": ("ExpositionSummary", "validate_exposition"),
@@ -62,8 +64,7 @@ __getattr__, __dir__ = lazy_exports(
             "stitch_spans",
         ),
         "repro.obs.tracer": (
-            "AnyTracer", "NullTracer", "SlotSpanBuilder", "Tracer",
-            "stage_latency_table",
+            "AnyTracer", "SlotSpanBuilder", "Tracer", "stage_latency_table",
         ),
     },
 )

@@ -7,19 +7,48 @@ it into the three runtime pieces — one
 :class:`~repro.obs.registry.MetricsRegistry`, one tracer, one flight
 recorder — swapping in null implementations when disabled so the
 instrumented hot paths stay branch-cheap.
+
+The null tracer and flight recorder, and the trigger names the serving
+path fires, live here, so a process with observability off never
+loads the tracer, the flight recorder, the span codec or the SLO
+engine: :meth:`Obs.from_config` imports the real pieces only when
+``enabled`` is set.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.flight import AnyFlightRecorder, FlightRecorder, NullFlightRecorder
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import SloConfig
-from repro.obs.tracer import AnyTracer, NullTracer, Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.flight import AnyFlightRecorder, FlightDump
+    from repro.obs.slo import SloConfig
+    from repro.obs.spans import Span
+    from repro.obs.tracer import AnyTracer, SlotSpanBuilder
+
+#: Anomaly triggers the serving path fires.
+TRIGGER_DEADLINE_MISS = "deadline_miss"
+TRIGGER_ADMISSION_REJECT = "admission_reject"
+TRIGGER_WRITE_DROP = "write_drop"
+TRIGGER_SESSION_RESUME_FAILED = "session_resume_failed"
+
+#: Cluster-level triggers the shard coordinator/supervisor fire.
+TRIGGER_SHARD_KILL = "shard_kill"
+TRIGGER_MIGRATION_STALL = "migration_stall"
+TRIGGER_SHARD_RESPAWN = "shard_respawn"
+
+#: Fired by the SLO engine when an objective's burn rate breaches.
+TRIGGER_SLO_BREACH = "slo_breach"
+
+TRIGGERS = (
+    TRIGGER_DEADLINE_MISS, TRIGGER_ADMISSION_REJECT, TRIGGER_WRITE_DROP,
+    TRIGGER_SESSION_RESUME_FAILED, TRIGGER_SHARD_KILL,
+    TRIGGER_MIGRATION_STALL, TRIGGER_SHARD_RESPAWN, TRIGGER_SLO_BREACH,
+)
 
 #: Default trace sampling: one slot span written out of every N built.
 DEFAULT_SAMPLE_EVERY = 16
@@ -69,6 +98,16 @@ class ObsConfig:
     slo: Optional[SloConfig] = None
 
     def __post_init__(self) -> None:
+        for name in (
+            "sample_every", "flight_capacity", "flight_max_dumps", "http_port",
+        ):
+            value = getattr(self, name)
+            if name == "http_port" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {value!r}"
+                )
         if self.sample_every < 1:
             raise ConfigurationError(
                 f"sample_every must be >= 1, got {self.sample_every}"
@@ -87,8 +126,75 @@ class ObsConfig:
             )
 
 
+class NullTracer:
+    """Tracing disabled: builders are still handed out (the flight
+    recorder path needs none), but nothing is retained or written."""
+
+    @property
+    def enabled(self) -> bool:
+        return False
+
+    def slot(self, slot: int, start_s: float) -> SlotSpanBuilder:
+        from repro.obs.tracer import SlotSpanBuilder
+
+        return SlotSpanBuilder(slot, start_s)
+
+    def emit(self, span: Span) -> bool:
+        return False
+
+    def flush(self) -> None:
+        return None
+
+    async def aflush(self) -> None:
+        return None
+
+    def close(self) -> None:
+        return None
+
+
+class NullFlightRecorder:
+    """Flight recording disabled: every call is a cheap no-op."""
+
+    def __init__(self) -> None:
+        self.dumps: List[FlightDump] = []
+        self.suppressed = 0
+
+    @property
+    def enabled(self) -> bool:
+        return False
+
+    def __len__(self) -> int:
+        return 0
+
+    def record(self, span: Span) -> None:
+        return None
+
+    def trigger(
+        self, trigger: str, detail: str = "", slot: int = -1
+    ) -> Optional[FlightDump]:
+        return None
+
+    def last_dump_for(self, trigger: str) -> Optional[FlightDump]:
+        return None
+
+    def flush(self) -> None:
+        return None
+
+    async def aflush(self) -> None:
+        return None
+
+    def summary(self) -> Dict[str, object]:
+        return {"ring_slots": 0, "capacity": 0, "dumps": [], "suppressed": 0}
+
+
 class Obs:
-    """One process's observability runtime: registry, tracer, flight."""
+    """One process's observability runtime: registry, tracer, flight.
+
+    A disabled bundle holds the null tracer and flight recorder defined
+    in this module, so building one loads neither
+    :mod:`repro.obs.tracer` nor :mod:`repro.obs.flight`, and closing it
+    starts no worker thread.
+    """
 
     def __init__(
         self,
@@ -110,6 +216,9 @@ class Obs:
         registry = registry if registry is not None else MetricsRegistry()
         if not config.enabled:
             return cls(registry, NullTracer(), NullFlightRecorder(), False)
+        from repro.obs.flight import FlightRecorder
+        from repro.obs.tracer import Tracer
+
         tracer = Tracer(
             path=config.trace_path,
             sample_every=config.sample_every,
@@ -148,6 +257,11 @@ class Obs:
         self.tracer.close()
 
     async def aclose(self) -> None:
-        """Flush and close without blocking the event loop."""
+        """Flush and close without blocking the event loop.
+
+        Only a live tracer has a file to close; a disabled bundle
+        starts no worker thread.
+        """
         await self.aflush()
-        await asyncio.to_thread(self.tracer.close)
+        if self.active:
+            await asyncio.to_thread(self.tracer.close)

@@ -32,24 +32,20 @@ from repro.errors import ObservabilityError
 from repro.obs.registry import MetricFamily, MetricsRegistry
 from repro.obs.spans import Span, stream_header
 
-#: Anomaly triggers the serving path fires.
-TRIGGER_DEADLINE_MISS = "deadline_miss"
-TRIGGER_ADMISSION_REJECT = "admission_reject"
-TRIGGER_WRITE_DROP = "write_drop"
-TRIGGER_SESSION_RESUME_FAILED = "session_resume_failed"
-
-#: Cluster-level triggers the shard coordinator/supervisor fire.
-TRIGGER_SHARD_KILL = "shard_kill"
-TRIGGER_MIGRATION_STALL = "migration_stall"
-TRIGGER_SHARD_RESPAWN = "shard_respawn"
-
-#: Fired by the SLO engine when an objective's burn rate breaches.
-TRIGGER_SLO_BREACH = "slo_breach"
-
-TRIGGERS = (
-    TRIGGER_DEADLINE_MISS, TRIGGER_ADMISSION_REJECT, TRIGGER_WRITE_DROP,
-    TRIGGER_SESSION_RESUME_FAILED, TRIGGER_SHARD_KILL,
-    TRIGGER_MIGRATION_STALL, TRIGGER_SHARD_RESPAWN, TRIGGER_SLO_BREACH,
+# The null recorder and the trigger names live with the config that
+# builds them (an obs-off process never loads this module); they are
+# re-exported here, where they were first defined.
+from repro.obs.config import (
+    NullFlightRecorder as NullFlightRecorder,
+    TRIGGERS as TRIGGERS,
+    TRIGGER_ADMISSION_REJECT as TRIGGER_ADMISSION_REJECT,
+    TRIGGER_DEADLINE_MISS as TRIGGER_DEADLINE_MISS,
+    TRIGGER_MIGRATION_STALL as TRIGGER_MIGRATION_STALL,
+    TRIGGER_SESSION_RESUME_FAILED as TRIGGER_SESSION_RESUME_FAILED,
+    TRIGGER_SHARD_KILL as TRIGGER_SHARD_KILL,
+    TRIGGER_SHARD_RESPAWN as TRIGGER_SHARD_RESPAWN,
+    TRIGGER_SLO_BREACH as TRIGGER_SLO_BREACH,
+    TRIGGER_WRITE_DROP as TRIGGER_WRITE_DROP,
 )
 
 
@@ -200,41 +196,6 @@ class FlightRecorder:
             ],
             "suppressed": self.suppressed,
         }
-
-
-class NullFlightRecorder:
-    """Flight recording disabled: every call is a cheap no-op."""
-
-    def __init__(self) -> None:
-        self.dumps: List[FlightDump] = []
-        self.suppressed = 0
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
-
-    def record(self, span: Span) -> None:
-        return None
-
-    def trigger(
-        self, trigger: str, detail: str = "", slot: int = -1
-    ) -> Optional[FlightDump]:
-        return None
-
-    def last_dump_for(self, trigger: str) -> Optional[FlightDump]:
-        return None
-
-    def flush(self) -> None:
-        return None
-
-    async def aflush(self) -> None:
-        return None
-
-    def summary(self) -> Dict[str, object]:
-        return {"ring_slots": 0, "capacity": 0, "dumps": [], "suppressed": 0}
 
 
 AnyFlightRecorder = Union[FlightRecorder, NullFlightRecorder]

@@ -25,6 +25,10 @@ from repro.errors import ObservabilityError
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.spans import AttrValue, Span, stream_header
 
+# The null tracer lives with the config that builds it (an obs-off
+# process never loads this module); it is re-exported here.
+from repro.obs.config import NullTracer as NullTracer
+
 
 def _in_event_loop() -> bool:
     """True when called from a running asyncio event-loop thread."""
@@ -173,30 +177,6 @@ class Tracer:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-class NullTracer:
-    """Tracing disabled: builders are still handed out (the flight
-    recorder path needs none), but nothing is retained or written."""
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def slot(self, slot: int, start_s: float) -> SlotSpanBuilder:
-        return SlotSpanBuilder(slot, start_s)
-
-    def emit(self, span: Span) -> bool:
-        return False
-
-    def flush(self) -> None:
-        return None
-
-    async def aflush(self) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
 
 
 AnyTracer = Union[Tracer, NullTracer]

@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from repro.content.projection import FieldOfView, wrap_angle_deg
 from repro.content.tiles import GridWorld, TileGrid
 from repro.errors import ConfigurationError
 from repro.prediction.pose import Pose
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 
 #: Bound on each tile-overlap memo.  The exact-bucket key space is
 #: tiny for any sane geometry (buckets x pitch rows squared), so the

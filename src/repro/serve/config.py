@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
-from repro.faults.schedule import FaultSchedule
 from repro.obs.config import ObsConfig
 from repro.system.experiment import ExperimentConfig, setup1_config
 from repro.units import SLOT_DURATION_S
+
+if TYPE_CHECKING:
+    from repro.faults.schedule import FaultSchedule
 
 #: Wire-protocol version spoken by server and load generator.
 #: Version 2 added session resume (join tokens / welcome resume fields).
@@ -149,6 +151,15 @@ class ServeConfig:
             raise ConfigurationError(
                 f"shard_index must be >= -1, got {self.shard_index}"
             )
+        if self.faults is not None:
+            # Only a scheduled run loads the fault layer.
+            from repro.faults.schedule import FaultSchedule
+
+            if not isinstance(self.faults, FaultSchedule):
+                raise ConfigurationError(
+                    "faults must be a FaultSchedule or None, got "
+                    f"{type(self.faults).__name__}"
+                )
 
     @property
     def max_users(self) -> int:

@@ -19,11 +19,8 @@ from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.allocation import DensityValueGreedyAllocator
 from repro.errors import TransportError
-from repro.faults.injection import FaultInjector
 from repro.obs.buildinfo import config_fingerprint, register_build_info
-from repro.obs.config import Obs
-from repro.obs.flight import TRIGGER_ADMISSION_REJECT
-from repro.obs.slo import SloEngine
+from repro.obs.config import TRIGGER_ADMISSION_REJECT, Obs
 from repro.prediction.pose import Pose
 from repro.serve.admission import (
     REJECT_DRAINING,
@@ -51,7 +48,9 @@ from repro.serve.slotloop import SlotLoop
 from repro.system.experiment import DataPlane, SystemExperiment
 
 if TYPE_CHECKING:
+    from repro.faults.injection import FaultInjector
     from repro.obs.http import ObsHttpServer
+    from repro.obs.slo import SloEngine
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,14 @@ class VrServeServer:
         self.registry = SessionRegistry(config.max_users)
         self.admission = AdmissionPolicy(config.max_users, PROTOCOL_VERSION)
         self.obs = Obs.from_config(config.obs)
-        self.injector = FaultInjector(config.faults, registry=self.obs.registry)
+        # A fault-free server loads nothing from the fault layer.
+        self.injector: Optional[FaultInjector] = None
+        if config.faults is not None:
+            from repro.faults.injection import FaultInjector
+
+            self.injector = FaultInjector(
+                config.faults, registry=self.obs.registry
+            )
         self.metrics = ServingMetrics(
             config.slot_s,
             registry=self.obs.registry,
@@ -106,6 +112,8 @@ class VrServeServer:
         )
         self.slo: Optional[SloEngine] = None
         if config.obs.slo is not None:
+            from repro.obs.slo import SloEngine
+
             self.slo = SloEngine(
                 config.obs.slo, self.obs.registry, seats=config.max_users
             )

@@ -19,36 +19,33 @@ construction.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.content.tiles import VideoId
 from repro.errors import TransportError
-from repro.faults.injection import FaultInjector, truncate_frame_bytes
-from repro.faults.schedule import (
-    FAULT_DISCONNECT,
-    FAULT_STALL_READ,
-    FAULT_STALL_WRITE,
-    FAULT_TRUNCATE_FRAME,
-)
-from repro.obs.config import Obs
-from repro.obs.flight import (
+from repro.obs.config import (
     TRIGGER_DEADLINE_MISS,
     TRIGGER_SESSION_RESUME_FAILED,
     TRIGGER_SLO_BREACH,
     TRIGGER_WRITE_DROP,
+    Obs,
 )
-from repro.obs.slo import SloEngine
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import ServingMetrics
 from repro.serve.protocol import EndOfRun, TilePlan, pose_to_wire
 from repro.serve.protocol2 import BinaryChannelCodec
 from repro.serve.sessions import Session, SessionRegistry
-from repro.simulation.metrics import summarize_ledger
-from repro.system.client import MAX_DELAY_SLOTS, clamp_delay_slots
 from repro.system.experiment import DataPlane
 from repro.system.server import EdgeServer, SlotPlan
 from repro.system.telemetry import SlotUserRecord
 from repro.prediction.pose import Pose
+from repro.units import MAX_DELAY_SLOTS, clamp_delay_slots
+
+if TYPE_CHECKING:
+    from repro.faults.injection import FaultInjector
+    from repro.obs.slo import SloEngine
 
 #: The minimum positive quality level a degraded session is held to
 #: (the constraint (7) floor: keep serving, at the cheapest rate).
@@ -86,7 +83,9 @@ class SlotLoop:
         self.metrics = metrics
         self.data_plane = data_plane
         self.obs = obs if obs is not None else Obs.disabled(metrics.registry)
-        self.injector = injector if injector is not None else FaultInjector()
+        #: Scripted faults; ``None`` (no schedule) skips every fault
+        #: branch and keeps the fault layer unloaded.
+        self.injector = injector
         #: Optional burn-rate evaluator; reads counters only, so an
         #: attached engine never perturbs planning.
         self.slo = slo
@@ -327,7 +326,12 @@ class SlotLoop:
                 # Parked seat with no transport (mid-migration); the
                 # encode stage should have filtered it already.
                 continue
-            if self.injector.enabled:
+            if self.injector is not None and self.injector.enabled:
+                from repro.faults.schedule import (
+                    FAULT_STALL_WRITE,
+                    FAULT_TRUNCATE_FRAME,
+                )
+
                 truncate = self.injector.take(
                     slot, session.seat, FAULT_TRUNCATE_FRAME
                 )
@@ -394,6 +398,8 @@ class SlotLoop:
         for the grace window.  Closing the transport flushes the
         partial frame first.
         """
+        from repro.faults.injection import truncate_frame_bytes
+
         writer = session.writer
         if writer is not None:
             try:
@@ -443,7 +449,7 @@ class SlotLoop:
             if self._stop.is_set() or self.registry.ready_count() == 0:
                 break
             last_slot = slot
-            if self.injector.enabled:
+            if self.injector is not None and self.injector.enabled:
                 self._inject_connection_faults(slot)
             await self._resume_barrier(slot)
             if self._stop.is_set() or self.registry.ready_count() == 0:
@@ -592,6 +598,9 @@ class SlotLoop:
         handler.  (``truncate_frame`` / ``stall_write`` fire later,
         in the send stage, where the frame exists.)
         """
+        from repro.faults.schedule import FAULT_DISCONNECT, FAULT_STALL_READ
+
+        assert self.injector is not None
         for event in self.injector.take_kind(slot, FAULT_DISCONNECT):
             session = self.registry.get(event.seat)
             if session is None or not session.alive or session.detached:
@@ -662,16 +671,15 @@ class SlotLoop:
                 # No transport to speak over; the grace window ends
                 # with the run.
                 continue
-            summary = summarize_ledger(
-                self.server.scheduler.ledgers[session.seat],
-                self.config.experiment.weights,
-            )
+            ledger = self.server.scheduler.ledgers[session.seat]
+            # The figure metrics of simulation.metrics.summarize_ledger,
+            # read off the ledger without loading the offline harness.
             payload: Dict[str, float] = {
-                "qoe": summary.qoe,
-                "quality": summary.quality,
-                "delay": summary.delay,
-                "variance": summary.variance,
-                "mean_level": summary.mean_level,
+                "qoe": ledger.qoe_per_slot(self.config.experiment.weights),
+                "quality": ledger.mean_viewed_quality(),
+                "delay": ledger.mean_delay(),
+                "variance": ledger.quality_variance(),
+                "mean_level": ledger.mean_allocated_level(),
             }
             frames.append(
                 (

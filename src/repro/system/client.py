@@ -9,7 +9,6 @@ displayed or dropped in each time slot", no prefetching.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -17,21 +16,11 @@ from repro.content.database import ClientTileCache
 from repro.errors import ConfigurationError
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose
-from repro.units import CLIENT_DECODERS, SLOT_DURATION_S
+from repro.units import CLIENT_DECODERS, SLOT_DURATION_S, clamp_delay_slots
 
-#: The bounded worst-case delay (in slots) charged for one frame: a
-#: starved slot (zero achieved rate) has no finite delivery time, and
-#: a session that misses its report is charged the same.  One second's
-#: worth of slots — harsh, but bounded, so a single outlier cannot
-#: smash the polynomial delay fit or the QoE ledger.
-MAX_DELAY_SLOTS = 60.0
-
-
-def clamp_delay_slots(delay_slots: float) -> float:
-    """Bound a measured delay to ``[0, MAX_DELAY_SLOTS]``."""
-    if not math.isfinite(delay_slots):
-        return MAX_DELAY_SLOTS
-    return max(min(delay_slots, MAX_DELAY_SLOTS), 0.0)
+# The delay clamp lives in repro.units so the server can use it without
+# loading the phone model; the old names still resolve here.
+from repro.units import MAX_DELAY_SLOTS as MAX_DELAY_SLOTS
 
 
 class DecoderPool:

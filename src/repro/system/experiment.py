@@ -16,7 +16,7 @@ bars of Figs. 7-8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,19 +28,8 @@ from repro.content.tiles import GridWorld, TileGrid, VideoId
 from repro.core.allocation import QualityAllocator
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
-from repro.faults.schedule import (
-    FAULT_CORRUPT_REPORT,
-    FAULT_DELAY_REPORT,
-    FaultSchedule,
-)
 from repro.obs.config import Obs
 from repro.prediction.fov import CoverageEvaluator
-from repro.simulation.metrics import (
-    EpisodeResult,
-    MultiEpisodeResults,
-    summarize_ledger,
-)
-from repro.system.client import Client, DecoderPool, play_frame
 from repro.system.netem import (
     FadingProcess,
     InterferenceField,
@@ -57,6 +46,10 @@ from repro.units import (
     TARGET_FPS,
     THROTTLE_GUIDELINES_MBPS,
 )
+
+if TYPE_CHECKING:
+    from repro.faults.schedule import FaultSchedule
+    from repro.simulation.metrics import EpisodeResult, MultiEpisodeResults
 
 
 @dataclass(frozen=True)
@@ -338,8 +331,12 @@ class SystemExperiment:
         defers just the pose upload.  ``None`` (the default) leaves
         the run bit-identical to a build without the fault layer.
         """
-        # The walker and the event engine are the harness's own: a
-        # serving process builds this class but never loads them.
+        # The phone model, the walker, the event engine, the fault
+        # kinds and the figure metrics are the harness's own: a serving
+        # process builds this class but never loads them.
+        from repro.faults.schedule import FAULT_CORRUPT_REPORT, FAULT_DELAY_REPORT
+        from repro.simulation.metrics import EpisodeResult, summarize_ledger
+        from repro.system.client import Client, DecoderPool, play_frame
         from repro.system.events import EventScheduler
         from repro.traces.motion import MotionConfig, MotionTraceGenerator
 
@@ -518,6 +515,8 @@ class SystemExperiment:
         self, allocator: QualityAllocator, repeats: int = 5
     ) -> MultiEpisodeResults:
         """Average over repeats, as the paper does (five repetitions)."""
+        from repro.simulation.metrics import MultiEpisodeResults
+
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
         results = MultiEpisodeResults(algorithm=allocator.name)

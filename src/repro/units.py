@@ -21,6 +21,8 @@ and VI of the paper.
 
 from __future__ import annotations
 
+import math
+
 #: Target display rate used throughout the paper (Section II).
 TARGET_FPS: int = 60
 
@@ -72,6 +74,21 @@ CLIENT_DECODERS: int = 5
 #: Fraction of the panorama covered by the field of view (Section II:
 #: "a user just needs to see about 20% of the panoramic view").
 FOV_FRACTION: float = 0.20
+
+
+#: The bounded worst-case delay (in slots) charged for one frame: a
+#: starved slot (zero achieved rate) has no finite delivery time, and
+#: a session that misses its report is charged the same.  One second's
+#: worth of slots — harsh, but bounded, so a single outlier cannot
+#: smash the polynomial delay fit or the QoE ledger.
+MAX_DELAY_SLOTS = 60.0
+
+
+def clamp_delay_slots(delay_slots: float) -> float:
+    """Bound a measured delay to ``[0, MAX_DELAY_SLOTS]``."""
+    if not math.isfinite(delay_slots):
+        return MAX_DELAY_SLOTS
+    return max(min(delay_slots, MAX_DELAY_SLOTS), 0.0)
 
 
 def mbps_to_bits_per_slot(rate_mbps: float, slot_s: float = SLOT_DURATION_S) -> float:

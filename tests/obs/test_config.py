@@ -1,5 +1,8 @@
 """ObsConfig validation and the Obs runtime bundle."""
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -28,6 +31,25 @@ class TestObsConfig:
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
+            ObsConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sample_every": 2.5},
+            {"sample_every": True},
+            {"flight_capacity": 2.5},
+            {"flight_capacity": "120"},
+            {"flight_max_dumps": 1.0},
+            {"flight_max_dumps": False},
+            {"http_port": 8080.5},
+            {"http_port": True},
+        ],
+    )
+    def test_non_int_counts_rejected(self, kwargs):
+        # A float or bool count would pass the range checks and fail
+        # later (or never) inside the tracer and flight recorder.
+        with pytest.raises(ConfigurationError, match="must be an int"):
             ObsConfig(**kwargs)
 
 
@@ -64,6 +86,29 @@ class TestObsBundle:
         obs = Obs.from_config(ObsConfig(), registry=registry)
         assert obs.registry is registry
         assert Obs.disabled(registry).registry is registry
+
+    def test_aclose_closes_an_enabled_trace_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        obs = Obs.from_config(ObsConfig(trace_path=str(path), sample_every=1))
+
+        async def run():
+            obs.tracer.emit(obs.tracer.slot(0, 0.0).finish(0.001))
+            await obs.aclose()
+
+        asyncio.run(run())
+        assert obs.tracer._handle is None
+        assert len(path.read_text().splitlines()) == 2  # header + span
+
+    def test_disabled_aclose_starts_no_thread(self):
+        obs = Obs.from_config(ObsConfig(enabled=False))
+
+        async def run():
+            before = threading.active_count()
+            await obs.aclose()
+            return before, threading.active_count()
+
+        before, after = asyncio.run(run())
+        assert after == before
 
     def test_disabled_classmethod(self):
         obs = Obs.disabled()

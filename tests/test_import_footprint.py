@@ -6,8 +6,11 @@ the simulator, the sweeps, the offline solvers, the client fleet, the
 shard cluster or the bench harness.  Building a server loads none of
 them either, nor the offline harness's motion walker and event
 engine, the metrics HTTP endpoint (unless a port is set) or ``csv``.
-Each check runs in a fresh interpreter, because this test process has
-imported all of them.
+A server with observability off and no fault schedule loads less
+still: no tracer, flight recorder, span codec, SLO engine, fault
+layer, offline metrics or phone model, and its shutdown starts no
+worker thread.  Each check runs in a fresh interpreter, because this
+test process has imported all of them.
 """
 
 import json
@@ -39,6 +42,37 @@ NOT_SERVING = (
     "multiprocessing",
     "numpy.ma",
     "csv",
+)
+
+#: Modules (and their submodules) a server built with observability
+#: off and no fault schedule must not load: it runs none of them.
+NOT_SERVING_OBS_OFF = (
+    "repro.obs.flight",
+    "repro.obs.tracer",
+    "repro.obs.spans",
+    "repro.obs.slo",
+    "repro.faults",
+    "repro.simulation",
+    "repro.analysis",
+    "repro.system.client",
+    "numpy.typing",
+)
+
+#: Builds a server as the e2e benchmark does, with ``ObsConfig(enabled=...)``.
+BUILD_SERVER = (
+    "import json, sys\n"
+    "from dataclasses import replace\n"
+    "from repro.obs.config import ObsConfig\n"
+    "from repro.serve.config import serve_setup1\n"
+    "from repro.serve.server import VrServeServer\n"
+    "config = replace(\n"
+    "    serve_setup1(max_users=8, expect_clients=8),\n"
+    "    obs=ObsConfig(enabled={enabled}),\n"
+    "    faults=None,\n"
+    "    exact_stage_latency=True,\n"
+    ")\n"
+    "VrServeServer(config)\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
 )
 
 #: Every package, as a dotted name.
@@ -93,6 +127,52 @@ def test_building_a_server_loads_no_offline_code():
     )
     assert "repro.system.experiment" in modules
     assert _loaded(modules, NOT_SERVING) == []
+
+
+def test_obs_off_fault_free_server_loads_no_obs_fault_or_offline_code():
+    modules = _run(BUILD_SERVER.format(enabled=False))
+    assert "repro.obs.config" in modules
+    assert _loaded(modules, NOT_SERVING_OBS_OFF) == []
+
+
+def test_obs_on_server_loads_its_tracer_and_flight_recorder():
+    modules = _run(BUILD_SERVER.format(enabled=True))
+    assert _loaded(modules, ("repro.obs.flight", "repro.obs.tracer")) == [
+        "repro.obs.flight",
+        "repro.obs.tracer",
+    ]
+
+
+def test_paced_obs_off_run_starts_no_shutdown_thread():
+    outcome = _run(
+        "import asyncio, json, sys, threading\n"
+        "from dataclasses import replace\n"
+        "from repro.obs.config import ObsConfig\n"
+        "from repro.serve.config import serve_setup1\n"
+        "from repro.serve.loadgen import LoadGenConfig\n"
+        "from repro.serve.mux import run_serve_and_mux_fleet\n"
+        "async def main():\n"
+        "    before = threading.active_count()\n"
+        "    config = replace(\n"
+        "        serve_setup1(\n"
+        "            max_users=4, duration_slots=31, seed=0, expect_clients=4\n"
+        "        ),\n"
+        "        obs=ObsConfig(enabled=False),\n"
+        "    )\n"
+        "    result, fleet = await run_serve_and_mux_fleet(\n"
+        "        config, LoadGenConfig(num_clients=4, seed=0)\n"
+        "    )\n"
+        "    assert result.slots == 30, result.slots\n"
+        "    # Read before asyncio.run joins the default executor.\n"
+        "    return before, threading.active_count()\n"
+        "before, after = asyncio.run(main())\n"
+        "print(json.dumps({\n"
+        "    'before': before, 'after': after,\n"
+        "    'executor': 'concurrent.futures.thread' in sys.modules,\n"
+        "}))\n"
+    )
+    assert outcome["after"] == outcome["before"]
+    assert outcome["executor"] is False
 
 
 def test_lockstep_loopback_run_never_loads_numpy_ma():
