@@ -13,13 +13,19 @@ term.
 
 :class:`BatchDelayPredictor` holds every seat's window in two
 ``(N, window)`` arrays and prices a whole ``(N, L)`` slot menu with
-one Horner sweep; the edge server keeps its seats here.
+one Horner sweep; the edge server keeps its seats here.  It refits
+every seat that observed a sample since its last fit with one stacked
+least-squares fit, :func:`fit_polynomials`: the normal equations of
+each window, on centred and scaled rates, solved by elimination in
+elementwise numpy.  No LAPACK routine (``np.polyfit``,
+``np.linalg``) runs on the serving path.
 :class:`PolynomialDelayPredictor` is the one-seat view over the same
 class, so the fit and the sweep exist once.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -42,13 +48,91 @@ def _check_samples(rates: np.ndarray, delays: np.ndarray) -> None:
             )
 
 
+def fit_polynomials(
+    rates: np.ndarray, delays: np.ndarray, counts: np.ndarray, degree: int
+) -> np.ndarray:
+    """Least-squares polynomials of ``degree``, one per row of samples.
+
+    Row ``d`` holds its samples in the first ``counts[d]`` entries of
+    ``rates[d]`` and ``delays[d]`` (``(D, W)`` arrays); the rest is
+    ignored, so partly filled windows need no ragged rows.  Each row
+    must hold at least ``degree + 1`` distinct rates.  Returns the
+    ``(D, degree + 1)`` raw-power coefficients, highest power first,
+    as ``np.polyfit`` orders them.
+
+    Each row's rates are centred and scaled onto ``[-1, 1]`` (the
+    midrange and half-range of its samples), so the ``degree + 1``
+    normal equations stay well conditioned; their entries are
+    sequential sums over the samples, which trailing padding cannot
+    change, and they are solved by elimination in elementwise numpy.
+    No LAPACK routine runs.
+    """
+    rows, width = rates.shape
+    live = np.arange(width) < counts[:, None]
+    lo = np.where(live, rates, np.inf).min(axis=1)
+    hi = np.where(live, rates, -np.inf).max(axis=1)
+    mid = (lo + hi) * 0.5
+    half = (hi - lo) * 0.5
+    # Samples along the first axis, so the running sums below add
+    # whole rows of seats at a time.
+    z = rates - mid[:, None]
+    z /= half[:, None]
+    z[~live] = 0.0
+    z = z.T
+    term = np.where(live, delays, 0.0).T
+    last, columns = counts - 1, np.arange(rows)
+    work = np.empty_like(term)
+
+    def total(values: np.ndarray) -> np.ndarray:
+        # Each row's samples summed left to right, read at its last
+        # sample, so trailing padding cannot change the sum.
+        return np.add.accumulate(values, axis=0, out=work)[last, columns]
+
+    # Moments y*z**k (k = 0..degree), then power sums z**k (k =
+    # 1..2*degree).
+    sums = np.empty((3 * degree + 1, rows))
+    for k in range(degree + 1):
+        sums[2 * degree + k] = total(term)
+        term *= z
+    np.copyto(term, z)
+    for k in range(2 * degree):
+        sums[k] = total(term)
+        term *= z
+    powers = np.concatenate([counts[None].astype(float), sums[: 2 * degree]])
+    size = degree + 1
+    # The Gram matrix of 1, z, .., z**degree is symmetric positive
+    # definite: eliminate without pivoting, then substitute back.
+    gram = powers[np.add.outer(np.arange(size), np.arange(size))].transpose(2, 0, 1)
+    rhs = sums[2 * degree :].T
+    for i in range(size):
+        for r in range(i + 1, size):
+            factor = gram[:, r, i] / gram[:, i, i]
+            gram[:, r, i:] -= factor[:, None] * gram[:, i, i:]
+            rhs[:, r] -= factor * rhs[:, i]
+    scaled = np.empty((rows, size))
+    for i in reversed(range(size)):
+        known = (gram[:, i, i + 1 :] * scaled[:, i + 1 :]).sum(axis=1)
+        scaled[:, i] = (rhs[:, i] - known) / gram[:, i, i]
+    # sum_j c_j ((x - mid) / half)**j in raw powers of x.
+    raw = np.zeros((rows, size))
+    shift = -mid
+    for j in range(size):
+        coeff = scaled[:, j] / half**j
+        for k in range(j + 1):
+            raw[:, k] += coeff * math.comb(j, k) * shift ** (j - k)
+    return raw[:, ::-1]
+
+
 class BatchDelayPredictor:
     """Every seat's sliding-window polynomial fit of delay on rate.
 
     Seats are addressed by index ``0..num_users-1``.  Each seat's
     samples live in one row of a rate ring and a delay ring, read
     oldest-first; its fitted polynomial is one row of a coefficient
-    matrix, refit only after the seat observed a sample.
+    matrix, refit only after the seat observed a sample.  The next
+    :meth:`delays` call refits all such seats together: their windows
+    are gathered as ``(D, window)`` arrays and fitted by
+    :func:`fit_polynomials`, one call per fit degree.
 
     Parameters
     ----------
@@ -100,7 +184,7 @@ class BatchDelayPredictor:
         # The ring slot each seat writes next, and its window fill.
         self._heads = np.zeros(num_users, dtype=np.int64)
         self._counts = np.zeros(num_users, dtype=np.int64)
-        # Highest power first, as np.polyfit returns them, padded with
+        # Highest power first, as np.polyfit orders them, padded with
         # leading zeros; the window mean and the fallback are constant
         # polynomials.
         self._coeffs = np.zeros((num_users, degree + 1))
@@ -152,16 +236,24 @@ class BatchDelayPredictor:
         self._counts[seats] = np.minimum(self._counts[seats] + 1, self.window)
         self._dirty[seats] = True
 
-    def _window(self, user: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One seat's (rates, delays), oldest first."""
-        head = int(self._heads[user])
-        order = np.arange(head - int(self._counts[user]), head) % self.window
-        return self._rates[user, order], self._delays[user, order]
+    def _windows(self, users: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The listed seats' ``(rates, delays)`` as ``(D, window)`` rows.
+
+        Row ``d`` holds seat ``users[d]``'s window oldest first in its
+        first ``num_samples`` entries, then whatever the ring holds
+        past them.
+        """
+        order = self._heads[users, None] - self._counts[users, None]
+        order = (order + np.arange(self.window)) % self.window
+        seats = users[:, None]
+        return self._rates[seats, order], self._delays[seats, order]
 
     def export_user(self, user: int) -> List[List[float]]:
         """One seat's ``[rate, delay]`` samples (oldest first)."""
         self._check_user(user)
-        return np.stack(self._window(user), axis=1).tolist()
+        rates, delays = self._windows(np.array([user]))
+        count = int(self._counts[user])
+        return np.stack((rates[0, :count], delays[0, :count]), axis=1).tolist()
 
     def restore_user(self, user: int, samples: Sequence[Sequence[float]]) -> None:
         """Rebuild one seat's window from :meth:`export_user` output.
@@ -205,28 +297,45 @@ class BatchDelayPredictor:
         self._counts[:] = 0
         self._dirty[:] = True
 
-    def _fit(self, user: int) -> np.ndarray:
-        """One seat's padded coefficient row from its current window."""
-        row = np.zeros(self.degree + 1)
-        count = int(self._counts[user])
-        if count == 0:
-            row[-1] = self.fallback_delay
-            return row
-        rates, delays = self._window(user)
-        degree = 0
-        if count >= self.min_samples:
-            # A window of near-identical rates makes the Vandermonde
-            # matrix rank deficient; degrade the fit degree to what the
-            # data supports instead of emitting garbage coefficients.
-            # (A set, not ``np.unique``: that would import ``numpy.ma``
-            # mid-slot.)
-            distinct = len(set(np.round(rates, 6).tolist()))
-            degree = min(self.degree, max(distinct - 1, 0))
-        if degree == 0:
-            row[-1] = float(delays.mean())
-        else:
-            row[self.degree - degree:] = np.polyfit(rates, delays, degree)
-        return row
+    def _fit_degrees(self, rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Each window's fit degree; 0 answers the window mean.
+
+        A window of near-identical rates makes the Vandermonde matrix
+        rank deficient, so the degree is what the data supports:
+        distinct rates at six decimals, less one, capped at
+        ``degree``.  Below ``min_samples`` it is 0.  (Sorted rows, not
+        ``np.unique``: that would import ``numpy.ma`` mid-slot.)
+        """
+        live = np.arange(self.window) < counts[:, None]
+        ranked = np.where(live, rates, np.inf)
+        np.round(ranked, 6, out=ranked)
+        ranked.sort(axis=1)
+        distinct = 1 + ((ranked[:, 1:] != ranked[:, :-1]) & live[:, 1:]).sum(axis=1)
+        return np.where(
+            counts >= self.min_samples, np.minimum(distinct - 1, self.degree), 0
+        )
+
+    def _refit(self, users: np.ndarray) -> None:
+        """Refit the listed seats' coefficient rows from their windows."""
+        counts = self._counts[users]
+        rates, delays = self._windows(users)
+        degrees = self._fit_degrees(rates, counts)
+        self._coeffs[users] = 0.0
+        for degree in range(1, self.degree + 1):
+            rows = np.flatnonzero(degrees == degree)
+            if rows.size:
+                self._coeffs[users[rows], self.degree - degree:] = fit_polynomials(
+                    rates[rows], delays[rows], counts[rows], degree
+                )
+        # Constant rows: the window mean (as ``np.mean`` sums a row of
+        # that length) and, for an empty seat, the fallback.
+        means = np.flatnonzero(degrees == 0)
+        for count in set(counts[means].tolist()):
+            rows = means[counts[means] == count]
+            if count == 0:
+                self._coeffs[users[rows], -1] = self.fallback_delay
+            else:
+                self._coeffs[users[rows], -1] = delays[rows, :count].mean(axis=1)
 
     def delays(self, sizes: Sequence[Sequence[float]]) -> np.ndarray:
         """``(num_users, L)`` expected delay of sending ``sizes[n][k]``.
@@ -242,9 +351,10 @@ class BatchDelayPredictor:
             )
         if not (np.isfinite(rates).all() and (rates >= 0).all()):
             raise ConfigurationError("rates must be finite and non-negative")
-        for user in np.flatnonzero(self._dirty).tolist():
-            self._coeffs[user] = self._fit(user)
-        self._dirty[:] = False
+        dirty = np.flatnonzero(self._dirty)
+        if dirty.size:
+            self._refit(dirty)
+            self._dirty[:] = False
         # Horner's rule from 0.0, one multiply and one add per power:
         # the same rounding sequence as ``value * rate + coeff`` in
         # Python floats, so every entry equals the scalar sweep's.

@@ -115,6 +115,15 @@ class ServeConfig:
     shard_index: int = -1
 
     def __post_init__(self) -> None:
+        for name in (
+            "port", "expect_clients", "lag_degrade_slots",
+            "resume_grace_slots", "shard_index",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {value!r}"
+                )
         if not 1 <= self.expect_clients <= self.experiment.num_users:
             raise ConfigurationError(
                 f"expect_clients must be in [1, {self.experiment.num_users}], "

@@ -5,8 +5,12 @@ package kept every seat's delay window in one
 :class:`~repro.prediction.delay.BatchDelayPredictor`: a ``deque`` of
 ``(rate, delay)`` tuples per seat, a lazy per-seat refit and a
 Python-float Horner sweep per query.  It is kept verbatim so the
-batched windows, refits and Horner sweep can be checked bit for bit
-against independent code.  It lives under ``tests/`` only and is never
+batched windows, degree rule, means and Horner sweep can be checked
+bit for bit against independent code.  The one change: where it
+called ``np.polyfit`` it calls the package's least-squares fit,
+:func:`repro.prediction.delay.fit_polynomials`, on its one window;
+``tests/prediction/test_delay_fit_vs_polyfit.py`` checks that fit
+against ``np.polyfit``.  It lives under ``tests/`` only and is never
 imported by the package.
 """
 
@@ -19,6 +23,7 @@ from typing import Deque, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.prediction.delay import fit_polynomials
 
 
 class ReferencePolynomialDelayPredictor:
@@ -63,7 +68,7 @@ class ReferencePolynomialDelayPredictor:
         self.min_samples = min_samples
         self.fallback_delay = fallback_delay
         self._samples: Deque[Tuple[float, float]] = deque(maxlen=window)
-        # Highest power first, as np.polyfit returns them.
+        # Highest power first, as np.polyfit orders them.
         self._coeffs: Tuple[float, ...] = ()
         self._dirty = True
 
@@ -100,7 +105,11 @@ class ReferencePolynomialDelayPredictor:
         if degree == 0:
             self._coeffs = (float(delays.mean()),)
         else:
-            self._coeffs = tuple(np.polyfit(rates, delays, degree).tolist())
+            self._coeffs = tuple(
+                fit_polynomials(
+                    rates[None], delays[None], np.array([rates.size]), degree
+                )[0].tolist()
+            )
         self._dirty = False
 
     def predict(self, rate_mbps: float) -> float:

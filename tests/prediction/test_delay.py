@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.prediction.delay import PolynomialDelayPredictor
+from repro.prediction.delay import PolynomialDelayPredictor, fit_polynomials
 
 
 class TestPolynomialDelayPredictor:
@@ -120,8 +120,13 @@ class TestPolynomialDelayPredictor:
             if degree == 0:
                 want[-1] = delays.mean()
             else:
-                want[3 - degree:] = np.polyfit(rates, delays, degree)
+                want[3 - degree:] = _fit(rates, delays, degree)
             assert predictor._seat._coeffs[0].tolist() == want.tolist()
+
+
+def _fit(rates, delays, degree):
+    """One window's coefficients from the package's least-squares fit."""
+    return fit_polynomials(rates[None], delays[None], np.array([rates.size]), degree)[0]
 
 
 def _polyval_reference(predictor, rate):
@@ -138,7 +143,7 @@ def _polyval_reference(predictor, rate):
     if degree == 0:
         coeffs = np.array([float(delays.mean())])
     else:
-        coeffs = np.polyfit(rates, delays, degree)
+        coeffs = _fit(rates, delays, degree)
     return max(float(np.polyval(coeffs, rate)), 0.0)
 
 

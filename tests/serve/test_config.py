@@ -25,3 +25,35 @@ class TestFaultsField:
         )
         assert replace(config, faults=schedule).faults is schedule
         assert replace(config, faults=FaultSchedule()).faults == FaultSchedule()
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("port", 0.5),
+            ("port", True),
+            ("expect_clients", True),
+            ("expect_clients", 1.0),
+            ("lag_degrade_slots", 2.5),
+            ("resume_grace_slots", 1.5),
+            ("shard_index", 0.5),
+            ("shard_index", "0"),
+        ],
+    )
+    def test_non_int_refused(self, name, value):
+        # A float port used to bind an ephemeral port, and the other
+        # fields took fractional or boolean values silently.
+        config = serve_setup1(max_users=2, duration_slots=11)
+        with pytest.raises(ConfigurationError, match=f"{name} must be an int"):
+            replace(config, **{name: value})
+
+    def test_ints_accepted(self):
+        config = serve_setup1(max_users=2, duration_slots=11)
+        changed = replace(
+            config, port=0, expect_clients=2, lag_degrade_slots=3,
+            resume_grace_slots=4, shard_index=1,
+        )
+        assert (changed.port, changed.expect_clients, changed.shard_index) == (
+            0, 2, 1
+        )
