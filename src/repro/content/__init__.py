@@ -21,8 +21,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.content.rate": ("QualityRateCurve", "RateModel"),
         "repro.content.projection": (
-            "EquirectangularProjection", "FieldOfView",
-            "fov_solid_angle_fraction", "wrap_angle_deg",
+            "FieldOfView", "fov_solid_angle_fraction", "wrap_angle_deg",
         ),
         "repro.content.tiles": ("GridWorld", "TileGrid", "TileKey", "VideoId"),
         "repro.content.database": (
@@ -39,7 +38,6 @@ __all__ = [
     "quality_levels",
     "QualityRateCurve",
     "RateModel",
-    "EquirectangularProjection",
     "FieldOfView",
     "fov_solid_angle_fraction",
     "wrap_angle_deg",

@@ -90,16 +90,6 @@ class TileDatabase:
         """Tile keys for a set of tile indices at one cell and level."""
         return [TileKey(cell_id, idx, level) for idx in sorted(set(tile_indices))]
 
-    def total_footprint_gb(self, slot_s: float = SLOT_DURATION_S) -> float:
-        """Total database size across all cells, tiles, and levels."""
-        total_bits = 0.0
-        per_tile_factor = self.grid.num_tiles / self.typical_tiles_delivered
-        for cell in range(self.world.num_cells):
-            curve = self.rate_model.curve(cell)
-            for level in range(1, self.num_levels + 1):
-                total_bits += curve.size(level) * per_tile_factor * 1e6 * slot_s
-        return total_bits / 8.0 / 1e9
-
     def video_ids_for(
         self, cell_id: int, tile_indices: Iterable[int], level: int
     ) -> List[int]:

@@ -1,4 +1,4 @@
-"""Equirectangular projection and field-of-view geometry.
+"""Field-of-view geometry on the equirectangular panorama.
 
 The paper projects each panoramic scene into a rectangular texture
 using the equirectangular method and splits it into tiles (Fig. 5).
@@ -98,43 +98,3 @@ def fov_solid_angle_fraction(fov: FieldOfView) -> float:
     v_half_rad = math.radians(fov.vertical_deg / 2.0)
     return h_rad * 2.0 * math.sin(v_half_rad) / (4.0 * math.pi)
 
-
-@dataclass(frozen=True)
-class EquirectangularProjection:
-    """Mapping between view directions and texture coordinates.
-
-    The panorama texture spans yaw in ``[-180, 180)`` left-to-right
-    and pitch in ``[90, -90]`` top-to-bottom, the standard
-    equirectangular layout.  ``width``/``height`` default to the
-    paper's Quad HD render target (Section VI).
-    """
-
-    width: int = 2560
-    height: int = 1440
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ConfigurationError(
-                f"projection dimensions must be positive, got {self.width}x{self.height}"
-            )
-
-    def to_uv(self, yaw_deg: float, pitch_deg: float) -> Tuple[float, float]:
-        """Map a direction to normalized texture coordinates in [0, 1)."""
-        if not -90.0 <= pitch_deg <= 90.0:
-            raise ConfigurationError(f"pitch must be in [-90, 90], got {pitch_deg}")
-        u = (wrap_angle_deg(yaw_deg) + 180.0) / 360.0
-        v = (90.0 - pitch_deg) / 180.0
-        return (u % 1.0, min(v, 1.0 - 1e-12))
-
-    def to_pixel(self, yaw_deg: float, pitch_deg: float) -> Tuple[int, int]:
-        """Map a direction to integer pixel coordinates."""
-        u, v = self.to_uv(yaw_deg, pitch_deg)
-        return (int(u * self.width), int(v * self.height))
-
-    def to_direction(self, u: float, v: float) -> Tuple[float, float]:
-        """Inverse mapping from normalized coordinates to (yaw, pitch)."""
-        if not (0.0 <= u < 1.0 and 0.0 <= v <= 1.0):
-            raise ConfigurationError(f"(u, v) must lie in [0,1)x[0,1], got ({u}, {v})")
-        yaw = u * 360.0 - 180.0
-        pitch = 90.0 - v * 180.0
-        return (yaw, pitch)

@@ -173,24 +173,6 @@ class RateModel:
         base = self._base_mbps * self._content_multiplier(content_id)
         return QualityRateCurve(tuple(base * g for g in self._growth))
 
-    def curves(self, content_ids: Sequence[int]) -> Tuple[QualityRateCurve, ...]:
-        """Rate curves for a batch of content ids."""
-        return tuple(self.curve(c) for c in content_ids)
-
-    def tile_curve(self, content_id: int, tiles_delivered: int, tiles_total: int = 4) -> QualityRateCurve:
-        """Rate curve for delivering a subset of a panorama's tiles.
-
-        The FoV-with-margin typically overlaps 1-4 of the four tiles
-        (Fig. 5); the size scales with the delivered fraction.
-        """
-        if not 1 <= tiles_delivered <= tiles_total:
-            raise ConfigurationError(
-                f"tiles_delivered must be in 1..{tiles_total}, got {tiles_delivered}"
-            )
-        full = self.curve(content_id)
-        frac = tiles_delivered / tiles_total
-        return QualityRateCurve(tuple(s * frac for s in full.sizes))
-
 
 def storage_footprint_gb(
     model: RateModel,

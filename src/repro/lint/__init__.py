@@ -8,7 +8,7 @@ discipline.  This package enforces them with an AST rule engine:
 
 * :mod:`repro.lint.rules` — the RL001-RL011 rule catalogue;
 * :mod:`repro.lint.project` — the whole-project model (import
-  graph, call index) behind the flow-aware rules RL008-RL011;
+  bindings, call index) behind the flow-aware rules RL008-RL011;
 * :mod:`repro.lint.baseline` — committed finding snapshots for
   ratchet-style gating;
 * :mod:`repro.lint.engine` — file discovery, dispatch, suppression;

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.lint.findings import SEVERITIES
-from repro.lint.registry import RULE_REGISTRY, Rule
+from repro.lint.registry import RULE_REGISTRY
 
 try:  # Python >= 3.11
     import tomllib as _tomllib
@@ -147,13 +147,6 @@ def _merge_rule(
     return RuleConfig(
         enabled=enabled, severity=severity, include=include, options=options
     )
-
-
-def rule_class(code: str) -> Type[Rule]:
-    try:
-        return RULE_REGISTRY[code]
-    except KeyError:
-        raise ConfigurationError(f"unknown lint rule {code!r}") from None
 
 
 def _string_list(value: Any, key: str, source: str) -> List[str]:

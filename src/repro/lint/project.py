@@ -1,4 +1,4 @@
-"""Whole-project analysis model: symbols, calls, and the import graph.
+"""Whole-project analysis model: symbols, calls, and import bindings.
 
 The per-file rules (RL001-RL007) see one AST at a time, which is
 exactly the wrong granularity for the bug classes that threaten the
@@ -8,9 +8,8 @@ hides two sync helpers down.  This module builds, once per engine run,
 the cross-file facts those rules need:
 
 * a **module table** mapping dotted module names to parsed symbol
-  information (functions, methods, their call sites, their imports);
-* an **import graph** over the scanned files (project-internal edges
-  only), and
+  information (functions, methods, their call sites, their imports),
+  and
 * a **call resolver** that maps a call chain like ``("self",
   "_fold_pending")`` or ``("helper",)`` back to a
   :class:`FunctionInfo`, within the documented limits below.
@@ -136,9 +135,6 @@ class ModuleInfo:
     imports: Mapping[str, str] = field(default_factory=dict)
     #: Qualname -> function/method info.
     functions: Mapping[str, FunctionInfo] = field(default_factory=dict)
-    #: Dotted modules named in import statements (pre-filtering; the
-    #: project graph keeps only edges to scanned modules).
-    imported_modules: Tuple[str, ...] = ()
 
 
 class ProjectModel:
@@ -147,24 +143,6 @@ class ProjectModel:
     def __init__(self, modules: Sequence[ModuleInfo]) -> None:
         self.modules: Dict[str, ModuleInfo] = {m.name: m for m in modules}
         self.by_path: Dict[str, ModuleInfo] = {m.path: m for m in modules}
-
-    # ------------------------------------------------------------------
-    # Graph views
-    # ------------------------------------------------------------------
-    def import_graph(self) -> Dict[str, Tuple[str, ...]]:
-        """Project-internal import edges, deterministically ordered."""
-        graph: Dict[str, Tuple[str, ...]] = {}
-        for name in sorted(self.modules):
-            module = self.modules[name]
-            edges = sorted(
-                {
-                    target
-                    for target in module.imported_modules
-                    if target in self.modules and target != name
-                }
-            )
-            graph[name] = tuple(edges)
-        return graph
 
     def functions(self) -> Iterator[FunctionInfo]:
         for name in sorted(self.modules):
@@ -387,12 +365,9 @@ def _collect_calls(root: ast.AST) -> List[CallSite]:
     return sites
 
 
-def _module_imports(
-    tree: ast.Module,
-) -> Tuple[Dict[str, str], Tuple[str, ...]]:
-    """Local import bindings plus the raw imported-module list."""
+def _module_imports(tree: ast.Module) -> Dict[str, str]:
+    """Local import bindings."""
     bindings: Dict[str, str] = {}
-    modules: List[str] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -402,16 +377,14 @@ def _module_imports(
                     # ``import a.b`` binds the top-level name ``a``.
                     top = alias.name.split(".")[0]
                     bindings[top] = top
-                modules.append(alias.name)
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            modules.append(node.module)
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 bindings[alias.asname or alias.name] = (
                     f"{node.module}.{alias.name}"
                 )
-    return bindings, tuple(modules)
+    return bindings
 
 
 def module_name_for(path: Path) -> str:
@@ -438,13 +411,11 @@ def module_info_from_tree(
     collector = _FunctionCollector(module_name, path)
     for node in tree.body:
         collector.visit(node)
-    bindings, imported = _module_imports(tree)
     return ModuleInfo(
         name=module_name,
         path=path,
-        imports=bindings,
+        imports=_module_imports(tree),
         functions=collector.functions,
-        imported_modules=imported,
     )
 
 

@@ -36,9 +36,6 @@ class ExpositionSummary:
     families: Dict[str, str]
     samples: int
 
-    def family_names(self) -> List[str]:
-        return sorted(self.families)
-
 
 def _parse_value(token: str, line_no: int) -> float:
     if token in ("+Inf", "-Inf", "NaN"):

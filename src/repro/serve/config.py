@@ -11,6 +11,7 @@ pacing, overload thresholds, and timeouts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from typing import TYPE_CHECKING, Optional
@@ -117,7 +118,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         for name in (
             "port", "expect_clients", "lag_degrade_slots",
-            "resume_grace_slots", "shard_index",
+            "resume_grace_slots", "shard_index", "write_degrade_bytes",
+            "write_drop_bytes",
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -140,6 +142,21 @@ class ServeConfig:
                 "need 0 < write_degrade_bytes <= write_drop_bytes, got "
                 f"{self.write_degrade_bytes} / {self.write_drop_bytes}"
             )
+        for name in (
+            "start_timeout_s", "join_timeout_s", "report_timeout_s",
+            "idle_timeout_s", "resume_grace_s",
+        ):
+            # NaN passes every range check below (a NaN grace window
+            # would silently turn resume off), so refuse it here.
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or math.isnan(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a number of seconds, got {value!r}"
+                )
         for name in (
             "start_timeout_s", "join_timeout_s", "report_timeout_s",
             "idle_timeout_s",

@@ -394,10 +394,6 @@ class ServingMetrics:
         return self._dropped_frames.count
 
     @property
-    def active_sessions(self) -> int:
-        return int(self._active_sessions.value)
-
-    @property
     def disconnects(self) -> int:
         return self._disconnects.count
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.serve.protocol import SlotReport
@@ -333,23 +333,3 @@ class SessionRegistry:
             except asyncio.TimeoutError:
                 return self.reports_complete(slot)
         return True
-
-    # ------------------------------------------------------------------
-    # Seat summaries
-    # ------------------------------------------------------------------
-    def seat_counters(self) -> List[Tuple[int, Dict[str, int]]]:
-        """Per-seat wire counters for the metrics summary."""
-        return [
-            (
-                seat,
-                {
-                    "planned_slots": session.planned_slots,
-                    "missed_reports": session.missed_reports,
-                    "late_reports": session.late_reports,
-                    "dropped_frames": session.dropped_frames,
-                    "resumes": session.resumes,
-                    "corrupt_frames": session.corrupt_frames,
-                },
-            )
-            for seat, session in sorted(self._sessions.items())
-        ]

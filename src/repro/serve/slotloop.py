@@ -90,7 +90,6 @@ class SlotLoop:
         #: attached engine never perturbs planning.
         self.slo = slo
         self.slots_run = 0
-        self._stop = asyncio.Event()
         #: (slot, plan, achieved) awaiting the next fold.
         self._pending: Optional[Tuple[int, SlotPlan, List[float]]] = None
         #: Set whenever ``slots_run`` advances (and when the loop
@@ -109,10 +108,6 @@ class SlotLoop:
         #: (ordered handoffs); returning ``False`` aborts the loop
         #: before planning (a killed shard).  ``None``: inert.
         self.slot_hook: Optional[Callable[[int], bool]] = None
-
-    def request_stop(self) -> None:
-        """Ask the loop to finish after the current slot."""
-        self._stop.set()
 
     async def wait_slots(self, count: int) -> int:
         """Block until ``slots_run`` reaches ``count`` (or the loop ends).
@@ -446,13 +441,13 @@ class SlotLoop:
         next_tick_s = loop.time()
         last_slot = -1
         for slot in range(self.config.num_tx_slots):
-            if self._stop.is_set() or self.registry.ready_count() == 0:
+            if self.registry.ready_count() == 0:
                 break
             last_slot = slot
             if self.injector is not None and self.injector.enabled:
                 self._inject_connection_faults(slot)
             await self._resume_barrier(slot)
-            if self._stop.is_set() or self.registry.ready_count() == 0:
+            if self.registry.ready_count() == 0:
                 break
             started_s = loop.time()
             # Span building never reads a clock itself — it reuses the

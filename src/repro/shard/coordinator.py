@@ -446,18 +446,6 @@ class ShardCoordinator:
         source = self.router.assignment(client)
         self._moves.setdefault(source, []).append((client, target))
 
-    def kill_shard(self, index: int, slot: int = 0) -> None:
-        """Schedule shard ``index`` to die at its migration point of
-        ``slot`` (or its next one, if ``slot`` has passed)."""
-        if not 0 <= index < self.cluster.num_shards:
-            raise ConfigurationError(
-                f"shard index must be in [0, {self.cluster.num_shards}), "
-                f"got {index}"
-            )
-        current = self._kill_slot.get(index)
-        if current is None or slot < current:
-            self._kill_slot[index] = slot
-
     def _make_hook(self, index: int) -> Callable[[int], bool]:
         def hook(slot: int) -> bool:
             moves = self._moves.pop(index, None)

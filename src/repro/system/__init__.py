@@ -7,10 +7,9 @@ a transmit/decode/display pipeline.  This subpackage emulates that
 testbed as a discrete-event simulation:
 
 * :mod:`~repro.system.events` — the event engine;
-* :mod:`~repro.system.netem` — TC-style token throttles, router
+* :mod:`~repro.system.netem` — TC-style throttles, router
   fair-sharing, fading, and the two-router interference field;
-* :mod:`~repro.system.transport` — RTP-like lossy delivery and the
-  reliable TCP side channel;
+* :mod:`~repro.system.transport` — RTP-like lossy delivery;
 * :mod:`~repro.system.client` — decoder pool, tile cache, display
   deadline accounting (FPS);
 * :mod:`~repro.system.server` — the edge server: estimation, tile
@@ -32,11 +31,9 @@ __getattr__, __dir__ = lazy_exports(
         "repro.system.events": ("EventScheduler",),
         "repro.system.netem": (
             "FadingProcess", "InterferenceField", "Router", "ThrottledLink",
-            "TokenBucket", "max_min_fair_share",
+            "max_min_fair_share",
         ),
-        "repro.system.transport": (
-            "RtpChannel", "TcpChannel", "TransmissionResult",
-        ),
+        "repro.system.transport": ("RtpChannel", "TransmissionResult"),
         "repro.system.client": ("Client", "DecoderPool", "FrameOutcome"),
         "repro.system.server": ("EdgeServer",),
         "repro.system.experiment": (
@@ -56,10 +53,8 @@ __all__ = [
     "ThrottledLink",
     "Router",
     "InterferenceField",
-    "TokenBucket",
     "max_min_fair_share",
     "RtpChannel",
-    "TcpChannel",
     "TransmissionResult",
     "DecoderPool",
     "Client",

@@ -21,7 +21,6 @@ The emulation reproduces those effects per slot:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -249,72 +248,3 @@ class Router:
             demands_mbps, caps_mbps, self._slot_capacity * efficiency
         )
 
-
-class TokenBucket:
-    """The token-bucket filter behind Linux TC's ``tbf`` qdisc.
-
-    Tokens accrue at ``rate_mbps`` up to ``burst_bits``; sending
-    consumes tokens, and a payload larger than the current balance
-    waits for the refill.  :class:`ThrottledLink` models the throttle
-    at slot granularity (rate x fading); this primitive answers the
-    finer-grained question — *when* does a given payload finish under
-    the shaper — for analyses that care about sub-slot pacing.
-    """
-
-    def __init__(self, rate_mbps: float, burst_bits: float) -> None:
-        if rate_mbps <= 0:
-            raise ConfigurationError(f"rate must be positive, got {rate_mbps}")
-        if burst_bits <= 0:
-            raise ConfigurationError(f"burst must be positive, got {burst_bits}")
-        self.rate_mbps = rate_mbps
-        self.burst_bits = burst_bits
-        self._tokens = burst_bits
-        self._updated_s = 0.0
-
-    @property
-    def tokens(self) -> float:
-        """Current token balance in bits (as of the last operation)."""
-        return self._tokens
-
-    def _refill(self, now_s: float) -> None:
-        if now_s < self._updated_s:
-            raise ConfigurationError(
-                f"time went backwards: {now_s} < {self._updated_s}"
-            )
-        self._tokens = min(
-            self.burst_bits,
-            self._tokens + (now_s - self._updated_s) * self.rate_mbps * 1e6,
-        )
-        self._updated_s = now_s
-
-    def send(self, bits: float, now_s: float) -> float:
-        """Consume tokens for a payload; returns its completion time.
-
-        A payload within the balance departs immediately (the burst);
-        the remainder drains at the token rate.  The balance may go
-        negative transiently, exactly like tbf's deficit accounting.
-        """
-        if bits < 0:
-            raise ConfigurationError(f"payload must be non-negative, got {bits}")
-        self._refill(now_s)
-        if bits == 0:
-            return now_s
-        self._tokens -= bits
-        if self._tokens >= 0:
-            return now_s
-        # Deficit drains at the token rate.
-        delay_s = -self._tokens / (self.rate_mbps * 1e6)
-        return now_s + delay_s
-
-    def time_to_send(self, bits: float, now_s: float) -> float:
-        """Completion time *without* consuming tokens (a what-if)."""
-        if bits < 0:
-            raise ConfigurationError(f"payload must be non-negative, got {bits}")
-        balance = min(
-            self.burst_bits,
-            self._tokens + max(now_s - self._updated_s, 0.0) * self.rate_mbps * 1e6,
-        )
-        deficit = bits - balance
-        if deficit <= 0:
-            return now_s
-        return now_s + deficit / (self.rate_mbps * 1e6)

@@ -112,30 +112,6 @@ class OnlineRenderingPipeline:
         """True when the slot's workload meets the frame deadline."""
         return self.makespan_s(jobs) <= slot_s + 1e-12
 
-    def max_users_supported(
-        self,
-        tiles_per_user: int,
-        tile_bits: float,
-        level: int,
-        slot_s: float = SLOT_DURATION_S,
-        search_limit: int = 256,
-    ) -> int:
-        """Largest user count whose workload still fits in one slot."""
-        if tiles_per_user < 1:
-            raise ConfigurationError(
-                f"tiles_per_user must be >= 1, got {tiles_per_user}"
-            )
-        supported = 0
-        for users in range(1, search_limit + 1):
-            jobs = [
-                RenderJob(tile_bits, level)
-                for _ in range(users * tiles_per_user)
-            ]
-            if not self.fits_in_slot(jobs, slot_s):
-                break
-            supported = users
-        return supported
-
 
 def min_gpus_for(
     num_users: int,

@@ -239,10 +239,6 @@ class EdgeServer:
         """Client evicted tiles: forget them so they can be resent."""
         self._delivered[user].difference_update(video_ids)
 
-    def delivered_count(self, user: int) -> int:
-        """Number of tiles the server believes the user holds."""
-        return len(self._delivered[user])
-
     def cache_hit_ratio(self, user: int) -> float:
         """Fraction of this user's slots served from the memory window."""
         return self._tile_caches[user].hit_ratio()

@@ -1,4 +1,4 @@
-"""Transport emulation: RTP-like lossy delivery and the TCP side channel.
+"""Transport emulation: RTP-like lossy delivery.
 
 Section V: tiles travel over RTP (on UDP) so the sender controls the
 rate directly — no TCP congestion control — at the cost of packet
@@ -140,20 +140,3 @@ class RtpChannel:
                 lost_tiles.append(idx)
         return TransmissionResult(duration_s, packets_sent, packets_lost, tuple(lost_tiles))
 
-
-class TcpChannel:
-    """Reliable side channel for poses and ACKs.
-
-    TCP on the one-hop LAN is effectively instantaneous relative to a
-    16.7 ms slot; the channel models it as a fixed small latency and
-    never drops data.
-    """
-
-    def __init__(self, latency_s: float = 0.002) -> None:
-        if latency_s < 0:
-            raise ConfigurationError(f"latency must be non-negative, got {latency_s}")
-        self.latency_s = latency_s
-
-    def delivery_time(self, now_s: float) -> float:
-        """Arrival time of a message sent now."""
-        return now_s + self.latency_s

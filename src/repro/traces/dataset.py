@@ -8,7 +8,7 @@ a per-slot pose sequence of equal length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -135,18 +135,3 @@ class TraceDataset:
         reps = int(np.ceil(num_slots / slots.size))
         return np.tile(slots, reps)[:num_slots]
 
-
-def server_budget(num_users: int, per_user_mbps: float) -> np.ndarray:
-    """Constant server budget series ``B(t) = per_user * N`` (Section IV)."""
-    if num_users < 1:
-        raise ConfigurationError(f"num_users must be >= 1, got {num_users}")
-    if per_user_mbps <= 0:
-        raise ConfigurationError(
-            f"per_user_mbps must be positive, got {per_user_mbps}"
-        )
-    return np.array([per_user_mbps * num_users])
-
-
-def average_bandwidth(schedule: SlotSchedule) -> Sequence[float]:
-    """Per-user mean bandwidth over an episode (diagnostics)."""
-    return [float(row.mean()) for row in schedule.bandwidth_mbps]

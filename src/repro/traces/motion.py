@@ -270,14 +270,3 @@ class MotionTraceGenerator:
         state; *rng* is consumed lazily, so it must not be shared.
         """
         return PoseTape(self.walk(rng), num_slots)
-
-    def generate_users(
-        self, num_users: int, num_slots: int, seed: int = 0
-    ) -> List[List[Pose]]:
-        """Independent traces for a population of users."""
-        if num_users < 1:
-            raise ConfigurationError(f"num_users must be >= 1, got {num_users}")
-        return [
-            self.generate(num_slots, np.random.default_rng((seed, user)))
-            for user in range(num_users)
-        ]

@@ -61,17 +61,6 @@ class NetworkTrace:
     def duration_s(self) -> float:
         return float(self._boundaries[-1])
 
-    def rate_at(self, t_s: float) -> float:
-        """Throughput (Mbps) at an absolute time within the trace."""
-        if t_s < 0:
-            raise TraceError(f"time must be non-negative, got {t_s}")
-        if t_s >= self.duration_s:
-            raise TraceError(
-                f"time {t_s} s is past the trace end ({self.duration_s} s)"
-            )
-        index = int(np.searchsorted(self._boundaries, t_s, side="right"))
-        return self._segments[index].mbps
-
     def to_slots(self, slot_s: float) -> np.ndarray:
         """Per-slot rates; consecutive slots share a segment's rate.
 
@@ -100,11 +89,6 @@ class NetworkTrace:
             [TraceSegment(s.duration_s, min(max(s.mbps, lo), hi)) for s in self._segments],
             name=self.name,
         )
-
-    def mean_mbps(self) -> float:
-        """Duration-weighted mean rate."""
-        total = sum(s.duration_s * s.mbps for s in self._segments)
-        return total / self.duration_s
 
 
 class FccWebBrowsingModel:
@@ -253,9 +237,3 @@ class TraceCatalog:
         pool_slot = (user * 131 + episode * 17) % self.lte_pool_size
         rng = np.random.default_rng((self.seed, 2, pool_slot))
         return self.lte_model.generate(rng, self.duration_s, name=f"lte-pool{pool_slot}")
-
-    def traces_for_users(self, num_users: int, episode: int = 0) -> List[NetworkTrace]:
-        """One trace per user for a given episode."""
-        if num_users < 1:
-            raise ConfigurationError(f"num_users must be >= 1, got {num_users}")
-        return [self.trace_for(u, episode) for u in range(num_users)]

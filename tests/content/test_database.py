@@ -52,9 +52,6 @@ class TestTileDatabase:
         assert [k.tile_index for k in keys] == [0, 2]
         assert all(k.cell_id == 3 and k.level == 1 for k in keys)
 
-    def test_footprint_positive(self, database):
-        assert database.total_footprint_gb() > 0
-
     def test_rejects_bad_typical_count(self):
         world = GridWorld(0.0, 1.0, 0.0, 1.0, cell_size=0.1)
         with pytest.raises(ConfigurationError):

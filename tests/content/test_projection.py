@@ -1,4 +1,4 @@
-"""Tests for equirectangular projection and FoV geometry."""
+"""Tests for FoV geometry on the equirectangular panorama."""
 
 import math
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.content.projection import (
-    EquirectangularProjection,
     FieldOfView,
     angular_difference_deg,
     fov_solid_angle_fraction,
@@ -98,54 +97,3 @@ class TestSolidAngle:
         small = fov_solid_angle_fraction(FieldOfView(60.0, 60.0))
         large = fov_solid_angle_fraction(FieldOfView(120.0, 120.0))
         assert large > small
-
-
-class TestEquirectangularProjection:
-    def test_default_quad_hd(self):
-        proj = EquirectangularProjection()
-        assert (proj.width, proj.height) == (2560, 1440)
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ConfigurationError):
-            EquirectangularProjection(width=0)
-
-    def test_center_maps_to_middle(self):
-        proj = EquirectangularProjection()
-        u, v = proj.to_uv(0.0, 0.0)
-        assert u == pytest.approx(0.5)
-        assert v == pytest.approx(0.5)
-
-    def test_poles(self):
-        proj = EquirectangularProjection()
-        assert proj.to_uv(0.0, 90.0)[1] == pytest.approx(0.0)
-        assert proj.to_uv(0.0, -90.0)[1] == pytest.approx(1.0, abs=1e-9)
-
-    def test_pixel_mapping_in_bounds(self):
-        proj = EquirectangularProjection()
-        for yaw, pitch in [(-180.0, 90.0), (179.9, -90.0), (0.0, 0.0)]:
-            x, y = proj.to_pixel(yaw, pitch)
-            assert 0 <= x < proj.width
-            assert 0 <= y < proj.height
-
-    def test_rejects_bad_pitch(self):
-        with pytest.raises(ConfigurationError):
-            EquirectangularProjection().to_uv(0.0, 91.0)
-
-    @given(
-        st.floats(-180.0, 179.999, allow_nan=False),
-        st.floats(-89.999, 89.999, allow_nan=False),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip(self, yaw, pitch):
-        proj = EquirectangularProjection()
-        u, v = proj.to_uv(yaw, pitch)
-        yaw2, pitch2 = proj.to_direction(u, v)
-        assert angular_difference_deg(yaw, yaw2) < 1e-6
-        assert abs(pitch - pitch2) < 1e-6
-
-    def test_to_direction_rejects_out_of_range(self):
-        proj = EquirectangularProjection()
-        with pytest.raises(ConfigurationError):
-            proj.to_direction(1.0, 0.5)
-        with pytest.raises(ConfigurationError):
-            proj.to_direction(-0.1, 0.5)

@@ -105,23 +105,6 @@ class TestRateModel:
         with pytest.raises(ConfigurationError):
             RateModel(content_spread=1.5)
 
-    def test_tile_curve_scales(self, rate_model):
-        full = rate_model.curve(3)
-        half = rate_model.tile_curve(3, tiles_delivered=2, tiles_total=4)
-        for level in range(1, 7):
-            assert half.size(level) == pytest.approx(full.size(level) / 2)
-
-    def test_tile_curve_rejects_bad_count(self, rate_model):
-        with pytest.raises(ConfigurationError):
-            rate_model.tile_curve(0, tiles_delivered=0)
-        with pytest.raises(ConfigurationError):
-            rate_model.tile_curve(0, tiles_delivered=5)
-
-    def test_curves_batch(self, rate_model):
-        curves = rate_model.curves([1, 2, 3])
-        assert len(curves) == 3
-        assert curves[0].sizes == rate_model.curve(1).sizes
-
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
     def test_every_content_curve_valid(self, content_id):

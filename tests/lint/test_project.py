@@ -73,20 +73,6 @@ class TestModuleNames:
         assert module_name_for(path) == "script"
 
 
-class TestImportGraph:
-    def test_internal_edges_only(self, tmp_path):
-        _write_package(tmp_path)
-        graph = _model_for(tmp_path).import_graph()
-        assert graph["pkg.a"] == ("pkg.b",)
-        assert graph["pkg.b"] == ("pkg.c",)
-        assert graph["pkg.c"] == ()
-
-    def test_external_imports_never_appear(self):
-        info = _module("import os\nimport numpy as np\n")
-        model = ProjectModel([info])
-        assert model.import_graph() == {"pkg.mod": ()}
-
-
 class TestResolution:
     def test_bare_name_resolves_same_module(self):
         info = _module(
@@ -147,7 +133,6 @@ class TestReachability:
     SOURCE = """
         import time
 
-
         def deep() -> None:
             time.sleep(1.0)
 
@@ -204,7 +189,6 @@ class TestCallSites:
         info = _module(
             """
             import asyncio
-
 
             async def run() -> None:
                 await asyncio.sleep(0)

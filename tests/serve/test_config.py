@@ -1,4 +1,4 @@
-"""ServeConfig validation of its fault schedule."""
+"""ServeConfig validation of its fault schedule and scalar fields."""
 
 from dataclasses import replace
 
@@ -39,6 +39,9 @@ class TestIntegerFields:
             ("resume_grace_slots", 1.5),
             ("shard_index", 0.5),
             ("shard_index", "0"),
+            ("write_degrade_bytes", True),
+            ("write_degrade_bytes", 1024.0),
+            ("write_drop_bytes", 2.5),
         ],
     )
     def test_non_int_refused(self, name, value):
@@ -57,3 +60,26 @@ class TestIntegerFields:
         assert (changed.port, changed.expect_clients, changed.shard_index) == (
             0, 2, 1
         )
+
+
+SECONDS_FIELDS = (
+    "start_timeout_s", "join_timeout_s", "report_timeout_s",
+    "idle_timeout_s", "resume_grace_s",
+)
+
+
+class TestSecondsFields:
+    @pytest.mark.parametrize("name", SECONDS_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), True, "1"])
+    def test_non_number_refused(self, name, value):
+        # NaN passed every range check (a NaN resume_grace_s silently
+        # turned resume off), and a bool passed as 1 or 0 seconds.
+        config = serve_setup1(max_users=2, duration_slots=11)
+        with pytest.raises(ConfigurationError, match=f"{name} must be a number"):
+            replace(config, **{name: value})
+
+    @pytest.mark.parametrize("name", SECONDS_FIELDS)
+    def test_numbers_accepted(self, name):
+        config = serve_setup1(max_users=2, duration_slots=11)
+        for value in (2, 0.5, float("inf")):
+            assert getattr(replace(config, **{name: value}), name) == value

@@ -213,15 +213,6 @@ class TestBarrier:
         # can never report this slot; only seat 0's report matters.
         assert registry.reports_complete(0)
 
-    def test_seat_counters(self):
-        registry, sessions = self._ready_registry(2)
-        sessions[0].missed_reports = 2
-        sessions[1].planned_slots = 9
-        counters = registry.seat_counters()
-        assert [seat for seat, _ in counters] == [0, 1]
-        assert counters[0][1]["missed_reports"] == 2
-        assert counters[1][1]["planned_slots"] == 9
-
 
 class TestDetachResume:
     def test_detach_parks_seat_and_resume_rebinds(self):

@@ -160,61 +160,3 @@ class TestRouter:
             Router(100.0, contention_loss_per_flow=1.0)
         with pytest.raises(ConfigurationError):
             Router(100.0, min_efficiency=0.0)
-
-
-class TestTokenBucket:
-    def make(self, rate=10.0, burst=1e6):
-        from repro.system.netem import TokenBucket
-
-        return TokenBucket(rate_mbps=rate, burst_bits=burst)
-
-    def test_burst_departs_immediately(self):
-        bucket = self.make()
-        assert bucket.send(1e6, now_s=0.0) == 0.0
-
-    def test_deficit_drains_at_rate(self):
-        bucket = self.make(rate=10.0, burst=1e6)
-        bucket.send(1e6, now_s=0.0)          # balance now 0
-        done = bucket.send(5e6, now_s=0.0)   # 5 Mbit at 10 Mbps
-        assert done == pytest.approx(0.5)
-
-    def test_refill_caps_at_burst(self):
-        bucket = self.make(rate=10.0, burst=1e6)
-        bucket.send(1e6, now_s=0.0)
-        # After 10 s the balance is back to the burst cap, not 100 Mbit.
-        assert bucket.send(1e6, now_s=10.0) == 10.0
-        assert bucket.tokens == pytest.approx(0.0)
-
-    def test_partial_refill(self):
-        bucket = self.make(rate=10.0, burst=1e6)
-        bucket.send(1e6, now_s=0.0)
-        # 0.05 s -> 0.5 Mbit of tokens; sending 1 Mbit leaves a 0.5 Mbit
-        # deficit -> 0.05 s more.
-        done = bucket.send(1e6, now_s=0.05)
-        assert done == pytest.approx(0.1)
-
-    def test_zero_payload(self):
-        bucket = self.make()
-        assert bucket.send(0.0, now_s=1.0) == 1.0
-
-    def test_time_to_send_does_not_consume(self):
-        bucket = self.make(rate=10.0, burst=1e6)
-        estimate = bucket.time_to_send(2e6, now_s=0.0)
-        assert estimate == pytest.approx(0.1)
-        assert bucket.tokens == pytest.approx(1e6)
-
-    def test_time_monotone(self):
-        bucket = self.make()
-        bucket.send(1e5, now_s=1.0)
-        with pytest.raises(ConfigurationError):
-            bucket.send(1e5, now_s=0.5)
-
-    def test_validation(self):
-        from repro.system.netem import TokenBucket
-
-        with pytest.raises(ConfigurationError):
-            TokenBucket(0.0, 1e6)
-        with pytest.raises(ConfigurationError):
-            TokenBucket(10.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            self.make().send(-1.0, 0.0)

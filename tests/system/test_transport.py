@@ -1,4 +1,4 @@
-"""Tests for the RTP-like transport and TCP side channel."""
+"""Tests for the RTP-like transport."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TransportError
-from repro.system.transport import RtpChannel, TcpChannel
+from repro.system.transport import RtpChannel
 
 
 class TestRtpChannel:
@@ -138,13 +138,3 @@ class TestRtpChannel:
             RtpChannel(starved_duration_s=0.0)
         with pytest.raises(ConfigurationError):
             RtpChannel(starved_duration_s=float("inf"))
-
-
-class TestTcpChannel:
-    def test_delivery_time(self):
-        channel = TcpChannel(latency_s=0.002)
-        assert channel.delivery_time(1.0) == pytest.approx(1.002)
-
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ConfigurationError):
-            TcpChannel(latency_s=-0.1)

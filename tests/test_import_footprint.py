@@ -195,7 +195,11 @@ def test_lockstep_loopback_run_never_loads_numpy_ma():
 
 
 def test_every_package_export_is_listed_and_resolves():
-    """``dir`` lists each name before first use; each name then resolves."""
+    """``dir`` lists each name before first use; each name then resolves.
+
+    Every name ``dir`` lists is resolved, not only ``__all__``, so a
+    lazy-table entry whose definition is gone fails here too.
+    """
     problems = _run(
         "import importlib, json\n"
         f"packages = {PACKAGES!r}\n"
@@ -206,6 +210,7 @@ def test_every_package_export_is_listed_and_resolves():
         "    for export in package.__all__:\n"
         "        if export not in listed:\n"
         "            problems.append(f'{name}.{export} not in dir()')\n"
+        "    for export in sorted(listed | set(package.__all__)):\n"
         "        try:\n"
         "            getattr(package, export)\n"
         "        except AttributeError as exc:\n"

@@ -6,7 +6,7 @@ import pytest
 from repro.content.tiles import GridWorld
 from repro.errors import ConfigurationError
 from repro.prediction.pose import Pose
-from repro.traces.dataset import SlotSchedule, TraceDataset, server_budget
+from repro.traces.dataset import SlotSchedule, TraceDataset
 from repro.traces.network import TraceCatalog
 
 
@@ -76,25 +76,3 @@ class TestTraceDataset:
             dataset.episode(0, 10)
         with pytest.raises(ConfigurationError):
             dataset.episode(1, 0)
-
-
-class TestServerBudget:
-    def test_paper_rule(self):
-        assert server_budget(5, 36.0)[0] == pytest.approx(180.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            server_budget(0, 36.0)
-        with pytest.raises(ConfigurationError):
-            server_budget(5, 0.0)
-
-
-class TestAverageBandwidth:
-    def test_per_user_means(self):
-        from repro.traces.dataset import average_bandwidth
-
-        bandwidth = np.array([[10.0, 20.0], [30.0, 50.0]])
-        poses = [[Pose(0, 0, 0, 0, 0)] * 2 for _ in range(2)]
-        schedule = SlotSchedule(bandwidth, poses, slot_s=1 / 60)
-        means = average_bandwidth(schedule)
-        assert means == [pytest.approx(15.0), pytest.approx(40.0)]

@@ -49,11 +49,6 @@ class TestMotionTraceGenerator:
         b = generator.generate(300, np.random.default_rng(9))
         assert all(pa == pb for pa, pb in zip(a, b))
 
-    def test_user_traces_differ(self, generator):
-        traces = generator.generate_users(3, 200, seed=0)
-        assert len(traces) == 3
-        assert traces[0][50] != traces[1][50]
-
     def test_head_actually_moves(self, generator, rng):
         poses = generator.generate(2000, rng)
         yaws = {round(p.yaw, 1) for p in poses}
@@ -74,8 +69,6 @@ class TestMotionTraceGenerator:
             generator.tape(0, rng)
         with pytest.raises(ConfigurationError):
             MotionTraceGenerator(GridWorld(0.0, 8.0, 0.0, 0.15, cell_size=0.05))
-        with pytest.raises(ConfigurationError):
-            generator.generate_users(0, 10)
         with pytest.raises(ConfigurationError):
             MotionConfig(walk_speed_mps=0.0)
         with pytest.raises(ConfigurationError):

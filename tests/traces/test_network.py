@@ -35,24 +35,6 @@ class TestNetworkTrace:
     def test_duration(self):
         assert self.trace().duration_s == pytest.approx(4.0)
 
-    def test_rate_at(self):
-        trace = self.trace()
-        assert trace.rate_at(0.5) == 30.0
-        assert trace.rate_at(1.5) == 60.0
-        assert trace.rate_at(3.5) == 45.0
-
-    def test_rate_at_boundaries(self):
-        trace = self.trace()
-        assert trace.rate_at(0.0) == 30.0
-        assert trace.rate_at(1.0) == 60.0
-
-    def test_rate_at_rejects_out_of_range(self):
-        trace = self.trace()
-        with pytest.raises(TraceError):
-            trace.rate_at(-0.1)
-        with pytest.raises(TraceError):
-            trace.rate_at(4.0)
-
     def test_requires_segments(self):
         with pytest.raises(TraceError):
             NetworkTrace([])
@@ -76,10 +58,6 @@ class TestNetworkTrace:
     def test_clamped_rejects_inverted_range(self):
         with pytest.raises(ConfigurationError):
             self.trace().clamped(100.0, 20.0)
-
-    def test_mean_mbps_duration_weighted(self):
-        trace = NetworkTrace([TraceSegment(1.0, 30.0), TraceSegment(3.0, 50.0)])
-        assert trace.mean_mbps() == pytest.approx((30.0 + 150.0) / 4.0)
 
 
 class TestGenerators:
@@ -154,16 +132,9 @@ class TestTraceCatalog:
         b = catalog.trace_for(0, episode=1)
         assert [s.mbps for s in a.segments] != [s.mbps for s in b.segments]
 
-    def test_traces_for_users(self):
-        catalog = TraceCatalog(seed=0, duration_s=30.0)
-        traces = catalog.traces_for_users(5)
-        assert len(traces) == 5
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TraceCatalog(lte_pool_size=0)
         catalog = TraceCatalog(duration_s=30.0)
         with pytest.raises(ConfigurationError):
             catalog.trace_for(-1)
-        with pytest.raises(ConfigurationError):
-            catalog.traces_for_users(0)
