@@ -6,12 +6,16 @@ once, emulates the RTP tile delivery, and fans one plan frame out per
 connection — the fold / allocate / encode / send pipeline of
 Fig. 4, with every stage timed against the slot deadline.
 
-The emulated network is the experiment's own
-:class:`~repro.system.experiment.DataPlane` (TC throttles, router
-fair-sharing, fading, interference, RTP loss), and the edge server is
-built by the same
-:meth:`~repro.system.experiment.SystemExperiment.edge_server`, so a
-lockstep loopback run with a full house of clients reproduces
+The slot itself is the experiment's:
+:meth:`~repro.system.experiment.SystemExperiment.edge_server` builds
+the edge server, :meth:`DataPlane.deliver
+<repro.system.experiment.DataPlane.deliver>` runs the emulated
+downlink (TC throttles, router fair-sharing, fading, interference,
+RTP loss) and :meth:`EdgeServer.complete_slot
+<repro.system.server.EdgeServer.complete_slot>` folds the reports.
+The loop adds the sockets, sessions, pacing, degradation and
+instruments around them, so a lockstep loopback run with a full house
+of clients reproduces
 :meth:`~repro.system.experiment.SystemExperiment.run_repeat` by
 construction.
 """
@@ -39,13 +43,13 @@ from repro.serve.protocol2 import BinaryChannelCodec
 from repro.serve.sessions import Session, SessionRegistry
 from repro.system.experiment import DataPlane
 from repro.system.server import EdgeServer, SlotPlan
-from repro.system.telemetry import SlotUserRecord
 from repro.prediction.pose import Pose
 from repro.units import MAX_DELAY_SLOTS, clamp_delay_slots
 
 if TYPE_CHECKING:
     from repro.faults.injection import FaultInjector
     from repro.obs.slo import SloEngine
+    from repro.system.transport import TransmissionResult
 
 #: The minimum positive quality level a degraded session is held to
 #: (the constraint (7) floor: keep serving, at the cheapest rate).
@@ -128,22 +132,23 @@ class SlotLoop:
     def _fold_pending(self) -> None:
         """Fold the previous slot's reports into the scheduler state.
 
-        Sessions that reported contribute their measured indicator,
-        delay, ACKs, and pose upload (exactly the experiment's uplink
-        fold); planned sessions that did not report are charged a
-        failed slot; empty seats are recorded as idle (level 0).
+        Builds the fold's per-seat columns from the reports and hands
+        them to :meth:`EdgeServer.complete_slot
+        <repro.system.server.EdgeServer.complete_slot>`: sessions that
+        reported contribute their measured indicator, delay, ACKs and
+        pose upload; planned sessions that did not report are charged
+        a failed slot; empty seats are recorded as idle (level 0).
         """
         if self._pending is None:
             return
         slot, plan, achieved = self._pending
         self._pending = None
-        num_users = self.config.max_users
         indicators: List[int] = []
         delays_slots: List[float] = []
-        delivered_ids: List[List[int]] = []
-        released_ids: List[List[int]] = []
+        delivered_ids: List[Sequence[int]] = []
+        released_ids: List[Sequence[int]] = []
         poses: List[Optional[Pose]] = []
-        for seat in range(num_users):
+        for seat, user_plan in enumerate(plan.users):
             session = self.registry.get(seat)
             report = (
                 session.take_report(slot)
@@ -153,54 +158,33 @@ class SlotLoop:
             if report is not None:
                 indicators.append(1 if report.indicator else 0)
                 delays_slots.append(clamp_delay_slots(report.delay_slots))
-                delivered_ids.append(list(report.delivered_ids))
-                released_ids.append(list(report.released_ids))
+                delivered_ids.append(report.delivered_ids)
+                released_ids.append(report.released_ids)
                 poses.append(Pose.from_vector(report.pose))
-            elif plan.users[seat].level > 0:
-                # A planned session went silent: charge a failed slot.
-                indicators.append(0)
-                delays_slots.append(MAX_DELAY_SLOTS)
-                delivered_ids.append([])
-                released_ids.append([])
-                poses.append(None)
-                self.metrics.record_missed_report()
-                if session is not None:
-                    session.missed_reports += 1
             else:
-                # Empty or idle seat: a level-0 slot, as the
-                # experiment records allocator-skipped users.
+                # A planned session that went silent is charged a
+                # failed slot; an empty or idle seat is a level-0 slot,
+                # as the experiment records allocator-skipped users.
+                missed = user_plan.level > 0
                 indicators.append(0)
-                delays_slots.append(0.0)
-                delivered_ids.append([])
-                released_ids.append([])
+                delays_slots.append(MAX_DELAY_SLOTS if missed else 0.0)
+                delivered_ids.append(())
+                released_ids.append(())
                 poses.append(None)
-            level = plan.users[seat].level
-            if self.config.lockstep:
-                self.metrics.telemetry.add(
-                    SlotUserRecord(
-                        slot=slot,
-                        user=seat,
-                        level=level,
-                        demand_mbps=plan.users[seat].demand_mbps,
-                        achieved_mbps=achieved[seat],
-                        believed_cap_mbps=self.server.estimated_cap(seat),
-                        # The report carries only the indicator
-                        # (displayed and covered), so it fills both.
-                        displayed=bool(indicators[-1]),
-                        covered=bool(indicators[-1]),
-                        delay_slots=delays_slots[-1],
-                    )
-                )
+                if missed:
+                    self.metrics.record_missed_report()
+                    if session is not None:
+                        session.missed_reports += 1
             self.metrics.record_viewed_quality(
-                seat, level if indicators[-1] else 0
+                seat, user_plan.level if indicators[-1] else 0
             )
-        # Pose uploads land after every seat's ACKs, as in the
-        # experiment's in-memory uplink.
-        for seat, pose in enumerate(poses):
-            if pose is not None:
-                self.server.observe_pose(seat, pose)
+        # The report carries only the indicator (displayed and
+        # covered), so it fills both telemetry flags.
         self.server.complete_slot(
-            plan, indicators, delays_slots, achieved, delivered_ids, released_ids
+            plan, indicators, delays_slots, achieved, delivered_ids,
+            released_ids, poses=poses,
+            telemetry=self.metrics.telemetry if self.config.lockstep else None,
+            displayed=indicators, covered=indicators,
         )
         self.slots_run = slot + 1
         self._slot_event.set()
@@ -239,20 +223,17 @@ class SlotLoop:
         slot: int,
         plan: SlotPlan,
         achieved: Sequence[float],
+        results: Sequence[TransmissionResult],
     ) -> List[Tuple[Session, TilePlan]]:
-        """Emulate RTP delivery and build one plan frame per session.
+        """Build one plan frame per ready session.
 
-        The RTP channel is sampled for *every* seat in seat order —
-        seats without payload draw no randomness — to keep the RNG
-        stream aligned with the experiment.
+        ``achieved`` and ``results`` are the slot's
+        :meth:`DataPlane.deliver
+        <repro.system.experiment.DataPlane.deliver>` output, in seat
+        order.
         """
         frames: List[Tuple[Session, TilePlan]] = []
-        demands = plan.demands_mbps
-        for seat in range(self.config.max_users):
-            user_plan = plan.users[seat]
-            result = self.data_plane.transmit(
-                user_plan.missing_bits, demands[seat], achieved[seat]
-            )
+        for seat, (user_plan, result) in enumerate(zip(plan.users, results)):
             session = self.registry.get(seat)
             if (
                 session is None
@@ -499,9 +480,8 @@ class SlotLoop:
                         )
 
             stage_s = stage_end_s
-            self.data_plane.step()
-            achieved = self.data_plane.achieved(plan.demands_mbps)
-            frames = self._encode_frames(slot, plan, achieved)
+            achieved, results = self.data_plane.deliver(plan)
+            frames = self._encode_frames(slot, plan, achieved, results)
             stage_end_s = loop.time()
             self.metrics.record_stage("encode", stage_end_s - stage_s)
             if builder is not None:

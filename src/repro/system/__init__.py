@@ -4,9 +4,8 @@ The paper evaluates its algorithm on 8-15 commodity Android phones
 behind one or two Wi-Fi routers, with Linux TC throttling each user,
 RTP/UDP tile delivery, TCP pose/ACK channels, hardware decoders, and
 a transmit/decode/display pipeline.  This subpackage emulates that
-testbed as a discrete-event simulation:
+testbed slot by slot:
 
-* :mod:`~repro.system.events` — the event engine;
 * :mod:`~repro.system.netem` — TC-style throttles, router
   fair-sharing, fading, and the two-router interference field;
 * :mod:`~repro.system.transport` — RTP-like lossy delivery;
@@ -28,7 +27,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.system.events": ("EventScheduler",),
         "repro.system.netem": (
             "FadingProcess", "InterferenceField", "Router", "ThrottledLink",
             "max_min_fair_share",
@@ -48,7 +46,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "EventScheduler",
     "FadingProcess",
     "ThrottledLink",
     "Router",

@@ -15,8 +15,12 @@ bars of Figs. 7-8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Collection, Dict, FrozenSet, List, Mapping, Optional,
+    Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -36,8 +40,8 @@ from repro.system.netem import (
     Router,
     ThrottledLink,
 )
-from repro.system.server import EdgeServer
-from repro.system.telemetry import SlotUserRecord, Telemetry
+from repro.system.server import EdgeServer, SlotPlan
+from repro.system.telemetry import Telemetry
 from repro.system.transport import RtpChannel, TransmissionResult
 from repro.units import (
     SETUP1_SERVER_MBPS,
@@ -98,6 +102,35 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in (
+            "num_users", "num_routers", "duration_slots", "cell_tolerance",
+            "client_cache_tiles", "num_decoders", "content_refresh_slots",
+            "pose_upload_latency_slots", "gop_length",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an int, got {value!r}"
+                )
+        for name in (
+            "router_capacity_mbps", "server_budget_mbps", "slot_s",
+            "margin_deg", "world_size_m", "interference_onset",
+            "link_fading_sigma", "router_fading_sigma", "rtp_base_loss",
+            "rtp_congestion_loss", "decode_rate_mbps", "initial_cap_mbps",
+            "level_ratio", "safety_factor", "contention_loss_per_flow",
+            "router_planning_efficiency", "gop_i_to_p_ratio",
+        ):
+            # NaN passes every range check downstream and fails deep
+            # inside a run (or never), so refuse it here.
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or math.isnan(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a number, got {value!r}"
+                )
         if self.num_users < 1:
             raise ConfigurationError(f"num_users must be >= 1, got {self.num_users}")
         if self.pose_upload_latency_slots < 0:
@@ -159,9 +192,10 @@ class DataPlane:
     """The emulated network between the edge server and its seats.
 
     TC throttles, router fair-sharing, fading, interference and RTP
-    loss for one run of an :class:`ExperimentConfig`, shared by
+    loss for one run of an :class:`ExperimentConfig`.
     :meth:`SystemExperiment.run_repeat` and the live slot loop
-    (:class:`~repro.serve.slotloop.SlotLoop`).  Guidelines come from
+    (:class:`~repro.serve.slotloop.SlotLoop`) both run a slot's
+    downlink through :meth:`deliver`.  Guidelines come from
     ``default_rng((seed, repeat, 11))``; all fading, interference and
     RTP loss from ``default_rng((seed, repeat, 13))``, consumed in a
     fixed order — routers step, links step, then one RTP transmission
@@ -245,6 +279,29 @@ class DataPlane:
             list(tile_bits), demand_mbps, achieved_mbps, self.net_rng
         )
 
+    def deliver(
+        self, plan: SlotPlan, starved: Collection[int] = ()
+    ) -> Tuple[List[float], List[TransmissionResult]]:
+        """Run one slot's downlink for ``plan``.
+
+        Steps the network, fair-shares the routers, then transmits
+        every seat's tiles in seat order.  A ``starved`` seat (an
+        injected outage) gets achieved rate 0 after the router draws,
+        so the RNG stream keeps its shape, and before its RTP step,
+        whose starved path draws nothing; seats past the last one are
+        ignored.  Returns the achieved rates and the per-seat results.
+        """
+        self.step()
+        achieved = self.achieved(plan.demands_mbps)
+        for seat in starved:
+            if seat < len(achieved):
+                achieved[seat] = 0.0
+        results = [
+            self.transmit(user.missing_bits, user.demand_mbps, achieved[seat])
+            for seat, user in enumerate(plan.users)
+        ]
+        return achieved, results
+
 
 class SystemExperiment:
     """Runs one configuration for any allocator, several repeats."""
@@ -310,10 +367,13 @@ class SystemExperiment:
     ) -> EpisodeResult:
         """One full run (one of the paper's five repetitions).
 
-        The testbed is built from the parts the live server uses: the
-        :class:`DataPlane`, :meth:`edge_server`, and one
-        :func:`~repro.system.client.play_frame` per phone per slot.
-        The uplink (acks and pose uploads) is carried in memory.
+        Each slot is the live server's: :meth:`EdgeServer.plan_slot
+        <repro.system.server.EdgeServer.plan_slot>`,
+        :meth:`DataPlane.deliver`, one
+        :func:`~repro.system.client.play_frame` per phone, and the
+        fold, :meth:`EdgeServer.complete_slot
+        <repro.system.server.EdgeServer.complete_slot>`.  The uplink
+        (acks and pose uploads) is carried in memory.
 
         Pass a :class:`~repro.system.telemetry.Telemetry` collector to
         capture the per-slot planner view and outcomes, and/or an
@@ -331,36 +391,29 @@ class SystemExperiment:
         defers just the pose upload.  ``None`` (the default) leaves
         the run bit-identical to a build without the fault layer.
         """
-        # The phone model, the walker, the event engine, the fault
-        # kinds and the figure metrics are the harness's own: a serving
-        # process builds this class but never loads them.
+        # The phone model, the walker, the fault kinds and the figure
+        # metrics are the harness's own: a serving process builds this
+        # class but never loads them.
         from repro.faults.schedule import FAULT_CORRUPT_REPORT, FAULT_DELAY_REPORT
         from repro.simulation.metrics import EpisodeResult, summarize_ledger
         from repro.system.client import Client, DecoderPool, play_frame
-        from repro.system.events import EventScheduler
         from repro.traces.motion import MotionConfig, MotionTraceGenerator
 
         cfg = self.config
         # Pre-index the schedule by slot so the hot loop pays one dict
         # lookup per slot, not a scan of the event list.
-        outage_seats: Dict[int, frozenset] = {}
-        uplink_drop_seats: Dict[int, frozenset] = {}
-        pose_drop_seats: Dict[int, frozenset] = {}
-        if faults is not None:
-            o_raw: Dict[int, set] = {}
-            u_raw: Dict[int, set] = {}
-            p_raw: Dict[int, set] = {}
-            for event in faults.events:
-                if event.kind == FAULT_CORRUPT_REPORT:
-                    u_raw.setdefault(event.slot, set()).add(event.seat)
-                elif event.kind == FAULT_DELAY_REPORT:
-                    p_raw.setdefault(event.slot, set()).add(event.seat)
-                else:
-                    o_raw.setdefault(event.slot, set()).add(event.seat)
-            outage_seats = {t: frozenset(s) for t, s in o_raw.items()}
-            uplink_drop_seats = {t: frozenset(s) for t, s in u_raw.items()}
-            pose_drop_seats = {t: frozenset(s) for t, s in p_raw.items()}
-        _EMPTY: frozenset = frozenset()
+        outage_seats: Dict[int, Set[int]] = {}
+        uplink_drop_seats: Dict[int, Set[int]] = {}
+        pose_drop_seats: Dict[int, Set[int]] = {}
+        for event in faults.events if faults is not None else ():
+            if event.kind == FAULT_CORRUPT_REPORT:
+                seats = uplink_drop_seats
+            elif event.kind == FAULT_DELAY_REPORT:
+                seats = pose_drop_seats
+            else:
+                seats = outage_seats
+            seats.setdefault(event.slot, set()).add(event.seat)
+        _EMPTY: FrozenSet[int] = frozenset()
         slots_counter = (
             obs.registry.counter(
                 "repro_experiment_slots_total",
@@ -396,41 +449,14 @@ class SystemExperiment:
         for u in range(cfg.num_users):
             server.observe_pose(u, poses[u][0])
 
-        engine = EventScheduler()
         # Transmission slots t = 0..T-2; the frame sent in slot t is
         # displayed against the true pose of slot t+1.
-        num_tx_slots = cfg.duration_slots - 1
-
-        def run_slot(t: int) -> None:
+        for t in range(cfg.duration_slots - 1):
             plan = server.plan_slot()
-            demands = plan.demands_mbps
-            data_plane.step()
-            achieved = data_plane.achieved(demands)
-
-            # Injected outages starve the downlink AFTER the router
-            # draws (so the network RNG stream keeps its shape) and
-            # BEFORE the RTP step (whose starved path draws nothing).
             down = outage_seats.get(t, _EMPTY)
-            for u in down:
-                if u < cfg.num_users:
-                    achieved[u] = 0.0
-            uplink_lost = uplink_drop_seats.get(t, _EMPTY) | down
-            pose_lost = pose_drop_seats.get(t, _EMPTY) | uplink_lost
-
-            indicators: List[int] = []
-            delays: List[float] = []
-            delivered_ids: List[List[int]] = []
-            released_ids: List[List[int]] = []
-            uploads: List[int] = []
-            # Pose upload at the end of the slot (TCP); extra
-            # staleness defers which pose the server learns.
-            stale_t = t - cfg.pose_upload_latency_slots
-            for u in range(cfg.num_users):
-                user_plan = plan.users[u]
-                result = data_plane.transmit(
-                    user_plan.missing_bits, demands[u], achieved[u]
-                )
-                played = play_frame(
+            achieved, results = data_plane.deliver(plan, starved=down)
+            played = [
+                play_frame(
                     clients[u],
                     self.coverage,
                     poses[u],
@@ -443,35 +469,38 @@ class SystemExperiment:
                     result.duration_s,
                     user_plan.startup_delay_s,
                 )
-                outcome = played.outcome
-                indicators.append(outcome.indicator)
-                delays.append(played.delay_slots)
-                if u in uplink_lost:
-                    delivered_ids.append([])
-                    released_ids.append([])
-                else:
-                    delivered_ids.append(list(played.delivered_ids))
-                    released_ids.append(list(clients[u].last_released))
-                if stale_t >= 0 and u not in pose_lost:
-                    uploads.append(u)
-                if telemetry is not None:
-                    telemetry.add(
-                        SlotUserRecord(
-                            slot=t,
-                            user=u,
-                            level=user_plan.level,
-                            demand_mbps=demands[u],
-                            achieved_mbps=achieved[u],
-                            believed_cap_mbps=server.estimated_cap(u),
-                            displayed=outcome.displayed,
-                            covered=outcome.covered,
-                            delay_slots=played.delay_slots,
-                        )
-                    )
-            for u in uploads:
-                server.observe_pose(u, poses[u][stale_t])
+                for u, (user_plan, result) in enumerate(zip(plan.users, results))
+            ]
+            outcomes = [frame.outcome for frame in played]
+            indicators = [outcome.indicator for outcome in outcomes]
+            # The uplink: a lost one carries no acks and no pose; the
+            # pose upload lands at the end of the slot (TCP), and
+            # extra staleness defers which pose the server learns.
+            uplink_lost = uplink_drop_seats.get(t, _EMPTY) | down
+            pose_lost = pose_drop_seats.get(t, _EMPTY) | uplink_lost
+            stale_t = t - cfg.pose_upload_latency_slots
             server.complete_slot(
-                plan, indicators, delays, achieved, delivered_ids, released_ids
+                plan,
+                indicators,
+                [frame.delay_slots for frame in played],
+                achieved,
+                [
+                    () if u in uplink_lost else frame.delivered_ids
+                    for u, frame in enumerate(played)
+                ],
+                [
+                    () if u in uplink_lost else client.last_released
+                    for u, client in enumerate(clients)
+                ],
+                poses=[
+                    poses[u][stale_t]
+                    if stale_t >= 0 and u not in pose_lost
+                    else None
+                    for u in range(cfg.num_users)
+                ],
+                telemetry=telemetry,
+                displayed=[outcome.displayed for outcome in outcomes],
+                covered=[outcome.covered for outcome in outcomes],
             )
             if slots_counter is not None:
                 slots_counter.inc()
@@ -480,12 +509,12 @@ class SystemExperiment:
                 # run's virtual slot boundaries instead.
                 builder = obs.tracer.slot(t, t * cfg.slot_s)
                 builder.stage("allocate", t * cfg.slot_s, t * cfg.slot_s)
-                for u in range(cfg.num_users):
-                    if plan.users[u].level > 0:
+                for u, user_plan in enumerate(plan.users):
+                    if user_plan.level > 0:
                         builder.user(
                             u,
-                            level=plan.users[u].level,
-                            demand_mbps=demands[u],
+                            level=user_plan.level,
+                            demand_mbps=user_plan.demand_mbps,
                             displayed=bool(indicators[u]),
                         )
                 span = builder.finish(
@@ -493,11 +522,6 @@ class SystemExperiment:
                 )
                 obs.flight.record(span)
                 obs.tracer.emit(span)
-            if t + 1 < num_tx_slots:
-                engine.schedule_in(cfg.slot_s, lambda: run_slot(t + 1))
-
-        engine.schedule_at(0.0, lambda: run_slot(0))
-        engine.run_all(max_events=num_tx_slots + 10)
 
         return EpisodeResult(
             users=[

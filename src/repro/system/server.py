@@ -34,6 +34,7 @@ from repro.kernel.predict import BatchMotionPredictor
 from repro.prediction.delay import BatchDelayPredictor
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose, is_finite_vector
+from repro.system.telemetry import SlotUserRecord, Telemetry
 from repro.units import SLOT_DURATION_S
 
 _EPS = 1e-9
@@ -521,14 +522,44 @@ class EdgeServer:
         achieved_mbps: Sequence[float],
         delivered_ids: Sequence[Sequence[int]],
         released_ids: Sequence[Sequence[int]],
+        poses: Sequence[Optional[Pose]] = (),
+        telemetry: Optional[Telemetry] = None,
+        displayed: Sequence[int] = (),
+        covered: Sequence[int] = (),
     ) -> None:
         """Fold one slot's realized results into the server's state.
 
-        ``delivered_ids[n]`` are the tiles that actually reached user
-        ``n`` (the ACKs); ``released_ids[n]`` the tiles its cache
-        evicted; ``achieved_mbps[n]`` the rate the link actually
-        sustained while the flow was transmitting.
+        The one uplink fold of both :meth:`SystemExperiment.run_repeat
+        <repro.system.experiment.SystemExperiment.run_repeat>` and the
+        serving loop.  ``delivered_ids[n]`` are the tiles that
+        actually reached user ``n`` (the ACKs); ``released_ids[n]``
+        the tiles its cache evicted; ``achieved_mbps[n]`` the rate the
+        link actually sustained while the flow was transmitting.
+        ``poses[n]``, when given and not ``None``, is the user's pose
+        upload.  The order is fixed: with a ``telemetry`` collector,
+        one record per user (carrying ``displayed[n]``, ``covered[n]``
+        and the capacity belief the plan was made with); then the pose
+        uploads in seat order; then ACKs, capacity and delay samples
+        and the QoE ledgers.
         """
+        if telemetry is not None:
+            for n, user_plan in enumerate(plan.users):
+                telemetry.add(
+                    SlotUserRecord(
+                        slot=plan.slot,
+                        user=n,
+                        level=user_plan.level,
+                        demand_mbps=user_plan.demand_mbps,
+                        achieved_mbps=achieved_mbps[n],
+                        believed_cap_mbps=self.estimated_cap(n),
+                        displayed=bool(displayed[n]),
+                        covered=bool(covered[n]),
+                        delay_slots=delays_slots[n],
+                    )
+                )
+        for n, pose in enumerate(poses):
+            if pose is not None:
+                self.observe_pose(n, pose)
         sampled: List[int] = []
         for n, user_plan in enumerate(plan.users):
             self._delivered[n].update(delivered_ids[n])

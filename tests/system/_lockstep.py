@@ -4,8 +4,12 @@ A full house of fleet clients plays every seat of a lockstep server,
 and :meth:`~repro.system.experiment.SystemExperiment.run_repeat` runs
 the same configuration.  The two share the planner
 (:class:`~repro.core.allocation.DensityValueGreedyAllocator`), the
-data plane, the edge-server build and the phone step, so every
-per-user figure must agree exactly.
+edge-server build, the phone step and the slot itself: the downlink
+(``DataPlane.deliver``) and the fold (``EdgeServer.complete_slot``).
+So every per-user figure must agree exactly.  What differs is only
+how the phones' reports reach the fold, over sockets or in memory;
+because the slot code is shared, this checks the carrier, and
+``test_run_repeat_fingerprints.py`` pins the slot's outputs.
 """
 
 import asyncio

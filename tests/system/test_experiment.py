@@ -53,6 +53,32 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(throttle_guidelines=())
 
+    @pytest.mark.parametrize("name, value", [
+        ("slot_s", float("nan")),
+        ("slot_s", True),
+        ("slot_s", "0.0167"),
+        ("server_budget_mbps", float("nan")),
+        ("server_budget_mbps", None),
+        ("router_capacity_mbps", float("nan")),
+        ("link_fading_sigma", float("nan")),
+        ("router_fading_sigma", float("nan")),
+        ("interference_onset", float("nan")),
+        ("rtp_base_loss", float("nan")),
+        ("safety_factor", False),
+        ("num_users", 2.5),
+        ("num_users", True),
+        ("duration_slots", 3.5),
+        ("num_routers", True),
+        ("pose_upload_latency_slots", 1.0),
+    ])
+    def test_refuses_what_it_cannot_run(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            replace(setup1_config(duration_slots=20), **{name: value})
+
+    def test_accepts_ints_in_float_fields(self):
+        config = replace(setup1_config(), server_budget_mbps=400, slot_s=1)
+        assert config.server_budget_mbps == 400
+
 
 class TestSystemExperiment:
     @pytest.fixture(scope="class")

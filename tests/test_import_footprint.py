@@ -37,7 +37,6 @@ NOT_SERVING = (
     "repro.shard",
     "repro.perf",
     "repro.traces.motion",
-    "repro.system.events",
     "repro.obs.http",
     "multiprocessing",
     "numpy.ma",
