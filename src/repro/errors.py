@@ -8,6 +8,9 @@ etc.) propagate.
 
 from __future__ import annotations
 
+import math
+from typing import Iterable
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -51,3 +54,27 @@ class FrameCorruptError(TransportError):
 
 class ObservabilityError(ReproError):
     """The observability layer was misused or fed malformed data."""
+
+
+def require_ints(config: object, names: Iterable[str]) -> None:
+    """Refuse a config whose named fields are not all ints (or are bools)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(f"{name} must be an int, got {value!r}")
+
+
+def require_numbers(
+    config: object, names: Iterable[str], finite: bool = False
+) -> None:
+    """Refuse a bool, a non-number or NaN (and ±inf if ``finite``) field.
+
+    NaN passes every range check (``nan < 0`` is False), so a config
+    refuses it up front instead of failing deep inside a run.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            not math.isfinite(value) if finite else math.isnan(value)
+        ):
+            raise ConfigurationError(f"{name} must be a number, got {value!r}")

@@ -21,7 +21,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_ints
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:
@@ -98,16 +98,9 @@ class ObsConfig:
     slo: Optional[SloConfig] = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "sample_every", "flight_capacity", "flight_max_dumps", "http_port",
-        ):
-            value = getattr(self, name)
-            if name == "http_port" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"{name} must be an int, got {value!r}"
-                )
+        require_ints(self, (
+            "sample_every", "flight_capacity", "flight_max_dumps",
+        ) + (("http_port",) if self.http_port is not None else ()))
         if self.sample_every < 1:
             raise ConfigurationError(
                 f"sample_every must be >= 1, got {self.sample_every}"

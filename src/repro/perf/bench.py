@@ -38,9 +38,10 @@ A note on the serve bench's ``mux`` row at 128 clients: on a one-core
 box the slot budget is lost in the planner, not on the wire.  The
 solve itself is small: in ``SystemExperiment`` setup 1 scaled to 128
 seats on a 2-vCPU Xeon box, the allocator takes the sorted sweep and
-spends ~0.5-0.7 ms of CPU per slot in ``allocate``.  The seats x levels
-delay-predictor calls that price each level happen before it, in
-``EdgeServer.plan_slot``.  Encode and send stay near 3 ms at p99.
+spends ~0.5-0.7 ms of CPU per slot in ``allocate``.  Before it, in
+``EdgeServer.plan_slot``, one ``BatchDelayPredictor.delays`` Horner
+sweep prices every seat at every level.  Encode and send stay near
+3 ms at p99.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ from typing import Sequence, Tuple
 from repro.content.projection import angular_difference_deg, wrap_angle_deg
 from repro.errors import ConfigurationError
 
+#: A pose as six floats, (x, y, z, yaw, pitch, roll).
+PoseRow = Tuple[float, float, float, float, float, float]
+
 
 def is_finite_vector(vec: object) -> bool:
     """Whether ``vec`` is six finite real numbers.
@@ -27,6 +30,19 @@ def is_finite_vector(vec: object) -> bool:
         return all(map(math.isfinite, vec))
     except (TypeError, OverflowError):
         return False
+
+
+def pose_row(vec: Sequence[float]) -> PoseRow:
+    """``Pose.from_vector(vec).as_vector()`` without building the pose.
+
+    Pitch is clamped, then yaw and roll wrapped.  Normalise a row from
+    outside once: a second wrap turns a wrapped 180.0 into -180.0.
+    """
+    if len(vec) != 6:
+        raise ConfigurationError(f"expected 6 DoF values, got {len(vec)}")
+    x, y, z, yaw, pitch, roll = (float(v) for v in vec)
+    pitch = min(max(pitch, -90.0), 90.0)
+    return (x, y, z, wrap_angle_deg(yaw), pitch, wrap_angle_deg(roll))
 
 
 @dataclass(frozen=True)
@@ -56,7 +72,7 @@ class Pose:
     def orientation(self) -> Tuple[float, float, float]:
         return (self.yaw, self.pitch, self.roll)
 
-    def as_vector(self) -> Tuple[float, float, float, float, float, float]:
+    def as_vector(self) -> PoseRow:
         """All six DoFs as a flat tuple (x, y, z, yaw, pitch, roll)."""
         return (self.x, self.y, self.z, self.yaw, self.pitch, self.roll)
 
@@ -78,9 +94,7 @@ class Pose:
 
     @staticmethod
     def from_vector(vec: Sequence[float]) -> "Pose":
-        """Build a pose from a 6-element sequence, clamping pitch."""
-        if len(vec) != 6:
-            raise ConfigurationError(f"expected 6 DoF values, got {len(vec)}")
-        x, y, z, yaw, pitch, roll = (float(v) for v in vec)
-        pitch = min(max(pitch, -90.0), 90.0)
-        return Pose(x, y, z, yaw, pitch, roll)
+        """Build a pose from a 6-element sequence (see :func:`pose_row`)."""
+        x, y, z, _, pitch, _ = pose_row(vec)
+        # The constructor wraps yaw and roll itself, once.
+        return Pose(x, y, z, float(vec[3]), pitch, float(vec[5]))

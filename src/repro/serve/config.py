@@ -11,12 +11,11 @@ pacing, overload thresholds, and timeouts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_ints, require_numbers
 from repro.obs.config import ObsConfig
 from repro.system.experiment import ExperimentConfig, setup1_config
 from repro.units import SLOT_DURATION_S
@@ -116,16 +115,11 @@ class ServeConfig:
     shard_index: int = -1
 
     def __post_init__(self) -> None:
-        for name in (
+        require_ints(self, (
             "port", "expect_clients", "lag_degrade_slots",
             "resume_grace_slots", "shard_index", "write_degrade_bytes",
             "write_drop_bytes",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"{name} must be an int, got {value!r}"
-                )
+        ))
         if not 1 <= self.expect_clients <= self.experiment.num_users:
             raise ConfigurationError(
                 f"expect_clients must be in [1, {self.experiment.num_users}], "
@@ -142,21 +136,11 @@ class ServeConfig:
                 "need 0 < write_degrade_bytes <= write_drop_bytes, got "
                 f"{self.write_degrade_bytes} / {self.write_drop_bytes}"
             )
-        for name in (
+        # A NaN grace window would silently turn resume off.
+        require_numbers(self, (
             "start_timeout_s", "join_timeout_s", "report_timeout_s",
             "idle_timeout_s", "resume_grace_s",
-        ):
-            # NaN passes every range check below (a NaN grace window
-            # would silently turn resume off), so refuse it here.
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or math.isnan(value)
-            ):
-                raise ConfigurationError(
-                    f"{name} must be a number of seconds, got {value!r}"
-                )
+        ))
         for name in (
             "start_timeout_s", "join_timeout_s", "report_timeout_s",
             "idle_timeout_s",

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.content.projection import FieldOfView
 from repro.content.tiles import GridWorld, TileGrid
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_ints, require_numbers
 from repro.faults.schedule import FaultSchedule
 from repro.prediction.fov import CoverageEvaluator
 from repro.prediction.pose import Pose
@@ -62,6 +62,8 @@ class ReconnectPolicy:
     jitter_s: float = 0.02
 
     def __post_init__(self) -> None:
+        require_ints(self, ("max_attempts",))
+        require_numbers(self, ("base_s", "multiplier", "max_s", "jitter_s"))
         if self.max_attempts < 0:
             raise ConfigurationError(
                 f"max_attempts must be >= 0, got {self.max_attempts}"
@@ -129,6 +131,11 @@ class LoadGenConfig:
     reconnect: ReconnectPolicy = field(default_factory=ReconnectPolicy)
 
     def __post_init__(self) -> None:
+        require_ints(self, (
+            "port", "num_clients", "seed", "slow_clients", "churn_clients",
+            "churn_leave_after_slots",
+        ))
+        require_numbers(self, ("latency_s", "jitter_s", "slow_latency_s"))
         if self.num_clients < 1:
             raise ConfigurationError(
                 f"num_clients must be >= 1, got {self.num_clients}"
@@ -280,11 +287,7 @@ def _evaluate_plan(
         trace,
         plan.slot,
         plan.level,
-        (
-            Pose.from_vector(plan.predicted_pose)
-            if plan.predicted_pose is not None
-            else None
-        ),
+        plan.predicted_pose,
         plan.video_ids,
         plan.tile_bits,
         plan.lost_positions,

@@ -21,7 +21,7 @@ from repro.core.allocation import DensityValueGreedyAllocator
 from repro.errors import TransportError
 from repro.obs.buildinfo import config_fingerprint, register_build_info
 from repro.obs.config import TRIGGER_ADMISSION_REJECT, Obs
-from repro.prediction.pose import Pose
+from repro.prediction.pose import pose_row
 from repro.serve.admission import (
     REJECT_DRAINING,
     REJECT_RESUME,
@@ -622,9 +622,7 @@ class VrServeServer:
             return
         if isinstance(message, Ready):
             if not session.ready:
-                self.edge.observe_pose(
-                    session.seat, Pose.from_vector(message.pose)
-                )
+                self.edge.observe_pose(session.seat, pose_row(message.pose))
                 session.ready = True
                 self._ready_event.set()
         elif isinstance(message, SlotReport):

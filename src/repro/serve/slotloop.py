@@ -38,12 +38,12 @@ from repro.obs.config import (
 )
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import ServingMetrics
-from repro.serve.protocol import EndOfRun, TilePlan, pose_to_wire
+from repro.serve.protocol import EndOfRun, TilePlan
 from repro.serve.protocol2 import BinaryChannelCodec
 from repro.serve.sessions import Session, SessionRegistry
 from repro.system.experiment import DataPlane
 from repro.system.server import EdgeServer, SlotPlan
-from repro.prediction.pose import Pose
+from repro.prediction.pose import PoseRow, pose_row
 from repro.units import MAX_DELAY_SLOTS, clamp_delay_slots
 
 if TYPE_CHECKING:
@@ -136,8 +136,10 @@ class SlotLoop:
         them to :meth:`EdgeServer.complete_slot
         <repro.system.server.EdgeServer.complete_slot>`: sessions that
         reported contribute their measured indicator, delay, ACKs and
-        pose upload; planned sessions that did not report are charged
-        a failed slot; empty seats are recorded as idle (level 0).
+        pose upload (a row, normalised once by
+        :func:`~repro.prediction.pose.pose_row`); planned sessions that
+        did not report are charged a failed slot; empty seats are
+        recorded as idle (level 0).
         """
         if self._pending is None:
             return
@@ -147,7 +149,7 @@ class SlotLoop:
         delays_slots: List[float] = []
         delivered_ids: List[Sequence[int]] = []
         released_ids: List[Sequence[int]] = []
-        poses: List[Optional[Pose]] = []
+        poses: List[Optional[PoseRow]] = []
         for seat, user_plan in enumerate(plan.users):
             session = self.registry.get(seat)
             report = (
@@ -160,7 +162,7 @@ class SlotLoop:
                 delays_slots.append(clamp_delay_slots(report.delay_slots))
                 delivered_ids.append(report.delivered_ids)
                 released_ids.append(report.released_ids)
-                poses.append(Pose.from_vector(report.pose))
+                poses.append(pose_row(report.pose))
             else:
                 # A planned session that went silent is charged a
                 # failed slot; an empty or idle seat is a level-0 slot,
@@ -230,7 +232,7 @@ class SlotLoop:
         ``achieved`` and ``results`` are the slot's
         :meth:`DataPlane.deliver
         <repro.system.experiment.DataPlane.deliver>` output, in seat
-        order.
+        order.  The plan's predicted pose row goes to the wire as is.
         """
         frames: List[Tuple[Session, TilePlan]] = []
         for seat, (user_plan, result) in enumerate(zip(plan.users, results)):
@@ -251,11 +253,7 @@ class SlotLoop:
                     TilePlan(
                         slot=slot,
                         level=user_plan.level,
-                        predicted_pose=(
-                            pose_to_wire(user_plan.predicted_pose.as_vector())
-                            if user_plan.predicted_pose is not None
-                            else None
-                        ),
+                        predicted_pose=user_plan.predicted_pose,
                         video_ids=video_ids,
                         tile_bits=tuple(user_plan.missing_bits),
                         lost_positions=result.lost_tile_indices,

@@ -210,7 +210,7 @@ def play_frame(
     trace: Sequence[Pose],
     slot: int,
     level: int,
-    predicted_pose: Optional[Pose],
+    predicted_pose: Optional[Sequence[float]],
     video_ids: Sequence[int],
     tile_bits: Sequence[float],
     lost_positions: Sequence[int],
@@ -220,13 +220,14 @@ def play_frame(
     """Play the frame sent in ``slot`` on one phone.
 
     Coverage is judged against the trace's true pose of the next slot
-    (the display slot); the transmission span includes the server's
-    startup delay only when tiles were actually sent.
+    (the display slot), from the plan's predicted row; the transmission
+    span includes the server's startup delay only when tiles were sent.
     """
     covered = False
     if level > 0 and predicted_pose is not None:
+        predicted = Pose.from_vector(predicted_pose)
         true_pose = trace[min(slot + 1, len(trace) - 1)]
-        covered = bool(coverage.evaluate(predicted_pose, true_pose).covered)
+        covered = bool(coverage.evaluate(predicted, true_pose).covered)
     transmission_s = duration_s + startup_delay_s if tile_bits else duration_s
     outcome = phone.receive_frame(
         list(video_ids),

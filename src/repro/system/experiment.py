@@ -15,7 +15,6 @@ bars of Figs. 7-8.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING, Collection, Dict, FrozenSet, List, Mapping, Optional,
@@ -31,7 +30,7 @@ from repro.content.rate import RateModel
 from repro.content.tiles import GridWorld, TileGrid, VideoId
 from repro.core.allocation import QualityAllocator
 from repro.core.qoe import QoEWeights
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_ints, require_numbers
 from repro.obs.config import Obs
 from repro.prediction.fov import CoverageEvaluator
 from repro.system.netem import (
@@ -102,35 +101,20 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
+        require_ints(self, (
             "num_users", "num_routers", "duration_slots", "cell_tolerance",
             "client_cache_tiles", "num_decoders", "content_refresh_slots",
-            "pose_upload_latency_slots", "gop_length",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"{name} must be an int, got {value!r}"
-                )
-        for name in (
+            "pose_upload_latency_slots", "gop_length", "seed",
+        ))
+        # An infinity, like NaN, fails deep inside a run (or never).
+        require_numbers(self, (
             "router_capacity_mbps", "server_budget_mbps", "slot_s",
             "margin_deg", "world_size_m", "interference_onset",
             "link_fading_sigma", "router_fading_sigma", "rtp_base_loss",
             "rtp_congestion_loss", "decode_rate_mbps", "initial_cap_mbps",
             "level_ratio", "safety_factor", "contention_loss_per_flow",
             "router_planning_efficiency", "gop_i_to_p_ratio",
-        ):
-            # NaN passes every range check downstream and fails deep
-            # inside a run (or never), so refuse it here.
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or math.isnan(value)
-            ):
-                raise ConfigurationError(
-                    f"{name} must be a number, got {value!r}"
-                )
+        ), finite=True)
         if self.num_users < 1:
             raise ConfigurationError(f"num_users must be >= 1, got {self.num_users}")
         if self.pose_upload_latency_slots < 0:
@@ -447,7 +431,7 @@ class SystemExperiment:
 
         # Connection setup: each client uploads its initial pose.
         for u in range(cfg.num_users):
-            server.observe_pose(u, poses[u][0])
+            server.observe_pose(u, poses[u][0].as_vector())
 
         # Transmission slots t = 0..T-2; the frame sent in slot t is
         # displayed against the true pose of slot t+1.
@@ -493,7 +477,7 @@ class SystemExperiment:
                     for u, client in enumerate(clients)
                 ],
                 poses=[
-                    poses[u][stale_t]
+                    poses[u][stale_t].as_vector()
                     if stale_t >= 0 and u not in pose_lost
                     else None
                     for u in range(cfg.num_users)

@@ -33,7 +33,7 @@ from repro.errors import ConfigurationError
 from repro.kernel.predict import BatchMotionPredictor
 from repro.prediction.delay import BatchDelayPredictor
 from repro.prediction.fov import CoverageEvaluator
-from repro.prediction.pose import Pose, is_finite_vector
+from repro.prediction.pose import PoseRow, is_finite_vector, pose_row
 from repro.system.telemetry import SlotUserRecord, Telemetry
 from repro.units import SLOT_DURATION_S
 
@@ -66,7 +66,9 @@ class UserPlan:
     """One user's share of a slot plan."""
 
     level: int
-    predicted_pose: Optional[Pose]
+    #: The display-time pose the tiles were selected for; ``None`` for
+    #: an empty seat.
+    predicted_pose: Optional[PoseRow]
     cell_id: int
     tile_indices: Tuple[int, ...]
     missing_keys: List[TileKey]
@@ -183,10 +185,6 @@ class EdgeServer:
         self._motion = BatchMotionPredictor(
             num_users, window=predictor_window, horizon=prediction_horizon
         )
-        # Each seat's newest observed pose: a seat with one observation
-        # plans with that very object, since rebuilding it from the
-        # stored vector would wrap its angles a second time.
-        self._last_poses: List[Optional[Pose]] = [None] * num_users
         # Plain float estimates with EMA updates on saturated samples;
         # see observe-throughput logic in complete_slot.
         self._cap_estimates = [float(initial_cap_mbps)] * num_users
@@ -231,10 +229,13 @@ class EdgeServer:
     # ------------------------------------------------------------------
     # Uplink: poses and ACKs
     # ------------------------------------------------------------------
-    def observe_pose(self, user: int, pose: Pose) -> None:
-        """Fold a pose upload (TCP) into the user's motion history."""
-        self._motion.observe_user(user, pose.as_vector())
-        self._last_poses[user] = pose
+    def observe_pose(self, user: int, vector: Sequence[float]) -> None:
+        """Fold a pose upload (TCP) into the user's motion history.
+
+        The row is stored as given: normalise a row from outside with
+        :func:`~repro.prediction.pose.pose_row` first.
+        """
+        self._motion.observe_user(user, vector)
 
     def acknowledge_release(self, user: int, video_ids: Sequence[int]) -> None:
         """Client evicted tiles: forget them so they can be resent."""
@@ -257,7 +258,6 @@ class EdgeServer:
                 f"user index must be in [0, {self.num_users}), got {user}"
             )
         self._motion.reset_user(user)
-        self._last_poses[user] = None
         self._delay_model.reset_user(user)
         self._delivered[user].clear()
         self._cap_estimates[user] = self._initial_cap_mbps
@@ -358,7 +358,7 @@ class EdgeServer:
         # First, as it refuses a bad blob before restoring anything.
         self.scheduler.import_user(user, sched_state)
         for vector in pose_window:
-            self.observe_pose(user, Pose.from_vector(vector))
+            self.observe_pose(user, pose_row(vector))
         self._delay_model.restore_user(user, delay_samples)
         self._cap_estimates[user] = float(cap)
         self._delivered[user] = set(delivered_ids)
@@ -376,19 +376,6 @@ class EdgeServer:
     def estimated_cap(self, user: int) -> float:
         """Safety-discounted capacity estimate used as ``B_n(t)``."""
         return self._cap_estimates[user] * self._safety
-
-    def _predicted_poses(self) -> List[Optional[Pose]]:
-        """Every seat's display-time pose from one batched regression."""
-        rows = self._motion.predict().tolist()
-        predicted: List[Optional[Pose]] = []
-        for n, count in enumerate(self._motion.num_observations.tolist()):
-            if count == 0:
-                predicted.append(None)
-            elif count == 1:
-                predicted.append(self._last_poses[n])
-            else:
-                predicted.append(Pose.from_vector(rows[n]))
-        return predicted
 
     def plan_slot(self, max_levels: Optional[Sequence[int]] = None) -> SlotPlan:
         """Allocate quality and select missing tiles for every user.
@@ -413,21 +400,29 @@ class EdgeServer:
         caps = []
         raw_caps = []
 
-        predicted = self._predicted_poses()
+        # Every seat's display-time pose from one batched regression.
+        # A seat with one observation plans with the row it observed;
+        # a fitted row has its yaw and roll (columns 3 and 5) wrapped
+        # once more, as a Pose built from it would be.
+        rows = self._motion.predict()
+        counts = self._motion.num_observations
+        fitted = counts >= 2
+        rows[fitted, 3::2] = (rows[fitted, 3::2] + 180.0) % 360.0 - 180.0
         # Seats with no pose yet plan a placeholder the allocator can
         # skip; cell 0 keeps the rate curve well defined.  Every live
         # seat's cell and tiles come from one batched sweep each.
+        predicted: List[Optional[PoseRow]] = [None] * self.num_users
         cells: List[int] = [0] * self.num_users
         tile_sets: List[Tuple[int, ...]] = [()] * self.num_users
-        live = [n for n, pose in enumerate(predicted) if pose is not None]
-        live_poses = [predicted[n] for n in live]
-        live_cells = self.coverage.world.cells_of(
-            [p.x for p in live_poses], [p.y for p in live_poses]
-        ).tolist()
-        live_tiles = self.coverage.tiles_to_deliver(
-            [p.yaw for p in live_poses], [p.pitch for p in live_poses]
-        )
-        for n, cell, tiles in zip(live, live_cells, live_tiles):
+        live = (counts > 0).nonzero()[0]
+        live_rows = rows[live]
+        x, y, _, yaw, pitch, _ = live_rows.T
+        live_cells = self.coverage.world.cells_of(x, y).tolist()
+        live_tiles = self.coverage.tiles_to_deliver(yaw, pitch)
+        for n, row, cell, tiles in zip(
+            live.tolist(), live_rows.tolist(), live_cells, live_tiles
+        ):
+            predicted[n] = tuple(row)
             cells[n] = cell
             tile_sets[n] = tiles
         for n, pose in enumerate(predicted):
@@ -436,8 +431,7 @@ class EdgeServer:
                 held = (cells[n], self.database.rate_model.curve(cells[n]))
                 self._seat_curves[n] = held
             curves.append(held[1])
-            row = held[1].as_tuple()
-            sizes.append(row)
+            sizes.append(held[1].as_tuple())
             if pose is None:
                 # An empty seat (no pose ever observed) must not draw
                 # budget away from live users: a zero capacity makes
@@ -522,7 +516,7 @@ class EdgeServer:
         achieved_mbps: Sequence[float],
         delivered_ids: Sequence[Sequence[int]],
         released_ids: Sequence[Sequence[int]],
-        poses: Sequence[Optional[Pose]] = (),
+        poses: Sequence[Optional[Sequence[float]]] = (),
         telemetry: Optional[Telemetry] = None,
         displayed: Sequence[int] = (),
         covered: Sequence[int] = (),
@@ -536,7 +530,7 @@ class EdgeServer:
         the tiles its cache evicted; ``achieved_mbps[n]`` the rate the
         link actually sustained while the flow was transmitting.
         ``poses[n]``, when given and not ``None``, is the user's pose
-        upload.  The order is fixed: with a ``telemetry`` collector,
+        upload, a row stored as given (:meth:`observe_pose`).  The order is fixed: with a ``telemetry`` collector,
         one record per user (carrying ``displayed[n]``, ``covered[n]``
         and the capacity belief the plan was made with); then the pose
         uploads in seat order; then ACKs, capacity and delay samples

@@ -61,8 +61,8 @@ def test_lockstep_loopback_selects_tiles_once_per_planned_slot(monkeypatch):
 
 
 def test_single_observation_selects_tiles_from_the_observed_pose(monkeypatch):
-    # Rebuilding this pose from its vector would wrap yaw 180.0 to
-    # -180.0: the planner must select tiles from the observed object.
+    # Rebuilding this pose from its row would wrap yaw 180.0 to
+    # -180.0: the planner must select tiles from the observed row.
     observed = Pose(4.0, 4.0, 1.6, -180.0 - 2.0 ** -45, 0.0)
     rebuilt = Pose.from_vector(observed.as_vector())
     assert rebuilt.yaw != observed.yaw
@@ -80,7 +80,7 @@ def test_single_observation_selects_tiles_from_the_observed_pose(monkeypatch):
     seen = []
     _counting(monkeypatch, "tiles_to_deliver", calls, seen)
     _counting(monkeypatch, "evaluate", calls)
-    server.observe_pose(1, observed)
+    server.observe_pose(1, observed.as_vector())
     plan = server.plan_slot()
     assert calls == {id(server.coverage): Counter(tiles_to_deliver=1)}
     # Only the live seat is asked about, with the observed direction.
@@ -88,5 +88,5 @@ def test_single_observation_selects_tiles_from_the_observed_pose(monkeypatch):
     assert list(yaws) == [observed.yaw]
     assert list(pitches) == [observed.pitch]
     assert plan.users[0].tile_indices == ()
-    assert plan.users[1].predicted_pose is observed
+    assert plan.users[1].predicted_pose == observed.as_vector()
     assert len(plan.users[1].tile_indices) > 0

@@ -108,6 +108,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="port"):
             asyncio.run(run_mux_fleet(LoadGenConfig(num_clients=2), 2))
 
+    @pytest.mark.parametrize("name, value", [
+        ("latency_s", float("nan")),
+        ("jitter_s", float("nan")),
+        ("slow_latency_s", True),
+        ("latency_s", "0.01"),
+        ("num_clients", 2.5),
+        ("num_clients", True),
+        ("slow_clients", 0.5),
+        ("port", 0.5),
+        ("seed", 2.5),
+    ])
+    def test_fleet_refuses_what_it_cannot_run(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            LoadGenConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_attempts", 1.5),
+        ("max_attempts", True),
+        ("base_s", float("nan")),
+        ("max_s", float("nan")),
+        ("jitter_s", float("nan")),
+        ("multiplier", float("nan")),
+    ])
+    def test_reconnect_refuses_what_it_cannot_run(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ReconnectPolicy(**{name: value})
+
 
 class TestLinkSharing:
     def test_concurrent_rejoins_share_one_link_and_leave_nothing_open(self):

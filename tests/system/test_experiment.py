@@ -70,6 +70,12 @@ class TestConfigs:
         ("duration_slots", 3.5),
         ("num_routers", True),
         ("pose_upload_latency_slots", 1.0),
+        ("slot_s", float("inf")),
+        ("link_fading_sigma", float("inf")),
+        ("server_budget_mbps", float("-inf")),
+        ("seed", 2.5),
+        ("seed", True),
+        ("seed", "0"),
     ])
     def test_refuses_what_it_cannot_run(self, name, value):
         with pytest.raises(ConfigurationError, match=name):

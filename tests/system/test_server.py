@@ -14,7 +14,7 @@ from repro.core.allocation import DensityValueGreedyAllocator
 from repro.core.qoe import QoEWeights
 from repro.errors import ConfigurationError
 from repro.prediction.fov import CoverageEvaluator
-from repro.prediction.pose import Pose
+from repro.prediction.pose import Pose, pose_row
 from repro.system.experiment import SystemExperiment, setup1_config
 from repro.system.server import EdgeServer
 from tests.prediction._reference_delay import ReferencePolynomialDelayPredictor
@@ -38,7 +38,7 @@ def make_server(num_users=2, refresh=1, **kwargs):
 
 
 def pose(x=4.0, y=4.0, yaw=0.0):
-    return Pose(x, y, 1.6, yaw, 0.0)
+    return (x, y, 1.6, yaw, 0.0, 0.0)
 
 
 def complete(server, plan, lost=(), achieved=55.0):
@@ -298,10 +298,12 @@ class TestBatchedMotionState:
         rng = np.random.default_rng(fill)
 
         def random_pose():
-            return Pose(
+            # Normalised as an outside row is, so the import's own
+            # normalisation keeps it unchanged.
+            return pose_row((
                 float(rng.uniform(1, 7)), float(rng.uniform(1, 7)), 1.6,
-                float(rng.uniform(-180, 180)), float(rng.uniform(-60, 60)),
-            )
+                float(rng.uniform(-180, 180)), float(rng.uniform(-60, 60)), 0.0,
+            ))
 
         source = make_server(num_users=1, refresh=0)
         for _ in range(fill):
@@ -322,15 +324,15 @@ class TestBatchedMotionState:
             target.observe_pose(0, next_pose)
 
     def test_single_pose_window_plans_with_that_pose(self):
-        # Rebuilding this pose from its vector would wrap yaw 180.0
-        # to -180.0: the planner must hand back the observed object.
+        # Rebuilding this pose from its row would wrap yaw 180.0 to
+        # -180.0: the planner must hand back the observed row.
         observed = Pose(4.0, 4.0, 1.6, -180.0 - 2.0 ** -45, 0.0)
         assert Pose.from_vector(observed.as_vector()) != observed
         server = make_server(num_users=2)
-        server.observe_pose(1, observed)
+        server.observe_pose(1, observed.as_vector())
         plan = server.plan_slot()
         assert plan.users[0].predicted_pose is None
-        assert plan.users[1].predicted_pose is observed
+        assert plan.users[1].predicted_pose == observed.as_vector()
 
 
 class TestImportSeatRejectsNonFinite:

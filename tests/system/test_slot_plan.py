@@ -1,13 +1,12 @@
 """Tests for the SlotPlan/UserPlan value objects."""
 
-from repro.prediction.pose import Pose
 from repro.system.server import SlotPlan, UserPlan
 
 
 def user_plan(level=3, demand=25.0):
     return UserPlan(
         level=level,
-        predicted_pose=Pose(1.0, 1.0, 1.6, 0.0, 0.0),
+        predicted_pose=(1.0, 1.0, 1.6, 0.0, 0.0, 0.0),
         cell_id=7,
         tile_indices=(0, 1, 2, 3),
         missing_keys=[],
