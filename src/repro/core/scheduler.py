@@ -17,7 +17,7 @@ so the algorithms are executed by identical code in both worlds.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class CollaborativeVrScheduler:
     allow_skip:
         Propagated into every slot problem (see
         :class:`~repro.core.allocation.SlotProblem`).
-    accuracy_prior:
-        ``(prior_success, prior_count)`` for the delta estimators.
-    known_delta:
-        When provided, the scheduler uses these fixed per-user success
-        probabilities instead of running estimates (the Section IV
-        simulation assumes the server knows the network and prediction
-        statistics perfectly).
     """
 
     def __init__(
@@ -75,28 +68,15 @@ class CollaborativeVrScheduler:
         allocator: QualityAllocator,
         weights: QoEWeights,
         allow_skip: bool = False,
-        accuracy_prior: Tuple[float, float] = (0.9, 5.0),
-        known_delta: Optional[Sequence[float]] = None,
     ) -> None:
         if num_users < 1:
             raise ConfigurationError(f"num_users must be >= 1, got {num_users}")
-        if known_delta is not None:
-            if len(known_delta) != num_users:
-                raise ConfigurationError(
-                    f"known_delta must have {num_users} entries, got {len(known_delta)}"
-                )
-            for d in known_delta:
-                if not 0.0 <= d <= 1.0:
-                    raise ConfigurationError(f"delta must be in [0, 1], got {d}")
         self.num_users = num_users
         self.allocator = allocator
         self.weights = weights
         self.allow_skip = allow_skip
-        self._known_delta = list(known_delta) if known_delta is not None else None
         self._qbar = [RunningMean() for _ in range(num_users)]
-        self._accuracy = [
-            PredictionAccuracyTracker(*accuracy_prior) for _ in range(num_users)
-        ]
+        self._accuracy = [PredictionAccuracyTracker() for _ in range(num_users)]
         self.ledgers: List[UserQoELedger] = [UserQoELedger() for _ in range(num_users)]
         self._t = 0
         self._slots_counter: Optional[Counter] = None
@@ -129,8 +109,6 @@ class CollaborativeVrScheduler:
 
     def delta(self, user: int) -> float:
         """Current success-probability estimate for a user."""
-        if self._known_delta is not None:
-            return self._known_delta[user]
         return self._accuracy[user].estimate()
 
     def qbar(self, user: int) -> float:
@@ -283,11 +261,8 @@ class CollaborativeVrScheduler:
         blob leaves the user's state as it was.  The blob may come
         from JSON, which admits NaN and Infinity: a mean, a sum or a
         delay that is not a finite non-negative number is refused.
-
-        ``"ledger"`` is the accumulator object :meth:`export_user`
-        writes, or — from an older build — the per-slot
-        ``(level, indicator, delay)`` transcript, which is folded
-        through :meth:`~repro.core.qoe.UserQoELedger.record`.
+        ``"ledger"`` must be the accumulator object :meth:`export_user`
+        writes.
         """
         if not 0 <= user < self.num_users:
             raise ConfigurationError(
@@ -303,20 +278,12 @@ class CollaborativeVrScheduler:
         trials = _state_int(state, "accuracy_trials")
         successes = _state_int(state, "accuracy_successes")
         ledger_state = state.get("ledger")
-        ledger = UserQoELedger()
-        if isinstance(ledger_state, Mapping):
-            ledger.restore_state(ledger_state)
-        elif isinstance(ledger_state, (list, tuple)):
-            for row in ledger_state:
-                if not isinstance(row, (list, tuple)) or len(row) != 3:
-                    raise ConfigurationError(
-                        f"ledger rows must be (level, indicator, delay), got {row!r}"
-                    )
-                ledger.record(int(row[0]), int(row[1]), float(row[2]))
-        else:
+        if not isinstance(ledger_state, Mapping):
             raise ConfigurationError(
-                "scheduler user state 'ledger' must be an object or a list"
+                "scheduler user state 'ledger' must be an object"
             )
+        ledger = UserQoELedger()
+        ledger.restore_state(ledger_state)
         # The only restore that can still refuse its input goes first.
         self._accuracy[user].restore_state(trials, successes)
         self._qbar[user].restore_state(qbar_count, qbar_mean)

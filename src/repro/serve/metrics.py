@@ -233,10 +233,10 @@ class ServingMetrics:
             "repro_serve_migrations_in_total",
             "Sessions adopted from another shard",
         )
-        # Registry-only by design: how plans are framed (one frame per
-        # seat, or one batch per multiplexed connection) must not leak
+        # Registry-only by design: how plans are framed (one batch per
+        # connection, however many seats it carries) must not leak
         # into summary(), which fleets packed onto any number of
-        # sockets (and a lone untagged phone) share bit for bit.
+        # sockets share bit for bit.
         self._protocol_frames = self.registry.counter_family(
             "repro_serve_protocol_frames_total",
             "Wire frames sent/received by the slot pipeline",

@@ -265,8 +265,7 @@ class VrServeServer:
                 continue
             try:
                 await send_frame(
-                    session.writer, session.codec, frame,
-                    channel=session.channel,
+                    session.writer, session.codec, frame, channel=session.seat
                 )
             except (TransportError, ConnectionError, OSError):
                 session.alive = False
@@ -301,14 +300,13 @@ class VrServeServer:
     ) -> None:
         """Serve one physical connection, which may carry many sessions.
 
-        The first frame must be a binary join; further joins may
-        arrive *on the same connection* as channel-tagged JOIN frames
-        — that is the multiplexed load-generator path.  A connection
-        that opens with anything else (a legacy JSON join included) is
-        closed at once.  Sessions that leave with a BYE are torn down
-        immediately; whatever remains when the connection dies is
-        handled by the disconnect/resume logic, exactly as for a
-        dedicated socket.
+        The first frame must be a channel-tagged binary join; further
+        tagged joins may arrive *on the same connection*, so one
+        socket carries one phone or many alike.  A connection that
+        opens with anything else (an untagged join or a legacy JSON
+        join included) is closed at once.  Sessions that leave with a
+        BYE are torn down immediately; whatever remains when the
+        connection dies is handled by the disconnect/resume logic.
         """
         codec = BinaryChannelCodec()
         sessions: Dict[int, Session] = {}
@@ -381,16 +379,20 @@ class VrServeServer:
         units = await asyncio.wait_for(
             read_units(reader, codec), self.config.join_timeout_s
         )
-        if units is None:
-            raise TransportError("connection closed before a join frame")
+        if not units:
+            # Clean EOF, or a batch frame with no entries.
+            raise TransportError("connection sent no join frame")
         first = units[0]
-        if not isinstance(first.message, JoinRequest):
+        if first.channel < 0 or not isinstance(first.message, JoinRequest):
             got = (
                 "corrupt frame"
                 if first.message is None
                 else type(first.message).__name__
             )
-            raise TransportError(f"expected a join frame first, got {got}")
+            raise TransportError(
+                f"expected a channel-tagged join frame first, got {got} "
+                f"on channel {first.channel}"
+            )
         return await self._admit(first.message, writer, codec, first.channel)
 
     async def _admit(
@@ -402,7 +404,8 @@ class VrServeServer:
     ) -> Optional[Session]:
         """Run the join handshake; returns None when rejected.
 
-        The reply is tagged with the client-chosen ``channel``.
+        The reply is tagged with the client-chosen ``channel``; from
+        the welcome on, the session's frames are tagged by its seat.
         """
         if message.token:
             return await self._resume(message, writer, codec, channel)
@@ -437,10 +440,6 @@ class VrServeServer:
         session.token = self._make_token(session.seat)
         session.trace_id = self._make_trace_id(session.seat)
         session.codec = codec
-        if channel >= 0:
-            # A channel-tagged join is the multiplexed path: from the
-            # welcome on, this session's frames are tagged by seat.
-            session.channel = session.seat
         self.metrics.record_join()
         await send_frame(
             writer,
@@ -541,8 +540,6 @@ class VrServeServer:
                 channel=channel,
             )
             return None
-        if channel >= 0:
-            session.channel = session.seat
         self.metrics.record_session_resume()
         await send_frame(
             writer,
@@ -590,32 +587,30 @@ class VrServeServer:
     ) -> None:
         """Route one decoded wire unit to its session."""
         message = unit.message
-        session: Optional[Session] = None
-        if unit.channel >= 0:
-            session = sessions.get(unit.channel)
-        elif len(sessions) == 1:
-            session = next(iter(sessions.values()))
+        session = sessions.get(unit.channel)
         if message is None:
             # Quarantine: the framing survived, so the stream is
             # still synchronized — drop the frame, count it, and
             # keep the session (and the whole connection) alive.
+            # Corruption stamps over the channel id too (it decodes
+            # as -1), so a one-session connection is charged for it.
+            if unit.channel < 0 and len(sessions) == 1:
+                session = next(iter(sessions.values()))
             if session is not None:
                 session.corrupt_frames += 1
             self.metrics.record_corrupt_frame()
             return
-        if isinstance(message, JoinRequest):
+        if isinstance(message, JoinRequest) and unit.channel >= 0:
             joined = await self._admit(message, writer, codec, unit.channel)
             if joined is not None:
                 sessions[joined.seat] = joined
             return
         if session is None:
-            # A data frame for a seat this connection does not carry
-            # (e.g. a straggler report after a BYE): droppable, but
-            # never fatal to the other multiplexed sessions.
+            # An untagged frame, or a frame for a seat this connection
+            # does not carry (e.g. a straggler report after a BYE):
+            # droppable, but never fatal to the other sessions.
             self.metrics.record_corrupt_frame()
             return
-        if unit.channel >= 0:
-            session.channel = unit.channel
         if isinstance(message, Bye):
             self._tear_down(session, writer, said_bye=True, timed_out=False)
             del sessions[session.seat]

@@ -67,12 +67,9 @@ class Session:
     #: The codec of the *connection* this session currently rides
     #: (multiplexed sessions share one instance); rebound on every
     #: resume because delta/ack state is per-connection and must start
-    #: fresh on a new transport.
+    #: fresh on a new transport.  Every frame of an attached session
+    #: is tagged with its seat as the channel id.
     codec: BinaryChannelCodec = field(default_factory=BinaryChannelCodec)
-    #: Channel id plan frames for this session are tagged with: the
-    #: seat on multiplexed connections, -1 (untagged) on a dedicated
-    #: connection.
-    channel: int = -1
 
     def store_report(self, report: SlotReport, folded_slots: int) -> bool:
         """File a report; returns False when it is too old to matter.
@@ -238,7 +235,6 @@ class SessionRegistry:
         token: str,
         writer: asyncio.StreamWriter,
         codec: Optional[BinaryChannelCodec] = None,
-        channel: int = -1,
     ) -> Optional[Session]:
         """Re-attach a detached seat by token; None when no seat matches.
 
@@ -257,7 +253,6 @@ class SessionRegistry:
                 session.codec = (
                     codec if codec is not None else BinaryChannelCodec()
                 )
-                session.channel = channel
                 session.detached = False
                 session.detached_slot = NEVER_REPORTED
                 session.stall_read_s = 0.0

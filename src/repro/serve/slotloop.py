@@ -275,9 +275,8 @@ class SlotLoop:
         deadline is never spent on a dead socket.  Returns the number
         of frames dropped this slot.
 
-        Frames for sessions multiplexed on a shared connection
-        (``session.channel >= 0``) are grouped and sent as one
-        ``PLAN_BATCH`` frame per connection, after every per-session
+        Frames are grouped and sent as one ``PLAN_BATCH`` frame per
+        connection, each tagged with its seat, after every per-session
         fault/backpressure decision has been taken individually.
 
         Two scripted faults act here: ``truncate_frame`` writes half a
@@ -327,24 +326,13 @@ class SlotLoop:
                 self.metrics.record_dropped_frame()
                 dropped += 1
                 continue
-            if session.channel >= 0:
-                batch = batches.setdefault(
-                    id(session.codec),
-                    (session.writer, session.codec, []),
-                )
-                batch[2].append((session, frame))
-                continue
-            try:
-                session.writer.write(session.codec.encode(frame))
-            except (ConnectionError, OSError):
-                session.alive = False
-                continue
-            sent += 1
-            session.planned_slots += 1
-            session.needs_plan = False
+            batch = batches.setdefault(
+                id(session.codec), (session.writer, session.codec, [])
+            )
+            batch[2].append((session, frame))
         for writer, codec, entries in batches.values():
             batch_frames = codec.encode_plan_batch(
-                [(session.channel, frame) for session, frame in entries]
+                [(session.seat, frame) for session, frame in entries]
             )
             try:
                 for frame_bytes in batch_frames:
@@ -379,7 +367,7 @@ class SlotLoop:
             try:
                 writer.write(
                     truncate_frame_bytes(
-                        session.codec.encode(frame, channel=session.channel)
+                        session.codec.encode(frame, channel=session.seat)
                     )
                 )
             except (ConnectionError, OSError):
@@ -398,7 +386,7 @@ class SlotLoop:
         if writer is None:
             return
         codec = session.codec
-        channel = session.channel
+        channel = session.seat
 
         async def _delayed() -> None:
             await asyncio.sleep(duration_s)

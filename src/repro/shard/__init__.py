@@ -30,7 +30,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.shard.handoff": (
             "HANDOFF_SCHEMA_KIND", "HANDOFF_SCHEMA_VERSION",
-            "HANDOFF_SUPPORTED_VERSIONS", "capture_seat", "install_seat",
+            "capture_seat", "install_seat",
         ),
         "repro.shard.router": ("SessionRouter",),
         "repro.shard.supervisor": ("RestartPolicy", "ShardSupervisor"),
@@ -41,7 +41,6 @@ __all__ = [
     "ClusterResult",
     "HANDOFF_SCHEMA_KIND",
     "HANDOFF_SCHEMA_VERSION",
-    "HANDOFF_SUPPORTED_VERSIONS",
     "REDIRECT_ASSIGNED",
     "REDIRECT_REBALANCE",
     "REDIRECT_SHARD_KILL",

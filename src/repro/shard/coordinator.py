@@ -387,17 +387,20 @@ class ShardCoordinator:
         the client replays it (token included) against the redirect
         target, where the real admission or resume handshake runs.
         The redirect goes back on the join's channel, so a multiplexed
-        client can tell which of its joins it answers.
+        client can tell which of its joins it answers; a connection
+        that opens with anything but a channel-tagged join is closed
+        unanswered.
         """
         codec = BinaryChannelCodec()
         try:
             units = await asyncio.wait_for(
                 read_units(reader, codec), self.cluster.base.join_timeout_s
             )
-            message = units[0].message if units else None
-            if units is None or not isinstance(message, JoinRequest):
+            if not units:
                 return
-            channel = units[0].channel
+            channel, message = units[0].channel, units[0].message
+            if channel < 0 or not isinstance(message, JoinRequest):
+                return
             existing = self._find_session_shard(message.client)
             if existing is not None:
                 shard = existing
@@ -615,7 +618,7 @@ class ShardCoordinator:
         # every other virtual client on the link, so only a writer
         # this session has to itself is closed here.
         codec = session.codec
-        channel = session.channel
+        channel = session.seat
         shared = any(
             other is not session and other.writer is writer
             for other in self.servers[source].registry.active()

@@ -10,11 +10,11 @@ telemetry records when the source keeps them (lockstep serving only)
 — and the target shard installs it onto a parked seat that the
 client then claims through the ordinary resume path.
 
-Capture and install use only public serve APIs, so the blob is also
-the compatibility contract between shard releases: ``version`` gates
-the schema, and an unknown version is rejected rather than guessed
-at.  Telemetry records keep their *source* slot numbers (each shard
-has its own slot timeline); only the seat index is rewritten.
+Capture and install use only public serve APIs.  A blob never leaves
+the process that captured it, so ``version`` gates one schema: a blob
+of any other version is rejected rather than guessed at.  Telemetry
+records keep their *source* slot numbers (each shard has its own slot
+timeline); only the seat index is rewritten.
 """
 
 from __future__ import annotations
@@ -29,20 +29,12 @@ from repro.system.telemetry import LEVEL_MAX, SlotUserRecord
 
 #: Schema tag of the handoff blob.
 HANDOFF_SCHEMA_KIND = "repro.shard.handoff"
-#: Version written by this build.  v2 added ``trace_id`` (the stable
-#: per-session trace identity stitched across shards); v3 carries the
-#: scheduler's QoE ledger as its five running accumulators instead of
-#: the per-slot transcript, so that part of the blob has a fixed size;
-#: v4 adds ``viewed_quality``, the seat's viewed-quality ``sum`` and
-#: record ``count``, because a paced source keeps no records to derive
-#: them from.
+#: The one version this build writes and installs.  It carries the
+#: stable per-session ``trace_id``, the scheduler's QoE ledger as its
+#: five running accumulators (a fixed size) and ``viewed_quality``, the
+#: seat's viewed-quality ``sum`` and record ``count``, because a paced
+#: source keeps no records to derive them from.
 HANDOFF_SCHEMA_VERSION = 4
-
-#: Versions this build can install.  v1 blobs (no ``trace_id``) are
-#: accepted with an empty trace identity; v1 and v2 ledger transcripts
-#: are folded row by row into the accumulators; v1-v3 blobs derive the
-#: viewed-quality sum and count from their records.
-HANDOFF_SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 #: Session wire counters carried across a migration, in blob order.
 COUNTER_FIELDS = (
@@ -83,7 +75,7 @@ def _blob_float(blob: Mapping[str, Any], key: str) -> float:
 
 
 def _blob_viewed_quality(blob: Mapping[str, Any]) -> Tuple[int, int]:
-    """A v4 blob's ``(sum, count)``: ints, count >= 0, 0 <= sum <= 255 count."""
+    """A blob's ``(sum, count)``: ints, count >= 0, 0 <= sum <= 255 count."""
     quality = blob.get("viewed_quality")
     if not isinstance(quality, Mapping):
         raise ConfigurationError(
@@ -146,7 +138,7 @@ def install_seat(server: VrServeServer, blob: Mapping[str, Any]) -> Session:
     never be charged a missed report.  Raises
     :class:`~repro.errors.ConfigurationError` on a schema mismatch, a
     record that :class:`~repro.system.telemetry.Telemetry` cannot hold,
-    malformed v4 ``viewed_quality`` or a full shard, before any state
+    malformed ``viewed_quality`` or a full shard, before any state
     is touched; a malformed ``seat`` state is refused with the
     provisional admission rolled back.  The seat's viewed-quality sum
     and count are added to the target seat's, and its records (if the
@@ -158,14 +150,14 @@ def install_seat(server: VrServeServer, blob: Mapping[str, Any]) -> Session:
             f"(expected {HANDOFF_SCHEMA_KIND!r})"
         )
     version = blob.get("version")
-    if version not in HANDOFF_SUPPORTED_VERSIONS:
+    if version != HANDOFF_SCHEMA_VERSION:
         raise ConfigurationError(
             f"unsupported handoff version {version!r} "
-            f"(this build speaks {HANDOFF_SUPPORTED_VERSIONS})"
+            f"(this build speaks {HANDOFF_SCHEMA_VERSION})"
         )
     client = _blob_str(blob, "client")
     token = _blob_str(blob, "token")
-    trace_id = _blob_str(blob, "trace_id") if "trace_id" in blob else ""
+    trace_id = _blob_str(blob, "trace_id")
     if not token:
         raise ConfigurationError(
             "handoff blob carries an empty resume token; the client "
@@ -188,11 +180,7 @@ def install_seat(server: VrServeServer, blob: Mapping[str, Any]) -> Session:
         records = [SlotUserRecord.from_dict(raw) for raw in telemetry]
     except ObservabilityError as exc:
         raise ConfigurationError(f"handoff field 'telemetry': {exc}") from exc
-    if version == 4:
-        quality_sum, quality_count = _blob_viewed_quality(blob)
-    else:
-        quality_sum = sum(r.level for r in records if r.displayed)
-        quality_count = len(records)
+    quality_sum, quality_count = _blob_viewed_quality(blob)
 
     slot = server.slot_loop.slots_run
     session = server.registry.install_detached(

@@ -34,7 +34,7 @@ returned in episode order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ from repro.core.scheduler import CollaborativeVrScheduler
 from repro.errors import ConfigurationError
 from repro.obs.config import Obs
 from repro.prediction.fov import CoverageEvaluator
-from repro.prediction.motion import LinearMotionPredictor, batch_linear_predictions
-from repro.prediction.pose import Pose
+from repro.prediction.motion import batch_linear_predictions
 from repro.prediction.predictors import make_predictor
 from repro.prediction.throughput import EmaThroughputEstimator
 from repro.simulation import workers
@@ -165,17 +164,9 @@ class TraceSimulator:
         # Allocator-independent per-episode state, reused across the
         # allocators of a compare(); bounded to the last few episodes.
         self._schedule_cache: Dict[Tuple[int, int, int], SlotSchedule] = {}
-        self._prediction_cache: Dict[Tuple[int, int, int], List[List[Pose]]] = {}
+        self._prediction_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
         # Rate curves depend only on (model seed, cell): share forever.
         self._curve_cache: Dict[int, Tuple[float, ...]] = {}
-
-    def _make_predictor(self):
-        """Instantiate the configured motion predictor."""
-        if self.config.predictor == "linear-regression":
-            return LinearMotionPredictor(
-                window=self.config.predictor_window, horizon=1
-            )
-        return make_predictor(self.config.predictor, horizon=1)
 
     @staticmethod
     def _cache_put(cache: Dict, key, value) -> None:
@@ -196,8 +187,8 @@ class TraceSimulator:
 
     def _episode_predictions(
         self, schedule: SlotSchedule, num_slots: int, episode: int
-    ) -> List[List[Pose]]:
-        """Predicted pose per (user, slot) — allocator-independent.
+    ) -> np.ndarray:
+        """Predicted pose rows, ``(N, T, 6)`` — allocator-independent.
 
         The predictor only ever observes the *true* poses, which the
         schedule fixes upfront, so the whole prediction sequence can
@@ -210,31 +201,32 @@ class TraceSimulator:
         cached = self._prediction_cache.get(key)
         if cached is not None:
             return cached
-        predicted: List[List[Pose]] = []
-        if cfg.predictor == "linear-regression":
-            for n in range(cfg.num_users):
-                vectors = np.array(
-                    [p.as_vector() for p in schedule.poses[n][:num_slots]],
-                    dtype=float,
-                )
+        predicted = np.empty((cfg.num_users, num_slots, 6), dtype=float)
+        for n in range(cfg.num_users):
+            poses = schedule.poses[n][:num_slots]
+            if cfg.predictor == "linear-regression":
                 fitted = batch_linear_predictions(
-                    vectors, window=cfg.predictor_window, horizon=1
+                    np.array([p.as_vector() for p in poses], dtype=float),
+                    window=cfg.predictor_window,
+                    horizon=1,
                 )
                 # Slot 0 has no observations: connection setup
                 # delivers the initial pose, exactly as the sequential
-                # loop falls back.
-                row = [schedule.poses[n][0]]
-                row.extend(Pose.from_vector(fitted[t]) for t in range(1, num_slots))
-                predicted.append(row)
-        else:
-            for n in range(cfg.num_users):
-                predictor = self._make_predictor()
-                row = []
-                for t in range(num_slots):
-                    pose = predictor.predict()
-                    row.append(pose if pose is not None else schedule.poses[n][t])
-                    predictor.observe(schedule.poses[n][t])
-                predicted.append(row)
+                # loop falls back.  Later rows get the pitch clamp and
+                # the yaw/roll wrap a Pose built from them would apply
+                # (once more, so a fitted 180.0 becomes -180.0).
+                rows = fitted[1:]
+                rows[:, 4] = np.minimum(np.maximum(rows[:, 4], -90.0), 90.0)
+                rows[:, 3::2] = (rows[:, 3::2] + 180.0) % 360.0 - 180.0
+                predicted[n, 0] = poses[0].as_vector()
+                predicted[n, 1:] = rows
+            else:
+                predictor = make_predictor(cfg.predictor, horizon=1)
+                for t, pose in enumerate(poses):
+                    guess = predictor.predict()
+                    shown = pose if guess is None else guess
+                    predicted[n, t] = shown.as_vector()
+                    predictor.observe(pose)
         self._cache_put(self._prediction_cache, key, predicted)
         return predicted
 
@@ -284,24 +276,25 @@ class TraceSimulator:
         )
 
         num_slots = min(cfg.duration_slots, schedule.num_slots)
-        predicted_poses = self._episode_predictions(schedule, num_slots, episode)
+        # (x, y, z, yaw, pitch, roll) columns, each (N, T).
+        predicted = self._episode_predictions(
+            schedule, num_slots, episode
+        ).transpose(2, 0, 1)
+        actual = np.array(
+            [[p.as_vector() for p in row[:num_slots]] for row in schedule.poses],
+            dtype=float,
+        ).transpose(2, 0, 1)
         # Viewpoint cells for every (user, slot) in two vectorized
         # sweeps; bit-identical to calling world.cell_of per slot.
-        predicted_cells = self.world.cells_of(
-            [[p.x for p in row] for row in predicted_poses],
-            [[p.y for p in row] for row in predicted_poses],
-        )
-        actual_cells = self.world.cells_of(
-            [[p.x for p in row[:num_slots]] for row in schedule.poses],
-            [[p.y for p in row[:num_slots]] for row in schedule.poses],
-        )
+        predicted_cells = self.world.cells_of(predicted[0], predicted[1])
+        actual_cells = self.world.cells_of(actual[0], actual[1])
         # 1_n(t) for every (user, slot) in one batched call; the loop
         # reads it only where the user was served.
         covered = self.coverage.indicators(
-            [p.yaw for row in predicted_poses for p in row],
-            [p.pitch for row in predicted_poses for p in row],
-            [p.yaw for row in schedule.poses for p in row[:num_slots]],
-            [p.pitch for row in schedule.poses for p in row[:num_slots]],
+            predicted[3].ravel(),
+            predicted[4].ravel(),
+            actual[3].ravel(),
+            actual[4].ravel(),
             predicted_cells.ravel(),
             actual_cells.ravel(),
         ).reshape(predicted_cells.shape).tolist()

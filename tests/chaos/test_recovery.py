@@ -22,10 +22,11 @@ from repro.serve.protocol2 import BinaryChannelCodec, read_units, send_frame
 from repro.serve.server import VrServeServer
 
 async def _handshake(port, join):
-    """Dial the server, send one join, return its greeting and writer."""
+    """Dial the server, send one join on channel 0, return its greeting
+    and writer."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     codec = BinaryChannelCodec()
-    await send_frame(writer, codec, join)
+    await send_frame(writer, codec, join, channel=0)
     (unit,) = await read_units(reader, codec)
     return unit.message, writer
 

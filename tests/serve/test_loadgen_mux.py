@@ -10,9 +10,9 @@ Pinned here:
 * **link sharing** — phones that rejoin one endpoint together share
   one dial, and a finished run leaves no socket or pump task behind.
 
-That an untagged single-phone session (one phone, one socket, no
-channel tags) gets the same ledger is pinned by
-``test_untagged_phone.py``.
+Every frame is channel-tagged whatever the connection count, so one
+phone per socket (the testbed's layout) takes the same path as a
+packed link.
 """
 
 import asyncio

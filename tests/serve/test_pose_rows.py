@@ -70,29 +70,38 @@ def test_normalisation_changes_every_outside_row():
 
 
 async def _phone(port, config, vector):
-    """One untagged phone whose Ready and every report carry ``vector``."""
+    """One phone on its own socket whose Ready and every report carry
+    ``vector``; it joins on channel 0, then tags frames with its seat."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     codec = BinaryChannelCodec()
     try:
         await send_frame(
-            writer, codec, JoinRequest(client="phone", version=PROTOCOL_VERSION)
+            writer,
+            codec,
+            JoinRequest(client="phone", version=PROTOCOL_VERSION),
+            channel=0,
         )
         (unit,) = await read_units(reader, codec)
         assert isinstance(unit.message, Welcome)
         state = _ClientState(config, unit.message)
-        await send_frame(writer, codec, Ready(pose=vector))
+        seat = unit.message.seat
+        await send_frame(writer, codec, Ready(pose=vector), channel=seat)
         while True:
             units = await read_units(reader, codec)
             assert units is not None, "server closed before END"
             for unit in units:
                 if isinstance(unit.message, EndOfRun):
-                    await send_frame(writer, codec, Bye(reason="complete"))
+                    await send_frame(
+                        writer, codec, Bye(reason="complete"), channel=seat
+                    )
                     return unit.message.summary
                 assert isinstance(unit.message, TilePlan)
                 report = _evaluate_plan(
                     unit.message, state.trace, state.coverage, state.phone
                 )
-                await send_frame(writer, codec, replace(report, pose=vector))
+                await send_frame(
+                    writer, codec, replace(report, pose=vector), channel=seat
+                )
     finally:
         writer.close()
         await writer.wait_closed()

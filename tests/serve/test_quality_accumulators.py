@@ -172,22 +172,6 @@ class TestPacedHandoff:
         assert set(target.metrics.per_user_quality()) == {0, 1}
         assert len(source.metrics.telemetry) == len(target.metrics.telemetry) == 0
 
-    def test_v3_blob_with_the_records_installs_to_the_same_value(self):
-        source, _, source_records, _, blob = self._migrate()
-        v3 = json.loads(json.dumps(blob))
-        v3["version"] = 3
-        del v3["viewed_quality"]
-        moved = source_records.extract_user(0)
-        v3["telemetry"] = [r.as_dict() for r in moved]
-        expected = Telemetry()
-        expected.ingest(moved)
-        for each in (blob, v3):
-            target = _server(False)
-            assert install_seat(target, each).seat == 0
-            assert target.metrics.per_user_quality() == (
-                expected.viewed_quality_by_user()
-            )
-
     @pytest.mark.parametrize(
         "quality",
         [

@@ -425,10 +425,3 @@ class TestImportSeatRejectsNonFinite:
         assert state["scheduler"]["ledger"]["sum_delay"] > 0
         state["scheduler"]["ledger"]["sum_delay"] = value
         self._assert_rejected(json.loads(json.dumps(state)))
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_transcript_delay_rejected(self, value):
-        # An older build's blob carries the per-slot transcript.
-        state = self._state()
-        state["scheduler"]["ledger"] = [[3, 1, 0.5], [4, 1, value]]
-        self._assert_rejected(json.loads(json.dumps(state)))
