@@ -18,7 +18,6 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import TransportError
-
 from repro.serve.config import PROTOCOL_VERSION, serve_setup1
 from repro.serve.loadgen import LoadGenConfig
 from repro.serve.mux import run_mux_fleet
